@@ -22,7 +22,7 @@ from repro.core.static import CompletePartitioning, CompleteSharing, StaticThres
 from repro.core.abm import ABM
 from repro.core.pushout import Pushout
 from repro.core.occamy import Occamy
-from repro.core.expulsion import ExpulsionEngine, HeadDropSelector, TokenBucket
+from repro.core.expulsion import ExpulsionEngine, TokenBucket
 from repro.core.registry import (
     available_schemes,
     make_buffer_manager,
@@ -40,7 +40,6 @@ __all__ = [
     "DynamicThreshold",
     "EvictionRequest",
     "ExpulsionEngine",
-    "HeadDropSelector",
     "Occamy",
     "Pushout",
     "QueueView",

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     List,
     Optional,
     Protocol,
-    Sequence,
     runtime_checkable,
 )
 
@@ -151,21 +151,44 @@ class BufferManager:
     def over_allocated(self, queue: QueueView, now: float) -> bool:
         """Whether ``queue`` currently holds more than its fair threshold.
 
-        Used by the Occamy expulsion engine to build its bitmap; other schemes
-        inherit the same definition for instrumentation purposes.
+        The comparator of Occamy's head-drop selector: the expulsion engine's
+        victim scans below apply exactly this test per queue.
         """
         return queue.length_bytes > self.threshold(queue, now)
 
-    def over_allocated_flags(self, queues: Sequence[QueueView],
-                             now: float) -> List[bool]:
-        """Per-queue over-allocation flags, in queue order.
+    def proves_none_over_allocated(self) -> bool:
+        """O(1) proof that no queue currently exceeds its threshold.
 
-        The expulsion engine rebuilds this bitmap on every invocation;
-        schemes whose threshold shares work across queues (DT's free-buffer
-        term) override it to hoist that work out of the per-queue loop.
+        ``False`` means "cannot tell": the expulsion engine then runs the
+        victim scan.  DT overrides it with ``U <= alpha_min * F``.
         """
-        return [queue.length_bytes > self.threshold(queue, now)
-                for queue in queues]
+        return False
+
+    def first_over_allocated(self, start: int, now: float) -> Optional[int]:
+        """Index of the first over-allocated queue at or after ``start``.
+
+        Wraps around, visiting every queue once: a round-robin arbiter's grant
+        over the comparator bitmap, without building the bitmap.  ``None`` if
+        no queue is over-allocated.  DT overrides both scans to read its
+        shared free-buffer term once.
+        """
+        queues = self._require_switch().queue_views()
+        for index in chain(range(start, len(queues)), range(start)):
+            queue = queues[index]
+            if queue.length_bytes > self.threshold(queue, now):
+                return index
+        return None
+
+    def longest_over_allocated(self, now: float) -> Optional[int]:
+        """Index of the longest over-allocated queue (first wins ties)."""
+        best = None
+        best_length = -1
+        for index, queue in enumerate(self._require_switch().queue_views()):
+            length = queue.length_bytes
+            if length > best_length and length > self.threshold(queue, now):
+                best = index
+                best_length = length
+        return best
 
     # ------------------------------------------------------------------
     # Bookkeeping hooks (no-ops by default)
@@ -186,6 +209,10 @@ class BufferManager:
         degradation factor) is wired to them; schemes that cache port rates
         at attach time (ABM) refresh their cache here.
         """
+
+    def on_queue_alpha_changed(self) -> None:
+        """Called when a queue's ``alpha_override`` is written after attach
+        (DT refreshes its cached per-queue alphas here)."""
 
     def reset(self) -> None:
         """Clear any internal state (called when the switch resets)."""

@@ -13,6 +13,8 @@ In the steady state with ``N`` congested queues the reserved free buffer is
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.core.base import ACCEPT, AdmissionDecision, BufferManager, QueueView
 
 
@@ -26,6 +28,10 @@ class DynamicThreshold(BufferManager):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.alpha = alpha
+        #: Effective per-queue alphas (in queue order) and the smallest of
+        #: them; refreshed on attach and on every ``alpha_override`` write.
+        self._alphas = []
+        self._alpha_min = alpha
 
     def threshold(self, queue: QueueView, now: float) -> float:
         # Hot path: effective_alpha/clamp_threshold inlined.  The constructor
@@ -57,32 +63,55 @@ class DynamicThreshold(BufferManager):
             return AdmissionDecision(False, reason="over_threshold")
         return ACCEPT
 
-    def over_allocated(self, queue: QueueView, now: float) -> bool:
-        # length_bytes >= 0, so comparing against the unclamped product is
-        # equivalent to comparing against the clamped threshold only when the
-        # product is non-negative; clamp explicitly for negative overrides.
-        switch = self.switch
-        if switch is None:
-            self._require_switch()
-        override = queue.alpha_override
-        alpha = self.alpha if override is None else override
-        limit = alpha * switch.cell_pool.free_bytes
-        return queue.length_bytes > (limit if limit > 0.0 else 0.0)
+    # -- Expulsion-engine queries: O(1) idle proof + fused victim scans ----
+    def attach(self, switch) -> None:
+        super().attach(switch)
+        self.on_queue_alpha_changed()
 
-    def over_allocated_flags(self, queues, now: float):
-        # The free-buffer term is shared by every queue; read it once.
+    def on_queue_alpha_changed(self) -> None:
         switch = self.switch
-        if switch is None:
-            self._require_switch()
-        free = switch.cell_pool.free_bytes
+        if switch is None:  # detached: attach() refreshes
+            return
         default_alpha = self.alpha
-        flags = []
-        for queue in queues:
-            override = queue.alpha_override
-            alpha = default_alpha if override is None else override
-            limit = alpha * free
-            flags.append(queue.length_bytes > (limit if limit > 0.0 else 0.0))
-        return flags
+        self._alphas = [
+            default_alpha if queue.alpha_override is None else queue.alpha_override
+            for queue in switch.queue_views()]
+        self._alpha_min = min(self._alphas)
+
+    def proves_none_over_allocated(self) -> bool:
+        # q_i <= U <= alpha_min * F <= alpha_i * F = T_i for every queue; see
+        # repro.core.expulsion for why U >= q_i at cell granularity.  Same
+        # float product as the comparators, so rounding cannot disagree.
+        pool = self.switch.cell_pool
+        cell_bytes = pool.cell_bytes
+        free_cells = pool.free_cells
+        return ((pool.total_cells - free_cells) * cell_bytes
+                <= self._alpha_min * (free_cells * cell_bytes))
+
+    def first_over_allocated(self, start: int, now: float):
+        # The free-buffer term is shared by every queue; read it once.
+        queues = self.switch.queue_views()
+        alphas = self._alphas
+        free = self.switch.cell_pool.free_bytes
+        for index in chain(range(start, len(queues)), range(start)):
+            limit = alphas[index] * free
+            if queues[index].length_bytes > (limit if limit > 0.0 else 0.0):
+                return index
+        return None
+
+    def longest_over_allocated(self, now: float):
+        alphas = self._alphas
+        free = self.switch.cell_pool.free_bytes
+        best = None
+        best_length = -1
+        for index, queue in enumerate(self.switch.queue_views()):
+            length = queue.length_bytes
+            if length > best_length:
+                limit = alphas[index] * free
+                if length > (limit if limit > 0.0 else 0.0):
+                    best = index
+                    best_length = length
+        return best
 
     # ------------------------------------------------------------------
     # Analytical helpers (used by experiments and tests)

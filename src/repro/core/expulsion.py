@@ -2,9 +2,8 @@
 
 The engine mirrors the egress-side datapath of Figure 8/9 in the paper:
 
-* a **head-drop selector** keeps a bitmap with one bit per queue, set when the
-  queue's length exceeds the admission threshold ``T(t)``, and iterates over
-  the set bits with a round-robin arbiter;
+* a **head-drop selector** -- per-queue comparators (queue length against the
+  admission threshold ``T_i(t)``) feeding a round-robin arbiter;
 * a **fixed-priority arbiter** makes head drops yield to the output scheduler
   -- modelled here through a :class:`TokenBucket` that only grants expulsions
   out of *redundant* memory bandwidth (the same token-bucket construction as
@@ -12,15 +11,28 @@ The engine mirrors the egress-side datapath of Figure 8/9 in the paper:
 * a **head-drop executor** dequeues the victim packet's descriptor and returns
   its cell pointers to the free list without touching cell data memory.
 
-The engine is policy-agnostic: it asks the attached buffer manager which
-queues are over-allocated, so it can serve both round-robin Occamy and the
-longest-queue-drop variant evaluated in Figure 21.
+In hardware the comparators run in parallel, so a switch with nothing
+over-allocated does no extra work per packet.  The model gets the same cost
+profile from a bound instead of a bitmap.  With DT-family thresholds
+``T_i = alpha_i * F`` (``F`` free bytes, ``U`` used bytes, ``q_i`` queue
+lengths), both ``U`` and ``F`` count whole cells and an ``s``-byte packet holds
+``ceil(s / cell) * cell >= s`` of them, so ``U >= sum_i q_i >= q_i`` (packets in
+flight on a port only add to ``U``).  Hence, while
+
+    U <= alpha_min * F          (alpha_min = the smallest alpha_i)
+
+every queue has ``q_i <= U <= alpha_min * F <= alpha_i * F = T_i``: no
+comparator can be set, and the engine returns after two integer reads and a
+compare.  With Occamy's ``alpha = 8`` that covers every occupancy up to 8/9 of
+the buffer.  Above it the engine asks the manager for one victim per head
+drop through a fused scan that reads the free-buffer term once, so it stays
+policy-agnostic and serves both round-robin Occamy and the longest-queue-drop
+variant evaluated in Figure 21.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import BufferManager
@@ -47,8 +59,7 @@ class TokenBucket:
         self.capacity = capacity_cells
         self._tokens = capacity_cells
         self._last_update = 0.0
-        #: Cumulative cells consumed by forwarding vs. expulsion (statistics).
-        self.forward_cells_consumed = 0.0
+        #: Cumulative cells consumed by expulsion (statistics).
         self.expel_cells_consumed = 0.0
 
     def _refill(self, now: float) -> None:
@@ -71,7 +82,6 @@ class TokenBucket:
             raise ValueError("cells must be non-negative")
         self._refill(now)
         self._tokens -= cells
-        self.forward_cells_consumed += cells
 
     def try_consume_expulsion(self, cells: float, now: float) -> bool:
         """Consume tokens for an expulsion iff enough are available.
@@ -96,13 +106,6 @@ class TokenBucket:
             return 0.0
         return deficit / self.rate
 
-    def utilization(self) -> float:
-        """Fraction of consumed tokens that went to forwarding (diagnostics)."""
-        total = self.forward_cells_consumed + self.expel_cells_consumed
-        if total == 0:
-            return 0.0
-        return self.forward_cells_consumed / total
-
 
 class RoundRobinPointer:
     """The round-robin arbiter of the head-drop selector (functional model).
@@ -110,7 +113,9 @@ class RoundRobinPointer:
     Given a bitmap of eligible queues, return the first eligible index at or
     after the pointer, then advance the pointer past it -- exactly the grant
     behaviour of the combinational round-robin arbiters used in crossbar
-    schedulers.
+    schedulers.  The engine fuses comparators and arbiter into one scan and
+    keeps only the pointer; this bitmap form stays as the reference the
+    property tests compare that scan against.
     """
 
     def __init__(self) -> None:
@@ -133,68 +138,16 @@ class RoundRobinPointer:
                 return idx
         return None
 
-    def reset(self) -> None:
-        self._pointer = 0
-
-
-@dataclass
-class HeadDropSelector:
-    """Bitmap of over-allocated queues plus a round-robin arbiter (Figure 9)."""
-
-    num_queues: int
-    arbiter: RoundRobinPointer = field(default_factory=RoundRobinPointer)
-
-    def __post_init__(self) -> None:
-        if self.num_queues <= 0:
-            raise ValueError("num_queues must be positive")
-        self.bitmap: List[bool] = [False] * self.num_queues
-
-    def update(self, over_allocated_flags: Iterable[bool]) -> None:
-        """Refresh the bitmap from per-queue comparator outputs."""
-        flags = list(over_allocated_flags)
-        if len(flags) != self.num_queues:
-            raise ValueError(
-                f"expected {self.num_queues} flags, got {len(flags)}"
-            )
-        self.bitmap = flags
-
-    def any_over_allocated(self) -> bool:
-        return any(self.bitmap)
-
-    def select(self) -> Optional[int]:
-        """Return the index of the next over-allocated queue, round-robin."""
-        return self.arbiter.grant(self.bitmap)
-
-    def select_longest(self, lengths: Sequence[int]) -> Optional[int]:
-        """Return the longest over-allocated queue (Figure 21 variant)."""
-        best_idx: Optional[int] = None
-        best_len = -1
-        for idx, flag in enumerate(self.bitmap):
-            if flag and lengths[idx] > best_len:
-                best_idx = idx
-                best_len = lengths[idx]
-        return best_idx
-
-
-@dataclass
-class ExpulsionResult:
-    """Outcome of one :meth:`ExpulsionEngine.run` invocation."""
-
-    expelled_packets: int = 0
-    expelled_bytes: int = 0
-    blocked_on_tokens: bool = False
-    #: Seconds until enough tokens for the next pending expulsion (0 if not blocked).
-    retry_after: float = 0.0
-
 
 class ExpulsionEngine:
     """Drives head drops for over-allocated queues using redundant bandwidth.
 
     The engine is owned by a :class:`~repro.switchsim.switch.SharedMemorySwitch`
     and invoked opportunistically after enqueues and dequeues.  Each invocation
-    expels as many packets as the token bucket allows (bounded by
-    ``max_drops_per_run`` to keep single events cheap), then reports whether it
-    is blocked waiting for memory bandwidth so the switch can schedule a retry.
+    that finds an over-allocated queue is one *pass*: it expels as many packets
+    as the token bucket allows (bounded by ``max_drops_per_run`` to keep single
+    events cheap), then reports how long it is blocked waiting for memory
+    bandwidth so the switch can schedule a retry.
     """
 
     def __init__(
@@ -212,47 +165,59 @@ class ExpulsionEngine:
         self.token_bucket = token_bucket
         self.victim_policy = victim_policy
         self.max_drops_per_run = max_drops_per_run
-        self.selector = HeadDropSelector(num_queues=switch.total_queue_count)
-        #: Cumulative statistics.
+        #: The round-robin arbiter's pointer: where the next victim scan starts.
+        self.pointer = 0
+        #: Cumulative diagnostics, never part of a result document.  A pass
+        #: is an invocation that granted a victim; idle ones touch nothing.
         self.total_expelled_packets = 0
         self.total_expelled_bytes = 0
+        self.passes = 0
+        self.token_blocked_passes = 0
+        self.max_victims_per_pass = 0
 
-    def run(self, now: float) -> ExpulsionResult:
-        """Expel head packets from over-allocated queues while bandwidth allows."""
-        result = ExpulsionResult()
+    def run(self, now: float) -> float:
+        """Expel head packets from over-allocated queues while bandwidth allows.
+
+        Returns the seconds until a pass that stopped for lack of tokens can
+        resume, else ``0.0``.  While ``U <= alpha_min * F`` (module docstring)
+        nothing is scanned, counted or allocated.
+        """
+        manager = self.manager
+        if manager.proves_none_over_allocated():
+            return 0.0
+        switch = self.switch
+        queues = switch.queue_views()
+        longest = self.victim_policy == "longest"
+        bucket = self.token_bucket
+        victims = 0
+        retry_after = 0.0
         for _ in range(self.max_drops_per_run):
-            views = self.switch.queue_views()
-            flags = self.manager.over_allocated_flags(views, now)
-            self.selector.update(flags)
-            if not self.selector.any_over_allocated():
-                break
-            if self.victim_policy == "longest":
-                lengths = [view.length_bytes for view in views]
-                victim_index = self.selector.select_longest(lengths)
+            if longest:
+                index = manager.longest_over_allocated(now)
             else:
-                victim_index = self.selector.select()
-            if victim_index is None:
+                index = manager.first_over_allocated(self.pointer, now)
+            if index is None:
                 break
-            victim = views[victim_index]
-            head_bytes = self.switch.head_packet_bytes(victim.queue_id)
-            if head_bytes is None:
-                # Queue emptied between the comparator snapshot and now.
-                continue
-            cells = self.switch.cells_for_bytes(head_bytes)
-            if not self.token_bucket.try_consume_expulsion(cells, now):
-                result.blocked_on_tokens = True
+            if not longest:
+                # The arbiter moves past every grant, including one that is
+                # then blocked on tokens.
+                self.pointer = (index + 1) % len(queues)
+            # Over-allocated means longer than a non-negative threshold, so
+            # the victim has a head packet.
+            cells = len(queues[index].peek_head().cell_pointers)
+            if not bucket.try_consume_expulsion(cells, now):
                 # Never retry more often than one cell-time: retrying on
                 # sub-cell token deficits would flood the event queue.
-                result.retry_after = max(
-                    self.token_bucket.time_until(cells, now),
-                    1.0 / self.token_bucket.rate,
-                )
+                retry_after = max(bucket.time_until(cells, now),
+                                  1.0 / bucket.rate)
                 break
-            dropped = self.switch.head_drop(victim.queue_id, now)
-            if dropped is None:
-                continue
-            result.expelled_packets += 1
-            result.expelled_bytes += dropped
-            self.total_expelled_packets += 1
-            self.total_expelled_bytes += dropped
-        return result
+            self.total_expelled_bytes += switch.head_drop(index, now)
+            victims += 1
+        if victims or retry_after:
+            self.passes += 1
+            self.total_expelled_packets += victims
+            if retry_after:
+                self.token_blocked_passes += 1
+            if victims > self.max_victims_per_pass:
+                self.max_victims_per_pass = victims
+        return retry_after

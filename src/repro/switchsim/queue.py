@@ -9,11 +9,14 @@ from repro.switchsim.cells import PacketDescriptor
 
 
 class ActivityListener(Protocol):
-    """Owner interested in empty<->non-empty transitions (the switch)."""
+    """Owner interested in empty<->non-empty transitions and alpha writes
+    (the switch)."""
 
     def queue_became_active(self, queue: "SwitchQueue") -> None: ...
 
     def queue_became_inactive(self, queue: "SwitchQueue") -> None: ...
+
+    def queue_alpha_changed(self, queue: "SwitchQueue") -> None: ...
 
 
 class SwitchQueue:
@@ -28,19 +31,23 @@ class SwitchQueue:
         class_index: index of the queue within its port (traffic class).
         priority: scheduling priority; lower value = higher priority.
         weight: scheduling weight for WRR/DRR.
+        length_bytes: bytes currently queued (maintained by push/pop; a plain
+            slot because admission and the expulsion scan read it per packet).
         alpha_override: optional per-queue DT/ABM alpha (commodity chips allow
             per-queue alpha configuration, used heavily in the paper's
-            priority experiments).
+            priority experiments).  A plain attribute; writing it notifies
+            the listener so the buffer manager can refresh what it caches.
         ecn_threshold_bytes: optional per-queue ECN marking threshold.
         activity_listener: optional owner notified on every empty<->non-empty
-            transition; the switch uses it to maintain per-priority active
-            queue counts incrementally instead of rescanning all queues.
+            transition and ``alpha_override`` write; the switch uses it to
+            maintain per-priority active queue counts incrementally instead
+            of rescanning all queues.
     """
 
     __slots__ = (
         "queue_id", "port_id", "class_index", "priority", "weight",
-        "alpha_override", "ecn_threshold_bytes", "activity_listener",
-        "_descriptors", "_length_bytes", "deficit_bytes", "_drain_rate",
+        "_alpha_override", "ecn_threshold_bytes", "activity_listener",
+        "_descriptors", "length_bytes", "deficit_bytes", "_drain_rate",
         "_last_dequeue_time", "enqueued_packets", "enqueued_bytes",
         "dequeued_packets", "dequeued_bytes", "dropped_packets",
         "dropped_bytes", "expelled_packets", "expelled_bytes",
@@ -61,12 +68,12 @@ class SwitchQueue:
         self.class_index = class_index
         self.priority = priority
         self.weight = weight
-        self.alpha_override = alpha_override
+        self._alpha_override = alpha_override
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.activity_listener: Optional[ActivityListener] = None
 
         self._descriptors: Deque[PacketDescriptor] = deque()
-        self._length_bytes = 0
+        self.length_bytes = 0
         #: Deficit counter used by the DRR scheduler.
         self.deficit_bytes = 0.0
         #: Exponentially weighted drain-rate estimate in bytes/second.
@@ -87,8 +94,14 @@ class SwitchQueue:
     # QueueView protocol
     # ------------------------------------------------------------------
     @property
-    def length_bytes(self) -> int:
-        return self._length_bytes
+    def alpha_override(self) -> Optional[float]:
+        return self._alpha_override
+
+    @alpha_override.setter
+    def alpha_override(self, value: Optional[float]) -> None:
+        self._alpha_override = value
+        if self.activity_listener is not None:
+            self.activity_listener.queue_alpha_changed(self)
 
     @property
     def length_packets(self) -> int:
@@ -112,7 +125,7 @@ class SwitchQueue:
         was_empty = not descriptors
         descriptors.append(descriptor)
         size = descriptor.packet.size_bytes
-        self._length_bytes += size
+        self.length_bytes += size
         self.enqueued_packets += 1
         self.enqueued_bytes += size
         if was_empty and self.activity_listener is not None:
@@ -122,16 +135,13 @@ class SwitchQueue:
         """The descriptor at the head of the queue, without removing it."""
         return self._descriptors[0] if self._descriptors else None
 
-    def peek_tail(self) -> Optional[PacketDescriptor]:
-        return self._descriptors[-1] if self._descriptors else None
-
     def pop_head(self) -> Optional[PacketDescriptor]:
         """Remove and return the head descriptor (dequeue or head drop)."""
         descriptors = self._descriptors
         if not descriptors:
             return None
         descriptor = descriptors.popleft()
-        self._length_bytes -= descriptor.packet.size_bytes
+        self.length_bytes -= descriptor.packet.size_bytes
         if not descriptors and self.activity_listener is not None:
             self.activity_listener.queue_became_inactive(self)
         return descriptor
@@ -142,7 +152,7 @@ class SwitchQueue:
         if not descriptors:
             return None
         descriptor = descriptors.pop()
-        self._length_bytes -= descriptor.packet.size_bytes
+        self.length_bytes -= descriptor.packet.size_bytes
         if not descriptors and self.activity_listener is not None:
             self.activity_listener.queue_became_inactive(self)
         return descriptor
@@ -185,7 +195,7 @@ class SwitchQueue:
             for descriptor in self._descriptors:
                 release(descriptor)
         self._descriptors.clear()
-        self._length_bytes = 0
+        self.length_bytes = 0
         self.deficit_bytes = 0.0
         if was_active and self.activity_listener is not None:
             self.activity_listener.queue_became_inactive(self)
@@ -196,5 +206,5 @@ class SwitchQueue:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<SwitchQueue {self.queue_id} port={self.port_id} "
-            f"class={self.class_index} len={self._length_bytes}B>"
+            f"class={self.class_index} len={self.length_bytes}B>"
         )

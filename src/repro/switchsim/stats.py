@@ -96,18 +96,6 @@ class SwitchStats:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_arrival(self, nbytes: int) -> None:
-        self.arrived_packets += 1
-        self.arrived_bytes += nbytes
-
-    def record_admission(self, nbytes: int) -> None:
-        self.admitted_packets += 1
-        self.admitted_bytes += nbytes
-
-    def record_transmit(self, nbytes: int) -> None:
-        self.transmitted_packets += 1
-        self.transmitted_bytes += nbytes
-
     def record_drop(self, queue_id: int, nbytes: int, reason: str,
                     time: float = 0.0, queue_length: int = 0) -> None:
         self.dropped_packets += 1
@@ -129,13 +117,6 @@ class SwitchStats:
         self.evicted_bytes += nbytes
         self.drop_reasons["pushout_evicted"] += 1
         self.per_queue_expulsions[queue_id] += 1
-
-    def record_ecn_mark(self) -> None:
-        self.ecn_marked_packets += 1
-
-    def record_occupancy(self, occupancy_bytes: int) -> None:
-        if occupancy_bytes > self.max_occupancy_bytes:
-            self.max_occupancy_bytes = occupancy_bytes
 
     def sample_on_drop(self, buffer_utilization: float, bandwidth_utilization: float) -> None:
         self.buffer_utilization_on_drop.append(buffer_utilization)
@@ -161,11 +142,6 @@ class SwitchStats:
         if self.arrived_packets == 0:
             return 0.0
         return self.total_lost_packets / self.arrived_packets
-
-    def admission_drop_rate(self) -> float:
-        if self.arrived_packets == 0:
-            return 0.0
-        return self.dropped_packets / self.arrived_packets
 
     def summary(self) -> Dict[str, float]:
         """A flat dictionary of headline counters (handy for experiment CSVs)."""

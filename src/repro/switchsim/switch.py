@@ -288,8 +288,8 @@ class SharedMemorySwitch:
         self._active_total -= 1
         self._active_by_priority[queue.priority] -= 1
 
-    def cells_for_bytes(self, nbytes: int) -> int:
-        return self.cell_pool.cells_for(nbytes)
+    def queue_alpha_changed(self, queue: SwitchQueue) -> None:
+        self.manager.on_queue_alpha_changed()
 
     def buffer_utilization(self) -> float:
         return self.occupancy_bytes / self.buffer_size_bytes
@@ -453,6 +453,7 @@ class SharedMemorySwitch:
         # Capture before release: a pooled cell pool clears the descriptor.
         packet = descriptor.packet
         size = packet.size_bytes
+        cells = len(descriptor.cell_pointers)
         self.cell_pool.release(descriptor, read_data=True)
         queue.record_dequeue(size, now)
         if self._mgr_on_dequeue is not None:
@@ -463,7 +464,6 @@ class SharedMemorySwitch:
         self._memory_rate.record(now, size)
         engine = self.expulsion_engine
         if engine is not None:
-            cells = self.cell_pool.cells_for(size)
             engine.token_bucket.consume_forwarding(cells, now)
         port.transmitted_packets += 1
         port.transmitted_bytes += size
@@ -497,6 +497,7 @@ class SharedMemorySwitch:
         now = self.sim.now
         packet = descriptor.packet
         size = packet.size_bytes
+        cells = len(descriptor.cell_pointers)
         self.cell_pool.release(descriptor, read_data=True)
         self._packet_pool.release(packet)
         queue.record_dequeue(size, now)
@@ -508,7 +509,6 @@ class SharedMemorySwitch:
         self._memory_rate.record(now, size)
         engine = self.expulsion_engine
         if engine is not None:
-            cells = self.cell_pool.cells_for(size)
             engine.token_bucket.consume_forwarding(cells, now)
         port.transmitted_packets += 1
         port.transmitted_bytes += size
@@ -524,11 +524,6 @@ class SharedMemorySwitch:
     # ------------------------------------------------------------------
     # Head drop (expulsion executor)
     # ------------------------------------------------------------------
-    def head_packet_bytes(self, queue_id: int) -> Optional[int]:
-        """Size of the packet at the head of ``queue_id``, if any."""
-        head = self._queues[queue_id].peek_head()
-        return None if head is None else head.size_bytes
-
     def head_drop(self, queue_id: int, now: Optional[float] = None) -> Optional[int]:
         """Expel the head packet of ``queue_id``; returns its size in bytes.
 
@@ -561,12 +556,11 @@ class SharedMemorySwitch:
         engine = self.expulsion_engine
         if engine is None:
             return
-        result = engine.run(now)
-        if result.blocked_on_tokens and result.retry_after > 0:
-            if self._expulsion_retry_event is None:
-                self._expulsion_retry_event = self.sim.schedule(
-                    result.retry_after, self._expulsion_retry
-                )
+        retry_after = engine.run(now)
+        if retry_after > 0 and self._expulsion_retry_event is None:
+            self._expulsion_retry_event = self.sim.schedule(
+                retry_after, self._expulsion_retry
+            )
 
     def _expulsion_retry(self) -> None:
         self._expulsion_retry_event = None

@@ -68,7 +68,8 @@ class TestDynamicThreshold:
         decision = dt.admit(queue, 100, 0.0)
         assert not decision.accept and decision.reason == "over_threshold"
         assert not dt.over_allocated(queue, 0.0)
-        assert dt.over_allocated_flags(switch.queue_views(), 0.0) == [False, False]
+        assert dt.first_over_allocated(0, 0.0) is None
+        assert dt.longest_over_allocated(0.0) is None
 
     def test_steady_state_formulas(self):
         dt = DynamicThreshold(alpha=8.0)

@@ -1,13 +1,21 @@
 """Tests for the Occamy scheme and its expulsion machinery."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import DynamicThreshold, Occamy
-from repro.core.expulsion import HeadDropSelector, RoundRobinPointer, TokenBucket
+from repro.core import BufferManager, DynamicThreshold, Occamy
+from repro.core.expulsion import RoundRobinPointer, TokenBucket
 from repro.core.occamy import OccamyLongestDrop
+from repro.perf.cases import get_case
+from repro.scenario import leaf_spine_scenario, run_scenario
+from repro.scenario.scales import get_scale
 from repro.sim import Simulator
 from repro.sim.units import GBPS, KB
 from repro.switchsim import Packet, SharedMemorySwitch, SwitchConfig
+from repro.workloads import reset_workload_ids
+
+from test_properties import reference_bitmap  # the comparators, recomputed
 
 
 def make_switch(manager, num_ports=2, buffer_bytes=500 * KB, memory_bandwidth_bps=None):
@@ -104,7 +112,7 @@ class TestTokenBucket:
             bucket.try_consume_expulsion(-1, 0.0)
 
 
-class TestHeadDropSelector:
+class TestRoundRobinPointer:
     def test_round_robin_pointer_cycles(self):
         rr = RoundRobinPointer()
         bitmap = [True, False, True, True]
@@ -115,26 +123,6 @@ class TestHeadDropSelector:
         rr = RoundRobinPointer()
         assert rr.grant([False, False]) is None
         assert rr.grant([]) is None
-
-    def test_selector_update_validates_length(self):
-        selector = HeadDropSelector(num_queues=4)
-        with pytest.raises(ValueError):
-            selector.update([True, False])
-
-    def test_selector_round_robin_over_set_bits(self):
-        selector = HeadDropSelector(num_queues=4)
-        selector.update([True, True, False, True])
-        picks = [selector.select() for _ in range(3)]
-        assert picks == [0, 1, 3]
-
-    def test_select_longest(self):
-        selector = HeadDropSelector(num_queues=4)
-        selector.update([True, False, True, False])
-        assert selector.select_longest([10, 99, 50, 99]) == 2
-
-    def test_invalid_queue_count(self):
-        with pytest.raises(ValueError):
-            HeadDropSelector(num_queues=0)
 
 
 class TestOccamyExpulsionEndToEnd:
@@ -175,3 +163,142 @@ class TestOccamyExpulsionEndToEnd:
         switch, _ = make_switch(occ)
         assert switch.expulsion_engine is not None
         assert switch.expulsion_engine.victim_policy == "longest"
+
+
+class AlwaysScanOccamy(Occamy):
+    """Occamy without the O(1) idle proof: every engine call runs the scan."""
+
+    proves_none_over_allocated = BufferManager.proves_none_over_allocated
+
+
+class TestExpulsionEngineAccounting:
+    def test_token_blocked_grant_still_advances_the_arbiter(self):
+        occ = Occamy(alpha=8.0)
+        switch, sim = make_switch(occ, num_ports=4)
+        engine = switch.expulsion_engine
+        for port in (1, 2):
+            for _ in range(20):
+                switch.receive(Packet(size_bytes=1500), port)
+        assert engine.passes == 0  # 60 KB of 500 KB: the idle proof holds
+        engine.token_bucket.consume_forwarding(10_000, sim.now)  # deep deficit
+        switch.queue_for(1).alpha_override = 0.01
+        switch.queue_for(2).alpha_override = 0.01
+        assert engine.pointer == 0
+        retry_after = engine.run(sim.now)
+        assert retry_after > 0
+        assert engine.pointer == 2  # granted queue 1, then blocked on tokens
+        assert engine.run(sim.now) > 0
+        assert engine.pointer == 3  # the next grant went to queue 2
+        assert engine.passes == engine.token_blocked_passes == 2
+        assert engine.total_expelled_packets == 0
+        assert engine.max_victims_per_pass == 0
+
+    def test_pass_counters_track_victims(self):
+        occ = Occamy(alpha=8.0)
+        switch, sim = make_switch(occ, num_ports=2)
+        engine = switch.expulsion_engine
+        for _ in range(20):
+            switch.receive(Packet(size_bytes=1500), 1)
+        queue = switch.queue_for(1)
+        queue.alpha_override = 0.0  # threshold 0: everything queued must go
+        queued = queue.length_packets
+        assert engine.run(sim.now) == 0.0
+        assert queue.length_packets == 0
+        assert engine.passes == 1 and engine.token_blocked_passes == 0
+        assert engine.max_victims_per_pass == queued
+        assert engine.total_expelled_packets == queued == queue.expelled_packets
+        assert engine.total_expelled_bytes == queue.expelled_bytes
+
+
+class TestAlphaOverrideWrittenMidRun:
+    def drive(self, manager):
+        """The same packet-by-packet schedule with the same mid-run writes."""
+        switch, sim = make_switch(manager, num_ports=3, buffer_bytes=500 * KB,
+                                  memory_bandwidth_bps=64 * 10 * GBPS)
+        history = []
+
+        def arrive(port):
+            switch.receive(Packet(size_bytes=1500), port)
+            engine = switch.expulsion_engine
+            # The reference comparators never see an over-allocated queue
+            # the engine left alone: it either cleared the bitmap or stopped
+            # for tokens (retry pending) or at its per-run cap.
+            assert (not any(reference_bitmap(switch))
+                    or switch._expulsion_retry_event is not None
+                    or engine.max_victims_per_pass == engine.max_drops_per_run)
+            history.append([q.expelled_packets for q in switch.queue_views()])
+
+        # 30 Gbps into each of two 10 Gbps ports: both queues grow, yet the
+        # buffer stays far below 8/9 full, so with the scheme alpha (8) the
+        # idle proof holds on every call.
+        for i in range(300):
+            sim.at(i * 2e-7, lambda port=i % 2: arrive(port))
+        low = 100 * 2e-7
+        high = 200 * 2e-7
+        sim.at(low, lambda: setattr(switch.queue_for(0), "alpha_override", 0.05))
+        sim.at(high, lambda: setattr(switch.queue_for(0), "alpha_override", None))
+        sim.run(until=low)
+        at_low = switch.expulsion_engine.passes
+        sim.run(until=high)
+        at_high = switch.expulsion_engine.passes
+        sim.run(until=400 * 2e-7)
+        return switch, history, (at_low, at_high)
+
+    def test_cached_minimum_follows_the_writes(self):
+        occ = Occamy(alpha=8.0)
+        switch, history, (at_low, at_high) = self.drive(occ)
+        assert occ._alpha_min == 8.0
+        engine = switch.expulsion_engine
+        assert 9 * switch.stats.max_occupancy_bytes <= 8 * switch.buffer_size_bytes
+        # No pass before the write, passes while queue 0 is held at
+        # alpha=0.05, none after it is back to the scheme alpha.
+        assert at_low == 0
+        assert at_high > 0
+        assert engine.passes == at_high
+        assert switch.queue_for(0).expelled_packets > 0
+        assert switch.queue_for(1).expelled_packets == 0
+        # Same victims, packet by packet, as an engine that always scans.
+        reference, reference_history, _ = self.drive(AlwaysScanOccamy(alpha=8.0))
+        assert history == reference_history
+        assert (reference.expulsion_engine.total_expelled_packets
+                == engine.total_expelled_packets)
+
+    def test_minimum_tracks_every_queue(self):
+        occ = Occamy(alpha=8.0)
+        switch, _ = make_switch(occ, num_ports=3)
+        assert occ._alpha_min == 8.0
+        switch.queue_for(2).alpha_override = 2.0
+        switch.queue_for(1).alpha_override = -1.0
+        assert occ._alpha_min == -1.0
+        switch.queue_for(1).alpha_override = None
+        assert occ._alpha_min == 2.0
+        switch.queue_for(2).alpha_override = 16.0
+        assert occ._alpha_min == 8.0
+
+
+class TestEnginePassTripwires:
+    """Counts, not timings: the idle proof keeps expulsion-free runs pass-free."""
+
+    def test_expulsion_free_leaf_spine_runs_no_pass(self):
+        reset_workload_ids()
+        spec = leaf_spine_scenario(
+            scheme="occamy", config=replace(get_scale("bench"),
+                                            fabric_duration=0.002),
+            query_size_bytes=60_000, background_load=0.5,
+        )
+        result = run_scenario(spec)
+        assert sum(s.stats.arrived_packets for s in result.switches()) > 1_000
+        assert result.total_expelled() == 0
+        for switch in result.switches():
+            assert switch.expulsion_engine.passes == 0
+
+    def test_expelling_run_keeps_its_victim_count(self):
+        # dumbbell_burst/small expels nothing (0 at PR 12 too), so the
+        # expelling tripwire rides on the bare-switch perf case instead.
+        reset_workload_ids()
+        result = run_scenario(get_case("raw_switch_stream/small").build())
+        engine = result.switch.expulsion_engine
+        assert engine.passes > 0
+        assert engine.total_expelled_packets == 2355  # as at PR 12
+        assert engine.total_expelled_packets == result.switch.stats.expelled_packets
+

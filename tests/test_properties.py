@@ -121,6 +121,145 @@ def test_token_bucket_invariants(ops):
 
 
 # ----------------------------------------------------------------------
+# Expulsion engine: the O(1) idle proof and the fused victim scans agree with
+# the comparator bitmap + arbiter they replaced
+# ----------------------------------------------------------------------
+def reference_bitmap(switch):
+    """Figure 9's per-queue comparators: one flag per queue, q_i > T_i."""
+    free = switch.free_buffer_bytes
+    bitmap = []
+    for queue in switch.queue_views():
+        alpha = (switch.manager.alpha if queue.alpha_override is None
+                 else queue.alpha_override)
+        bitmap.append(queue.length_bytes > max(0.0, alpha * free))
+    return bitmap
+
+
+def reference_select_longest(bitmap, lengths):
+    best, best_length = None, -1
+    for index, flag in enumerate(bitmap):
+        if flag and lengths[index] > best_length:
+            best, best_length = index, lengths[index]
+    return best
+
+
+def expelled_counts(switch):
+    return [queue.expelled_packets for queue in switch.queue_views()]
+
+
+occupied_switch = st.fixed_dictionaries({
+    "queues": st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=1, max_value=3000), max_size=6),
+            st.sampled_from([None, None, -2.0, 0, 0.0, 0.25, 1.0, 8, 16.0]),
+        ),
+        min_size=1, max_size=8),
+    "alpha": st.sampled_from([0.5, 1.0, 8.0]),
+    "cell_bytes": st.sampled_from([64, 200, 256]),
+    "free_cells": st.integers(min_value=0, max_value=400),
+    "in_flight_bytes": st.integers(min_value=0, max_value=3000),
+})
+
+
+def build_occupied_switch(state, manager):
+    """A switch holding exactly the drawn queues, in-flight bytes and free cells.
+
+    Packets bypass admission (the properties are about states, however they
+    were reached); the expulsion token bucket is too large to ever block.
+    """
+    cell_bytes = state["cell_bytes"]
+    sizes = [size for packets, _ in state["queues"] for size in packets]
+    if state["in_flight_bytes"]:
+        sizes.append(state["in_flight_bytes"])
+    used_cells = sum(-(-size // cell_bytes) for size in sizes)
+    total_cells = max(1, used_cells + state["free_cells"])
+    config = SwitchConfig(
+        num_ports=len(state["queues"]), port_rate_bps=10 * GBPS,
+        buffer_bytes=total_cells * cell_bytes, cell_bytes=cell_bytes,
+        expulsion_token_capacity_bytes=total_cells * cell_bytes * 64)
+    switch = SharedMemorySwitch(config, manager, Simulator())
+    for port, (packets, override) in enumerate(state["queues"]):
+        queue = switch.queue_for(port)
+        if override is not None:
+            queue.alpha_override = override
+        for size in packets:
+            queue.push(switch.cell_pool.allocate(Packet(size_bytes=size)))
+    if state["in_flight_bytes"]:
+        # Cells held by a packet on the wire: in U, in no queue.
+        switch.cell_pool.allocate(Packet(size_bytes=state["in_flight_bytes"]))
+    return switch
+
+
+@given(state=occupied_switch)
+@settings(max_examples=200, deadline=None)
+def test_idle_proof_implies_all_clear_bitmap(state):
+    manager = Occamy(alpha=state["alpha"])
+    switch = build_occupied_switch(state, manager)
+    bitmap = reference_bitmap(switch)
+    assert bitmap == [manager.over_allocated(q, 0.0) for q in switch.queue_views()]
+    if manager.proves_none_over_allocated():
+        assert not any(bitmap)
+        assert switch.expulsion_engine.run(0.0) == 0.0
+        assert switch.expulsion_engine.passes == 0
+
+
+@given(state=occupied_switch, start=st.integers(min_value=0, max_value=7))
+@settings(max_examples=200, deadline=None)
+def test_fused_round_robin_scan_matches_bitmap_arbiter(state, start):
+    manager = Occamy(alpha=state["alpha"], max_drops_per_run=1)
+    switch = build_occupied_switch(state, manager)
+    engine = switch.expulsion_engine
+    # Start both arbiters from the same arbitrary pointer: granting queue
+    # ``pointer - 1`` leaves the reference pointing at ``pointer``.
+    n = switch.total_queue_count
+    engine.pointer = start % n
+    reference = RoundRobinPointer()
+    reference.grant([i == (engine.pointer - 1) % n for i in range(n)])
+    assert reference.pointer == engine.pointer
+    for _ in range(50):  # one grant per run (max_drops_per_run=1), <= 48 packets
+        bitmap = reference_bitmap(switch)
+        scanned = manager.first_over_allocated(engine.pointer, 0.0)
+        expected = reference.grant(bitmap)
+        assert scanned == expected
+        before = expelled_counts(switch)
+        engine.run(0.0)
+        if expected is not None:
+            before[expected] += 1
+        assert expelled_counts(switch) == before
+        assert engine.pointer == reference.pointer
+        if expected is None:
+            break
+    else:
+        raise AssertionError("more grants than packets")
+    assert engine.total_expelled_packets == sum(expelled_counts(switch))
+    assert engine.passes == engine.total_expelled_packets
+    assert engine.max_victims_per_pass <= 1
+
+
+@given(state=occupied_switch)
+@settings(max_examples=200, deadline=None)
+def test_fused_longest_scan_matches_bitmap_selector(state):
+    manager = Occamy(alpha=state["alpha"], victim_policy="longest",
+                     max_drops_per_run=1)
+    switch = build_occupied_switch(state, manager)
+    engine = switch.expulsion_engine
+    for _ in range(60):
+        lengths = [queue.length_bytes for queue in switch.queue_views()]
+        expected = reference_select_longest(reference_bitmap(switch), lengths)
+        assert manager.longest_over_allocated(0.0) == expected
+        before = expelled_counts(switch)
+        engine.run(0.0)
+        if expected is None:
+            assert expelled_counts(switch) == before
+            break
+        before[expected] += 1
+        assert expelled_counts(switch) == before
+    else:
+        raise AssertionError("more grants than packets")
+    assert engine.pointer == 0  # the longest policy never moves the arbiter
+
+
+# ----------------------------------------------------------------------
 # Round-robin arbiters: grants are work-conserving and fair
 # ----------------------------------------------------------------------
 @given(bitmap=st.lists(st.booleans(), min_size=1, max_size=32))
