@@ -81,10 +81,12 @@ class AdmissionDecision:
     reason: str = ""
 
 
-#: Shared plain-accept decision used on the hot admission path.  Callers must
-#: treat decisions as immutable (schemes that request evictions build their
-#: own instances).
+#: Shared decisions used on the hot admission path: the plain accept and the
+#: two threshold-scheme rejects.  Callers must treat decisions as immutable
+#: (schemes that request evictions build their own instances).
 ACCEPT = AdmissionDecision(True)
+REJECT_BUFFER_FULL = AdmissionDecision(False, reason="buffer_full")
+REJECT_OVER_THRESHOLD = AdmissionDecision(False, reason="over_threshold")
 
 
 class BufferManager:
@@ -142,10 +144,10 @@ class BufferManager:
         """
         switch = self._require_switch()
         if packet_bytes > switch.free_buffer_bytes:
-            return AdmissionDecision(False, reason="buffer_full")
+            return REJECT_BUFFER_FULL
         limit = self.threshold(queue, now)
         if queue.length_bytes + packet_bytes > limit:
-            return AdmissionDecision(False, reason="over_threshold")
+            return REJECT_OVER_THRESHOLD
         return ACCEPT
 
     def over_allocated(self, queue: QueueView, now: float) -> bool:

@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from itertools import chain
 
-from repro.core.base import ACCEPT, AdmissionDecision, BufferManager, QueueView
+from repro.core.base import (
+    ACCEPT,
+    REJECT_BUFFER_FULL,
+    REJECT_OVER_THRESHOLD,
+    AdmissionDecision,
+    BufferManager,
+    QueueView,
+)
 
 
 class DynamicThreshold(BufferManager):
@@ -53,14 +60,14 @@ class DynamicThreshold(BufferManager):
             self._require_switch()
         free = switch.cell_pool.free_bytes
         if packet_bytes > free:
-            return AdmissionDecision(False, reason="buffer_full")
+            return REJECT_BUFFER_FULL
         override = queue.alpha_override
         alpha = self.alpha if override is None else override
         limit = alpha * free
         if limit < 0.0:
             limit = 0.0
         if queue.length_bytes + packet_bytes > limit:
-            return AdmissionDecision(False, reason="over_threshold")
+            return REJECT_OVER_THRESHOLD
         return ACCEPT
 
     # -- Expulsion-engine queries: O(1) idle proof + fused victim scans ----
@@ -83,10 +90,7 @@ class DynamicThreshold(BufferManager):
         # repro.core.expulsion for why U >= q_i at cell granularity.  Same
         # float product as the comparators, so rounding cannot disagree.
         pool = self.switch.cell_pool
-        cell_bytes = pool.cell_bytes
-        free_cells = pool.free_cells
-        return ((pool.total_cells - free_cells) * cell_bytes
-                <= self._alpha_min * (free_cells * cell_bytes))
+        return pool.used_bytes <= self._alpha_min * pool.free_bytes
 
     def first_over_allocated(self, start: int, now: float):
         # The free-buffer term is shared by every queue; read it once.

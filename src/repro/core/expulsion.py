@@ -204,7 +204,7 @@ class ExpulsionEngine:
                 self.pointer = (index + 1) % len(queues)
             # Over-allocated means longer than a non-negative threshold, so
             # the victim has a head packet.
-            cells = len(queues[index].peek_head().cell_pointers)
+            cells = queues[index].peek_head().num_cells
             if not bucket.try_consume_expulsion(cells, now):
                 # Never retry more often than one cell-time: retrying on
                 # sub-cell token deficits would flood the event queue.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.core.base import AdmissionDecision, BufferManager, EvictionRequest, QueueView
+from repro.core.base import ACCEPT, AdmissionDecision, BufferManager, EvictionRequest, QueueView
 
 
 class Pushout(BufferManager):
@@ -46,7 +46,7 @@ class Pushout(BufferManager):
         switch = self._require_switch()
         free = switch.free_buffer_bytes
         if packet_bytes <= free:
-            return AdmissionDecision(True)
+            return ACCEPT
         if packet_bytes > switch.buffer_size_bytes:
             return AdmissionDecision(False, reason="packet_larger_than_buffer")
 

@@ -21,6 +21,7 @@ be reproducible in isolation (the campaign executor and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import available_schemes, make_buffer_manager
@@ -456,10 +457,21 @@ class ScenarioRunner:
                 raise ValueError(
                     f"workload {workload.kind!r} produced transport flows; "
                     "it needs a network-level topology")
+            # Nobody cancels an arrival: push bare callbacks (no Event, no
+            # closure per packet), with the validation ``sim.at`` would do.
+            push = sim.kernel.push_callback
+            now = sim.now
             for time, size, port in arrivals:
-                sim.at(time, lambda s=size, p=port: switch.receive(
-                    make_packet(size_bytes=s), p))
+                if time < now:
+                    raise ValueError(
+                        f"cannot schedule into the past: time={time} (now={now})")
+                push(time, partial(_receive_arrival, switch, make_packet, size, port))
         sim.run(until=spec.duration * spec.run_slack)
+
+
+def _receive_arrival(switch, make_packet, size: int, port: int) -> None:
+    """One packet-level arrival: build the packet and offer it to the switch."""
+    switch.receive(make_packet(size_bytes=size), port)
 
 
 def run_scenario(spec: ScenarioSpec,

@@ -10,28 +10,28 @@ Figure 2 of the paper describes three physically separate memories:
   metadata and the head(s) of its cell-pointer list(s); a queue is a linked
   list of PDs.
 
-This module models that structure functionally: a :class:`CellPool` hands out
-cell pointers from a free list and takes them back on packet departure or
-head drop.  The key property exploited by Occamy is that *dropping* a packet
-only touches PD memory and cell-pointer memory -- the cell data memory is never
-read -- which is asserted by the accounting in this class and verified in the
-test suite.
+What Occamy's argument needs from this structure is *which memory an
+operation touches*: admitting a packet writes its cells and links their
+pointers, a dequeue walks the pointers and reads the cells, and a head drop
+walks the pointers only -- the cell data memory is never read.  That is what
+:class:`CellPool` models, as three access counters (``pointer_memory_ops``,
+``data_memory_reads``, ``data_memory_writes``) the test suite asserts on.
+Which cell a pointer names changes none of it, so the free-cell list is kept
+as its length: the pool counts cells, and a descriptor records how many it
+holds.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.switchsim.packet import Packet
-
-_pd_ids = itertools.count()
 
 
 @dataclass(slots=True)
 class PacketDescriptor:
-    """A packet descriptor: packet metadata plus its allocated cell pointers.
+    """A packet descriptor: the packet plus the number of cells it occupies.
 
     ``generation`` is the pool recycling parity (see
     ``repro.switchsim.pool``): even while live, odd while free; stays 0 for
@@ -41,22 +41,21 @@ class PacketDescriptor:
     """
 
     packet: Optional[Packet]
-    cell_pointers: List[int]
-    enqueue_time: float = 0.0
-    pd_id: int = field(default_factory=lambda: next(_pd_ids))
+    num_cells: int
     generation: int = 0
 
     @property
     def size_bytes(self) -> int:
         return self.packet.size_bytes
 
-    @property
-    def num_cells(self) -> int:
-        return len(self.cell_pointers)
-
 
 class CellPool:
-    """The shared cell data memory and its free cell pointer list.
+    """The shared cell data memory and the length of its free cell list.
+
+    ``free_cells``, ``free_bytes`` and ``used_bytes`` are plain attributes
+    kept current by :meth:`allocate` and :meth:`release` (admission reads
+    them per packet); ``free_bytes + used_bytes`` is always
+    ``total_cells * cell_bytes``.
 
     Args:
         buffer_bytes: total shared buffer capacity.
@@ -86,39 +85,17 @@ class CellPool:
             raise ValueError(
                 f"buffer of {buffer_bytes}B cannot hold a single {cell_bytes}B cell"
             )
-        #: Free cell pointer list (Figure 2); popping allocates, appending
-        #: frees.  Kept as a stack (LIFO) so allocation and release are bulk
-        #: slice operations -- pointer identities carry no semantics, only
-        #: their count does.
-        self._free_list: List[int] = list(range(self.total_cells))
         #: Memo of ``cells_for``: packet sizes repeat heavily (MTU, ACK, MSS
         #: tails), so the ceil-division result is cached per distinct size.
         self._cells_for_cache: dict[int, int] = {}
-        #: Counters distinguishing data-memory accesses from pointer-only ops,
-        #: used to verify that head drops never touch cell data memory.
-        self.data_memory_reads = 0
-        self.data_memory_writes = 0
-        self.pointer_memory_ops = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Capacity queries
     # ------------------------------------------------------------------
     @property
-    def free_cells(self) -> int:
-        return len(self._free_list)
-
-    @property
     def used_cells(self) -> int:
         return self.total_cells - self.free_cells
-
-    @property
-    def used_bytes(self) -> int:
-        """Buffer occupancy in bytes, counted at cell granularity."""
-        return self.used_cells * self.cell_bytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self.free_cells * self.cell_bytes
 
     def cells_for(self, size_bytes: int) -> int:
         """Number of cells required to store a ``size_bytes`` packet."""
@@ -137,7 +114,7 @@ class CellPool:
     # ------------------------------------------------------------------
     # Allocation / release
     # ------------------------------------------------------------------
-    def allocate(self, packet: Packet, now: float = 0.0) -> Optional[PacketDescriptor]:
+    def allocate(self, packet: Packet) -> Optional[PacketDescriptor]:
         """Allocate cells for ``packet`` and write its data into the buffer.
 
         Returns the packet descriptor, or ``None`` when there is not enough
@@ -145,12 +122,12 @@ class CellPool:
         path exists for defensive robustness).
         """
         needed = self.cells_for(packet.size_bytes)
-        free = self._free_list
-        remaining = len(free) - needed
-        if remaining < 0:
+        if needed > self.free_cells:
             return None
-        pointers = free[remaining:]
-        del free[remaining:]
+        needed_bytes = needed * self.cell_bytes
+        self.free_cells -= needed
+        self.free_bytes -= needed_bytes
+        self.used_bytes += needed_bytes
         self.pointer_memory_ops += needed
         self.data_memory_writes += needed
         pool = self.descriptor_pool
@@ -162,21 +139,19 @@ class CellPool:
                 descriptor = free_pds.pop()
                 if not descriptor.generation & 1:
                     raise RuntimeError(
-                        f"descriptor pool corruption: descriptor "
-                        f"{descriptor.pd_id} on the free list with live "
-                        f"(even) generation {descriptor.generation}")
+                        f"descriptor pool corruption: descriptor on the free "
+                        f"list with live (even) generation "
+                        f"{descriptor.generation}")
                 descriptor.generation += 1  # odd -> even: live again
                 descriptor.packet = packet
-                descriptor.cell_pointers = pointers
-                descriptor.enqueue_time = now
-                descriptor.pd_id = next(_pd_ids)
+                descriptor.num_cells = needed
                 pool.reused += 1
                 return descriptor
             pool.allocated += 1
-        return PacketDescriptor(packet=packet, cell_pointers=pointers, enqueue_time=now)
+        return PacketDescriptor(packet, needed)
 
     def release(self, descriptor: PacketDescriptor, read_data: bool) -> int:
-        """Return a descriptor's cells to the free list.
+        """Return a descriptor's cells to the free cells.
 
         Args:
             read_data: True for a normal dequeue (the cell data is read out to
@@ -186,8 +161,12 @@ class CellPool:
         Returns:
             The number of bytes freed (cell-granular).
         """
-        freed_cells = len(descriptor.cell_pointers)
-        self._free_list.extend(descriptor.cell_pointers)
+        freed_cells = descriptor.num_cells
+        freed_bytes = freed_cells * self.cell_bytes
+        descriptor.num_cells = 0
+        self.free_cells += freed_cells
+        self.free_bytes += freed_bytes
+        self.used_bytes -= freed_bytes
         self.pointer_memory_ops += freed_cells
         if read_data:
             self.data_memory_reads += freed_cells
@@ -197,19 +176,21 @@ class CellPool:
             # packet's fate (recycle vs live on) is the caller's call.
             if descriptor.generation & 1:
                 raise RuntimeError(
-                    f"double release: descriptor {descriptor.pd_id} already "
-                    f"has free (odd) generation {descriptor.generation}")
+                    f"double release: descriptor already has free (odd) "
+                    f"generation {descriptor.generation}")
             descriptor.generation += 1  # even -> odd: free
             descriptor.packet = None
-            descriptor.cell_pointers = []
             pool._free.append(descriptor)
-        else:
-            descriptor.cell_pointers = []
-        return freed_cells * self.cell_bytes
+        return freed_bytes
 
     def reset(self) -> None:
         """Return the pool to its pristine state (all cells free)."""
-        self._free_list = list(range(self.total_cells))
+        #: Occupancy, in cells and in bytes at cell granularity.
+        self.free_cells = self.total_cells
+        self.free_bytes = self.total_cells * self.cell_bytes
+        self.used_bytes = 0
+        #: Counters distinguishing data-memory accesses from pointer-only ops,
+        #: used to verify that head drops never touch cell data memory.
         self.data_memory_reads = 0
         self.data_memory_writes = 0
         self.pointer_memory_ops = 0

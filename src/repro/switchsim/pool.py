@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.switchsim.cells import PacketDescriptor, _pd_ids
+from repro.switchsim.cells import PacketDescriptor
 from repro.switchsim.packet import Packet, _packet_ids
 
 
@@ -125,24 +125,19 @@ class DescriptorPool:
     def __len__(self) -> int:
         return len(self._free)
 
-    def acquire(self, packet: Packet, cell_pointers: List[int],
-                enqueue_time: float = 0.0) -> PacketDescriptor:
+    def acquire(self, packet: Packet, num_cells: int) -> PacketDescriptor:
         free = self._free
         if not free:
             self.allocated += 1
-            return PacketDescriptor(packet=packet, cell_pointers=cell_pointers,
-                                    enqueue_time=enqueue_time)
+            return PacketDescriptor(packet, num_cells)
         descriptor = free.pop()
         if not descriptor.generation & 1:
             raise RuntimeError(
-                f"descriptor pool corruption: descriptor {descriptor.pd_id} "
-                f"on the free list with live (even) generation "
-                f"{descriptor.generation}")
+                f"descriptor pool corruption: descriptor on the free list "
+                f"with live (even) generation {descriptor.generation}")
         descriptor.generation += 1  # odd -> even: live again
         descriptor.packet = packet
-        descriptor.cell_pointers = cell_pointers
-        descriptor.enqueue_time = enqueue_time
-        descriptor.pd_id = next(_pd_ids)
+        descriptor.num_cells = num_cells
         self.reused += 1
         return descriptor
 
@@ -156,11 +151,11 @@ class DescriptorPool:
         """
         if descriptor.generation & 1:
             raise RuntimeError(
-                f"double release: descriptor {descriptor.pd_id} already has "
-                f"free (odd) generation {descriptor.generation}")
+                f"double release: descriptor already has free (odd) "
+                f"generation {descriptor.generation}")
         if packet_pool is not None:
             packet_pool.release(descriptor.packet)
         descriptor.generation += 1  # even -> odd: free
         descriptor.packet = None
-        descriptor.cell_pointers = []
+        descriptor.num_cells = 0
         self._free.append(descriptor)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.base import AdmissionDecision, BufferManager, EvictionRequest
+from repro.core.base import REJECT_BUFFER_FULL, BufferManager, EvictionRequest
 from repro.core.expulsion import ExpulsionEngine, TokenBucket
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB
@@ -101,7 +101,8 @@ class SharedMemorySwitch:
         on_transmit: callback invoked as ``on_transmit(packet, port_id)`` when
             a packet completes serialization on an egress port.  The network
             simulator uses it to hand the packet to the attached link; when
-            omitted, transmitted packets simply leave the model.
+            omitted, transmitted packets simply leave the model (and are
+            recycled when the kernel pools packets).
     """
 
     def __init__(
@@ -125,11 +126,6 @@ class SharedMemorySwitch:
         self._packet_pool = kernel.packet_pool
         self.cell_pool = CellPool(config.buffer_bytes, config.cell_bytes,
                                   descriptor_pool=kernel.descriptor_pool)
-        if self._packet_pool is not None and on_transmit is None:
-            # Sink switch (no network attached): transmitted packets leave
-            # the model, so recycle them.  Bound *before* the port loop
-            # below captures ``finish_callback`` partials.
-            self._finish_transmit = self._finish_transmit_sink  # type: ignore[method-assign]
         self.stats = SwitchStats(trace_queues=config.trace_queues)
 
         # Incrementally maintained active-queue counts (total and keyed by
@@ -341,14 +337,14 @@ class SharedMemorySwitch:
             self._execute_evictions(decision.evictions, now)
             if not self.cell_pool.can_fit(size):
                 # Defensive re-check: evictions may have freed less than planned.
-                decision = AdmissionDecision(False, reason="buffer_full")
+                decision = REJECT_BUFFER_FULL
 
         if not decision.accept:
             self._drop_arrival(queue, packet, decision.reason or "dropped", now)
             self._maybe_expel(now)
             return False
 
-        descriptor = self.cell_pool.allocate(packet, now)
+        descriptor = self.cell_pool.allocate(packet)
         if descriptor is None:  # pragma: no cover - admit checked the fit
             self._drop_arrival(queue, packet, "buffer_full", now)
             return False
@@ -453,7 +449,7 @@ class SharedMemorySwitch:
         # Capture before release: a pooled cell pool clears the descriptor.
         packet = descriptor.packet
         size = packet.size_bytes
-        cells = len(descriptor.cell_pointers)
+        cells = descriptor.num_cells
         self.cell_pool.release(descriptor, read_data=True)
         queue.record_dequeue(size, now)
         if self._mgr_on_dequeue is not None:
@@ -476,47 +472,9 @@ class SharedMemorySwitch:
             # Ownership of the packet passes to the network layer (link ->
             # host), which recycles it at its eventual death site.
             self.on_transmit(packet, port.port_id)
-        self._try_transmit(port)
-        if engine is not None:
-            self._maybe_expel(now)
-
-    def _finish_transmit_sink(self, port: EgressPort) -> None:
-        """Pooled variant of :meth:`_finish_transmit` for sink switches.
-
-        Bound as an instance attribute at construction (the ``set_failed``
-        idiom) when a packet pool is attached and there is no
-        ``on_transmit``: the transmitted packet leaves the model here, so it
-        is recycled instead of garbage-collected.  Body kept in lockstep
-        with :meth:`_finish_transmit`.
-        """
-        queue: SwitchQueue = port.tx_queue
-        descriptor: PacketDescriptor = port.tx_descriptor
-        delay = port.tx_delay
-        port.tx_queue = None
-        port.tx_descriptor = None
-        now = self.sim.now
-        packet = descriptor.packet
-        size = packet.size_bytes
-        cells = len(descriptor.cell_pointers)
-        self.cell_pool.release(descriptor, read_data=True)
-        self._packet_pool.release(packet)
-        queue.record_dequeue(size, now)
-        if self._mgr_on_dequeue is not None:
-            self._mgr_on_dequeue(queue, size, now)
-        stats = self.stats
-        stats.transmitted_packets += 1
-        stats.transmitted_bytes += size
-        self._memory_rate.record(now, size)
-        engine = self.expulsion_engine
-        if engine is not None:
-            engine.token_bucket.consume_forwarding(cells, now)
-        port.transmitted_packets += 1
-        port.transmitted_bytes += size
-        port.busy_time += delay
-        port.last_tx_end = now
-        port.busy = False
-        if stats.trace_queues:
-            self._trace(queue, now)
+        elif self._packet_pool is not None:
+            # Sink switch: the packet leaves the model here, so recycle it.
+            self._packet_pool.release(packet)
         self._try_transmit(port)
         if engine is not None:
             self._maybe_expel(now)

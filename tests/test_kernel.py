@@ -178,7 +178,7 @@ def test_descriptor_pool_double_release_raises_and_clears_packet():
     packets = PacketPool()
     descriptors = DescriptorPool()
     packet = packets.acquire(size_bytes=100)
-    descriptor = descriptors.acquire(packet, [1, 2], enqueue_time=0.5)
+    descriptor = descriptors.acquire(packet, 2)
     descriptors.release(descriptor, packet_pool=packets)
     assert descriptor.packet is None  # stale reads fail loudly
     assert packet.generation & 1  # the packet went back too
@@ -233,7 +233,7 @@ def test_pool_generation_parity_under_random_interleavings(seed):
         elif op < 0.75 and live_packets:
             packet = live_packets.pop(rng.randrange(len(live_packets)))
             live_descriptors.append(
-                descriptors.acquire(packet, [step], enqueue_time=step * 1e-6))
+                descriptors.acquire(packet, 1))
         elif live_descriptors:
             descriptor = live_descriptors.pop(
                 rng.randrange(len(live_descriptors)))

@@ -10,6 +10,7 @@ from repro.sim import Simulator
 from repro.sim.units import GBPS, KB
 from repro.switchsim import Packet, SharedMemorySwitch, SwitchConfig
 from repro.switchsim.cells import CellPool
+from repro.switchsim.pool import DescriptorPool
 
 
 # ----------------------------------------------------------------------
@@ -33,6 +34,81 @@ def test_cell_pool_conservation(sizes, cell_bytes):
     for pd in descriptors:
         pool.release(pd, read_data=False)
     assert pool.free_cells == pool.total_cells
+
+
+class _PointerListPool:
+    """Reference model: the free cell *pointer list* the counters replaced.
+
+    Allocation slices pointers off a LIFO free list, release appends them
+    back; every capacity figure is derived from the list's length.
+    """
+
+    def __init__(self, buffer_bytes, cell_bytes):
+        self.cell_bytes = cell_bytes
+        self.total_cells = buffer_bytes // cell_bytes
+        self.free = list(range(self.total_cells))
+        self.pointer_memory_ops = self.data_memory_reads = self.data_memory_writes = 0
+
+    def allocate(self, size_bytes):
+        needed = -(-size_bytes // self.cell_bytes)
+        remaining = len(self.free) - needed
+        if remaining < 0:
+            return None
+        pointers = self.free[remaining:]
+        del self.free[remaining:]
+        self.pointer_memory_ops += needed
+        self.data_memory_writes += needed
+        return pointers
+
+    def release(self, pointers, read_data):
+        self.free.extend(pointers)
+        self.pointer_memory_ops += len(pointers)
+        if read_data:
+            self.data_memory_reads += len(pointers)
+        return len(pointers) * self.cell_bytes
+
+    def figures(self):
+        free_cells = len(self.free)
+        used_cells = self.total_cells - free_cells
+        return (free_cells, used_cells, free_cells * self.cell_bytes,
+                used_cells * self.cell_bytes, self.pointer_memory_ops,
+                self.data_memory_reads, self.data_memory_writes)
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("allocate"), st.integers(min_value=1, max_value=4000)),
+            st.tuples(st.just("release"), st.integers(min_value=0, max_value=10**6),
+                      st.booleans())),
+        min_size=1, max_size=120),
+    cell_bytes=st.sampled_from([64, 200, 256]),
+    pooled=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_cell_pool_counters_match_pointer_list_reference(ops, cell_bytes, pooled):
+    """Counting cells is indistinguishable from shuffling their pointers."""
+    buffer_bytes = 10_000  # not a multiple of every cell size; fills quickly
+    pool = CellPool(buffer_bytes, cell_bytes,
+                    descriptor_pool=DescriptorPool() if pooled else None)
+    reference = _PointerListPool(buffer_bytes, cell_bytes)
+    live = []  # (descriptor, reference pointers)
+    for op in ops:
+        if op[0] == "allocate":
+            descriptor = pool.allocate(Packet(size_bytes=op[1]))
+            pointers = reference.allocate(op[1])
+            assert (descriptor is None) == (pointers is None)
+            if descriptor is not None:
+                assert descriptor.num_cells == len(pointers)
+                live.append((descriptor, pointers))
+        elif live:
+            descriptor, pointers = live.pop(op[1] % len(live))
+            assert (pool.release(descriptor, read_data=op[2])
+                    == reference.release(pointers, read_data=op[2]))
+        assert (pool.free_cells, pool.used_cells, pool.free_bytes, pool.used_bytes,
+                pool.pointer_memory_ops, pool.data_memory_reads,
+                pool.data_memory_writes) == reference.figures()
+        assert pool.free_bytes + pool.used_bytes == pool.total_cells * cell_bytes
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +463,7 @@ def _assert_buffer_conserved(switch) -> None:
             resident_cells += pool.cells_for(descriptor.packet.size_bytes)
     for port in switch.ports:
         if port.busy and port.tx_descriptor is not None:
-            resident_cells += len(port.tx_descriptor.cell_pointers)
+            resident_cells += port.tx_descriptor.num_cells
     assert pool.used_cells == resident_cells
     # Byte-level view: queued bytes never exceed the cell-granular occupancy.
     assert switch.total_backlog_bytes() <= switch.occupancy_bytes

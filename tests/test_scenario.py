@@ -25,6 +25,7 @@ from repro.core.registry import (
 )
 from repro.core.dt import DynamicThreshold
 from repro.experiments.common import ExperimentResult
+from repro.perf.cases import get_case
 from repro.scenario import (
     ScenarioRunner,
     ScenarioSpec,
@@ -46,6 +47,8 @@ from repro.scenario import (
     unregister_workload,
 )
 from repro.scenario.scales import get_scale
+from repro.sim import Simulator
+from repro.sim.events import Event
 from repro.workloads import reset_workload_ids
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -266,6 +269,42 @@ class TestScenarioRunner:
             params={"burst_bytes": 3000, "rate_bps": 1e9, "port": 0}))
         with pytest.raises(ValueError, match="packet-level topology"):
             run_scenario(mixed)
+
+    def test_packet_level_injection_allocates_no_events(self, monkeypatch):
+        # Arrivals are bare callbacks: nobody cancels them, so no Event (and
+        # no closure) per packet.  Same heap order, hence the same event count.
+        at_run_start = []
+        real_run = Simulator.run
+
+        def spying_run(sim, *args, **kwargs):
+            at_run_start.append(
+                [entry for entry in sim.kernel._heap if isinstance(entry[3], Event)])
+            return real_run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", spying_run)
+        reset_workload_ids()
+        result = run_scenario(get_case("raw_switch_stream/small").build())
+        assert at_run_start == [[]]
+        assert result.switch.stats.arrived_packets == 4441
+        assert result.events_executed == 5131  # benchmarks/baseline_small.json
+
+    @pytest.mark.parametrize("bad_time, message", [
+        (-1e-6, "into the past"), (float("nan"), "time NaN")])
+    def test_packet_level_arrival_times_validated(self, bad_time, message):
+        register_workload("wl_bad_time", lambda ctx, **kw: [(bad_time, 1500, 0)])
+        try:
+            spec = ScenarioSpec(
+                name="bad-arrival",
+                scheme=SchemeSpec("dt"),
+                topology=TopologySpec("raw_switch", {
+                    "num_ports": 2, "port_rate_bps": 1e10, "buffer_bytes": 100_000}),
+                workloads=[WorkloadSpec("wl_bad_time", {})],
+                duration=0.001,
+            )
+            with pytest.raises(ValueError, match=message):
+                run_scenario(spec)
+        finally:
+            unregister_workload("wl_bad_time")
 
     def test_pinned_id_collision_rejected(self):
         # A 'fixed' workload with pinned ids replayed after the id counter

@@ -63,13 +63,19 @@ class TestCellPool:
         pool.release(pd2, read_data=True)  # normal dequeue
         assert pool.data_memory_reads > reads_before
 
-    def test_pointer_reuse_after_release(self):
+    def test_cells_reusable_after_release(self):
         pool = CellPool(buffer_bytes=600, cell_bytes=200)
         pd = pool.allocate(Packet(size_bytes=600))
-        pointers = list(pd.cell_pointers)
-        pool.release(pd, read_data=False)
+        assert pool.allocate(Packet(size_bytes=1)) is None  # full pool refuses
+        pool.release(pd, read_data=False)  # pointer-only release
+        assert pd.num_cells == 0
         pd2 = pool.allocate(Packet(size_bytes=600))
-        assert sorted(pd2.cell_pointers) == sorted(pointers)
+        assert pd2 is not None and pd2.num_cells == 3
+        assert (pool.free_cells, pool.free_bytes, pool.used_bytes) == (0, 0, 600)
+        # Two admissions write 3 cells each; every op links/unlinks 3 pointers.
+        assert pool.data_memory_writes == 6
+        assert pool.pointer_memory_ops == 9
+        assert pool.data_memory_reads == 0
 
     def test_reset(self):
         pool = CellPool(buffer_bytes=2000, cell_bytes=200)

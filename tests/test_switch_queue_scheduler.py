@@ -15,7 +15,7 @@ from repro.switchsim.scheduler import (
 
 
 def make_pd(size):
-    return PacketDescriptor(packet=Packet(size_bytes=size), cell_pointers=[0])
+    return PacketDescriptor(packet=Packet(size_bytes=size), num_cells=1)
 
 
 def filled_queue(queue_id=0, port_id=0, sizes=(1500, 1500), **kwargs):
