@@ -13,6 +13,7 @@ on ``RunDocument`` lists and never re-simulates.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -187,8 +188,12 @@ def load_documents(paths: Sequence[str | Path]) -> List[RunDocument]:
         if path.is_dir() and (path / "runs").is_dir():
             from repro.campaign.store import ResultStore
 
-            for entry in ResultStore(path).entries():
+            store = ResultStore(path)
+            for entry in store.entries():
                 documents.append(_document_from_store_entry(entry))
+            for name in store.quarantined:
+                warnings.warn(f"{path}: corrupt store entry moved aside: {name}",
+                              stacklevel=2)
         elif path.is_dir():
             files = sorted(path.glob("*.json"))
             if not files:

@@ -83,7 +83,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         for row in farm.health_rows():
             print(f"  worker {row['worker']}: ok {row['ok']} "
                   f"failed {row['failed']} lost {row['lost']} "
-                  f"retried {row['retried']} busy {row['elapsed']}s")
+                  f"retried {row['retried']} busy {row['elapsed']}s "
+                  f"spawned {row['spawned']}")
     return 1 if failed else 0
 
 
@@ -96,6 +97,8 @@ def cmd_status(args: argparse.Namespace) -> int:
     print(f"store {store.root}: {len(entries)} stored runs")
     for status in sorted(counts):
         print(f"  {status}: {counts[status]}")
+    for name in store.quarantined:
+        print(f"  corrupt entry moved aside: {name}")
     if args.spec:
         runs = SweepSpec.from_file(args.spec).expand()
         done = sum(

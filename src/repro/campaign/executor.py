@@ -248,6 +248,7 @@ class CampaignExecutor:
     def _cached_outcome(self, spec: RunSpec) -> Optional[RunOutcome]:
         if self.store is None:
             return None
+        # A torn artifact loads as None (the store moves it aside): a miss.
         entry = self.store.load(spec.config_hash())
         if entry is None or not entry.ok:
             return None

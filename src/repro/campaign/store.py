@@ -10,7 +10,10 @@ skips any hash already stored with status ``ok``.
 
 Writes are atomic (temp file + ``os.replace``) so a killed campaign never
 leaves a half-written artifact behind, and concurrent workers can never
-corrupt each other's entries.
+corrupt each other's entries.  An artifact that is torn anyway (disk full,
+copied mid-write, edited by hand) reads as absent: it is moved aside as
+``<hash>.json.corrupt`` and named in :attr:`ResultStore.quarantined`, so
+``--resume`` re-runs exactly that run and nothing dies on a traceback.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class ResultStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.runs_dir = self.root / "runs"
+        #: File names of torn artifacts this object moved aside while reading.
+        self.quarantined: List[str] = []
 
     # -- paths ---------------------------------------------------------
     def path_for(self, config_hash: str) -> Path:
@@ -110,15 +115,20 @@ class ResultStore:
         return path
 
     # -- read ----------------------------------------------------------
-    def contains(self, config_hash: str) -> bool:
-        return self.path_for(config_hash).exists()
+    def _read(self, path: Path) -> Optional[StoreEntry]:
+        try:
+            return StoreEntry.from_dict(json.loads(path.read_text()))
+        except FileNotFoundError:
+            return None
+        except (ValueError, KeyError, TypeError):  # torn: not JSON, or not an entry
+            corrupt = path.with_name(path.name + ".corrupt")
+            os.replace(path, corrupt)
+            self.quarantined.append(corrupt.name)
+            return None
 
     def load(self, config_hash: str) -> Optional[StoreEntry]:
-        """The stored entry for ``config_hash``, or ``None``."""
-        path = self.path_for(config_hash)
-        if not path.exists():
-            return None
-        return StoreEntry.from_dict(json.loads(path.read_text()))
+        """The stored entry for ``config_hash``; ``None`` when absent or torn."""
+        return self._read(self.path_for(config_hash))
 
     def completed(self, config_hash: str) -> bool:
         """True if a run with this hash finished successfully."""
@@ -130,7 +140,9 @@ class ResultStore:
         if not self.runs_dir.is_dir():
             return
         for path in sorted(self.runs_dir.glob("*.json")):
-            yield StoreEntry.from_dict(json.loads(path.read_text()))
+            entry = self._read(path)
+            if entry is not None:
+                yield entry
 
     def ok_entries(self) -> List[StoreEntry]:
         return [e for e in self.entries() if e.ok]

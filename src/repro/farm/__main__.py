@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``worker`` -- execute one JSON request from stdin and print the response
-  (the remote end of every subprocess / ssh-hosts farm slot);
+* ``worker`` -- answer JSON request lines from stdin, one response line
+  each, until EOF (the remote end of every subprocess / ssh-hosts slot);
 * ``check FARMSPEC`` -- ping every slot of a farm and report reachability,
   e.g. ``python -m repro.farm check ssh-hosts:hosts.json``.
 """
@@ -25,7 +25,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sub.add_parser(
         "worker",
-        help="read one JSON request from stdin, print one response line")
+        help="answer JSON request lines from stdin until EOF")
 
     check = sub.add_parser("check", help="ping every slot of a farm")
     check.add_argument(

@@ -9,22 +9,31 @@ provisioning):
 
 * ``local`` -- one inline slot in this process; byte-identical results to
   the serial executor path, useful as the determinism oracle;
-* ``subprocess`` -- N slots, each run executed by a fresh
-  ``python -m repro.farm worker`` subprocess on this machine;
+* ``subprocess`` -- N slots, each backed by one ``python -m repro.farm
+  worker`` subprocess on this machine;
 * ``ssh-hosts`` -- slots on remote hosts reached via stdlib ``subprocess``
   + ``ssh``, described by a JSON hosts file (the externally-provisioned
   farm: the hosts already exist, the farm only dispatches).
 
-All remote execution speaks the pickle-free JSON protocol of
-:mod:`repro.farm.protocol`.  A worker loss (death, garbage output, protocol
-mismatch) is distinct from a run failure: the run is retried with
-exponential backoff, preferentially landing on another worker because the
-losing slot sits out the backoff window; only after ``max_attempts`` losses
-does the run surface as a failed outcome.
+The two remote backends differ only in the ``(argv, env)`` that starts a
+slot's worker.  A slot spawns its :class:`WorkerProcess` on its first
+request, opens it with a ping/pong handshake, then writes one JSON line and
+reads one per request (:mod:`repro.farm.protocol`), and closes it -- stdin
+EOF, a short grace, then kill -- when its dispatch loop (or ``check``) ends:
+a slot costs one interpreter start (one ssh connection) per dispatch, and
+no worker outlives the call that spawned it.
+
+A worker loss (EOF, non-zero exit, garbage line, no answer within
+``timeout_s``, failed handshake) is distinct from a run failure: the dead
+process is reaped, the run is retried on a fresh worker with exponential
+backoff, preferentially landing on another slot because the losing slot
+sits out the backoff window; only after ``max_attempts`` losses does the
+run surface as a failed outcome.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import queue
@@ -63,6 +72,81 @@ from repro.farm.protocol import (
 #: Called with the farm's health rows whenever any slot changes state.
 WorkerCallback = Callable[[List[Dict[str, object]]], None]
 
+#: Seconds a freshly spawned worker has to answer the opening ping.
+HANDSHAKE_TIMEOUT_S = 30.0
+#: Seconds a worker has to exit after stdin EOF before it is killed.
+CLOSE_GRACE_S = 2.0
+
+
+class WorkerProcess:
+    """One live ``repro.farm worker``: a request line in, a response line out.
+
+    Daemon threads drain both pipes from the spawn on -- stdout into a line
+    queue (so a read can time out), stderr into a bounded tail kept for the
+    loss message -- so a chatty worker never blocks on a full pipe.  Every
+    failure is a :class:`WorkerLossError`; the owner's :meth:`close` reaps.
+    """
+
+    def __init__(self, argv: Sequence[str], env: Optional[Dict[str, str]]) -> None:
+        try:
+            self.proc = subprocess.Popen(
+                list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, errors="replace", env=env)
+        except OSError as exc:
+            raise WorkerLossError(f"cannot launch worker {argv!r}: {exc}") from exc
+        self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
+        self._stderr_tail: "collections.deque[str]" = collections.deque(maxlen=3)
+        self._pumps = [threading.Thread(target=pump, daemon=True)
+                       for pump in (self._pump_stdout, self._pump_stderr)]
+        for thread in self._pumps:
+            thread.start()
+
+    def _pump_stdout(self) -> None:
+        with self.proc.stdout as stream:
+            for line in stream:
+                self._lines.put(line)
+        self._lines.put(None)
+
+    def _pump_stderr(self) -> None:
+        with self.proc.stderr as stream:
+            for line in stream:
+                if line.strip():
+                    self._stderr_tail.append(line.strip()[-300:])
+
+    def request(self, payload: Dict[str, object], timeout_s: Optional[float],
+                timeout_hint: str = "") -> Dict[str, object]:
+        """Write one request line, read one response line within ``timeout_s``."""
+        try:
+            self.proc.stdin.write(json.dumps(payload, sort_keys=True) + "\n")
+            self.proc.stdin.flush()
+        except OSError:
+            pass  # already dead: the read below finds EOF and says why
+        try:
+            line = self._lines.get(timeout=timeout_s)
+        except queue.Empty:
+            self.proc.kill()
+            raise WorkerLossError(f"worker timed out after {timeout_s}s: "
+                                  f"{self.proc.args[0]}{timeout_hint}") from None
+        if line is None:
+            raise WorkerLossError(f"worker exited {self.close()}: "
+                                  + (" | ".join(self._stderr_tail) or "no stderr"))
+        return parse_response(line)
+
+    def close(self) -> int:
+        """Stdin EOF, a short grace, then kill; reaps and returns the exit code."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        for thread in self._pumps:  # both pipes at EOF: the stderr tail is complete
+            thread.join(timeout=1.0)
+        return self.proc.returncode
+
 
 @dataclass
 class WorkerSlot:
@@ -79,6 +163,12 @@ class WorkerSlot:
     elapsed: float = 0.0
     busy: bool = False
     current: str = ""
+    #: ``(argv, env)`` that starts this slot's worker; ``None`` = inline slot.
+    command: Optional[Tuple[List[str], Optional[Dict[str, str]]]] = None
+    #: Worker processes started for this slot (one per dispatch when healthy).
+    spawned: int = 0
+    #: The live worker, from the slot's first request until its release.
+    worker: Optional[WorkerProcess] = field(default=None, repr=False)
 
     def health_row(self) -> Dict[str, object]:
         return {
@@ -90,6 +180,7 @@ class WorkerSlot:
             "retried": self.retries,
             "elapsed": round(self.elapsed, 3),
             "state": (f"running {self.current}" if self.busy else "idle"),
+            "spawned": self.spawned,
         }
 
 
@@ -99,7 +190,8 @@ class RunFarm:
     kind = "farm"
 
     def __init__(self, slots: Sequence[WorkerSlot],
-                 max_attempts: int = 3, backoff_s: float = 0.5) -> None:
+                 max_attempts: int = 3, backoff_s: float = 0.5,
+                 timeout_s: Optional[float] = None) -> None:
         if not slots:
             raise ValueError("a farm needs at least one worker slot")
         if max_attempts < 1:
@@ -109,19 +201,35 @@ class RunFarm:
         self.slots = list(slots)
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
+        #: Seconds one request may take before its worker counts as lost.
+        self.timeout_s = timeout_s
         #: Optional health hook (the CampaignBoard's worker section).
         self.on_worker: Optional[WorkerCallback] = None
         self._lock = threading.Lock()
 
-    # -- backend interface ---------------------------------------------
+    # -- worker lifetime -----------------------------------------------
     def run_payload(self, slot: WorkerSlot,
                     request: Dict[str, object]) -> Dict[str, object]:
-        """Execute one protocol request on ``slot``; returns the response.
+        """Execute one protocol request on ``slot``'s worker, spawned (and
+        pinged: a v1 worker reads stdin to EOF first, so never pongs) on
+        first use; returns the response.
 
-        Must raise :class:`WorkerLossError` on worker death or garbage
-        output (a failed *run* comes back inside a normal response).
+        Raises :class:`WorkerLossError` on worker death, silence or garbage
+        output (a failed *run* comes back inside a normal response); the
+        caller then :meth:`_release`\\ s the slot, so the next request respawns.
         """
-        raise NotImplementedError
+        if slot.worker is None:
+            slot.worker = WorkerProcess(*slot.command)
+            slot.spawned += 1
+            slot.worker.request(ping_request(), HANDSHAKE_TIMEOUT_S,
+                                " (no pong -- older checkout on the host?)")
+        return slot.worker.request(request, self.timeout_s)
+
+    def _release(self, slot: WorkerSlot) -> None:
+        """Close and reap ``slot``'s worker, if it has one."""
+        worker, slot.worker = slot.worker, None
+        if worker is not None:
+            worker.close()
 
     # -- health ---------------------------------------------------------
     def health_rows(self) -> List[Dict[str, object]]:
@@ -144,6 +252,8 @@ class RunFarm:
             else:
                 rows.append((slot.name, True,
                              f"pong in {time.perf_counter() - start:.2f}s"))
+            finally:
+                self._release(slot)
         return rows
 
     def _notify(self) -> None:
@@ -165,7 +275,8 @@ class RunFarm:
         jobs = list(jobs)
         if not jobs:
             return
-        work: "queue.Queue[Tuple[int, RunSpec, int]]" = queue.Queue()
+        # Jobs are (index, spec, attempt); None tells one slot to stop.
+        work: "queue.Queue[Optional[Tuple[int, RunSpec, int]]]" = queue.Queue()
         results: "queue.Queue[Tuple[int, RunOutcome]]" = queue.Queue()
         for index, spec in jobs:
             work.put((index, spec, 1))
@@ -198,63 +309,68 @@ class RunFarm:
                         remaining -= 1
         finally:
             stop.set()
+            for slot in self.slots:
+                work.put(None)
+                worker = slot.worker
+                if remaining and worker is not None:
+                    # Abandoned mid-dispatch (error, interrupt): do not wait
+                    # for in-flight runs; their slots see a loss and stop.
+                    worker.proc.kill()
             for thread in threads:
                 thread.join(timeout=5.0)
 
     def _slot_loop(self, slot: WorkerSlot,
-                   work: "queue.Queue[Tuple[int, RunSpec, int]]",
+                   work: "queue.Queue[Optional[Tuple[int, RunSpec, int]]]",
                    results: "queue.Queue[Tuple[int, RunOutcome]]",
                    stop: threading.Event) -> None:
-        while not stop.is_set():
-            try:
-                index, spec, attempt = work.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            slot.busy, slot.current = True, spec.label()
-            self._notify()
-            start = time.perf_counter()
-            try:
-                outcome = self._run_once(slot, spec)
-            except WorkerLossError as exc:
-                slot.losses += 1
-                slot.busy, slot.current = False, ""
-                self._notify()
-                if attempt >= self.max_attempts:
-                    results.put((index, RunOutcome(
-                        spec=spec,
-                        status=STATUS_FAILED,
-                        elapsed=time.perf_counter() - start,
-                        error=(f"worker lost after {attempt} attempts "
-                               f"(last on {slot.name}): {exc}"),
-                        traceback=str(exc),
-                    )))
-                    continue
-                slot.retries += 1
-                # Exponential backoff, slept by the *losing* slot: the job
-                # goes straight back on the queue after the wait, but this
-                # slot is the last to ask for more work, so an idle healthy
-                # worker picks the retry up first.
-                stop.wait(min(self.backoff_s * (2 ** (attempt - 1)), 10.0))
-                if stop.is_set():
-                    results.put((index, RunOutcome(
-                        spec=spec,
-                        status=STATUS_FAILED,
-                        elapsed=time.perf_counter() - start,
-                        error=(f"worker lost on {slot.name} and campaign "
-                               f"halted before retry: {exc}"),
-                        traceback=str(exc),
-                    )))
+        try:
+            while not stop.is_set():
+                job = work.get()
+                if job is None:
                     return
-                work.put((index, spec, attempt + 1))
-                continue
-            slot.busy, slot.current = False, ""
-            if outcome.status == STATUS_FAILED:
-                slot.runs_failed += 1
-            else:
-                slot.runs_ok += 1
-            slot.elapsed += outcome.elapsed
-            self._notify()
-            results.put((index, outcome))
+                index, spec, attempt = job
+                slot.busy, slot.current = True, spec.label()
+                self._notify()
+                start = time.perf_counter()
+                try:
+                    outcome = self._run_once(slot, spec)
+                except WorkerLossError as exc:
+                    self._release(slot)
+                    slot.losses += 1
+                    slot.busy, slot.current = False, ""
+                    self._notify()
+                    error = None
+                    if attempt >= self.max_attempts:
+                        error = (f"worker lost after {attempt} attempts "
+                                 f"(last on {slot.name}): {exc}")
+                    else:
+                        slot.retries += 1
+                        # Exponential backoff, slept by the *losing* slot: the
+                        # job goes straight back on the queue after the wait,
+                        # but this slot is the last to ask for more work, so an
+                        # idle healthy worker picks the retry up first.
+                        stop.wait(min(self.backoff_s * (2 ** (attempt - 1)), 10.0))
+                        if stop.is_set():
+                            error = (f"worker lost on {slot.name} and campaign "
+                                     f"halted before retry: {exc}")
+                    if error is None:
+                        work.put((index, spec, attempt + 1))
+                    else:
+                        results.put((index, RunOutcome(
+                            spec=spec, status=STATUS_FAILED,
+                            elapsed=time.perf_counter() - start,
+                            error=error, traceback=str(exc))))
+                    continue
+                slot.busy, slot.current = False, ""
+                if outcome.status == STATUS_FAILED:
+                    slot.runs_failed += 1
+                else:
+                    slot.runs_ok += 1
+                slot.elapsed += outcome.elapsed
+                self._notify()
+                results.put((index, outcome))
+        finally:
+            self._release(slot)
 
     def _run_once(self, slot: WorkerSlot, spec: RunSpec) -> RunOutcome:
         response = self.run_payload(slot, run_request(spec.to_dict()))
@@ -322,7 +438,7 @@ def _subprocess_env(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
 
 
 class SubprocessFarm(RunFarm):
-    """N slots, each run executed by a fresh local worker subprocess."""
+    """N slots, each backed by one local worker subprocess per dispatch."""
 
     kind = "subprocess"
 
@@ -333,22 +449,12 @@ class SubprocessFarm(RunFarm):
                  max_attempts: int = 3, backoff_s: float = 0.5) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        python = list(python) if python is not None else [sys.executable]
+        command = ([*python, "-m", "repro.farm", "worker"], _subprocess_env(env))
         super().__init__(
-            [WorkerSlot(name=f"proc/{i}", host="subprocess")
+            [WorkerSlot(name=f"proc/{i}", host="subprocess", command=command)
              for i in range(workers)],
-            max_attempts=max_attempts, backoff_s=backoff_s)
-        self.python = list(python) if python is not None else [sys.executable]
-        self.env = dict(env) if env else {}
-        self.timeout_s = timeout_s
-
-    def worker_argv(self) -> List[str]:
-        return [*self.python, "-m", "repro.farm", "worker"]
-
-    def run_payload(self, slot: WorkerSlot,
-                    request: Dict[str, object]) -> Dict[str, object]:
-        return _invoke_worker(self.worker_argv(), request,
-                              env=_subprocess_env(self.env),
-                              timeout_s=self.timeout_s)
+            max_attempts=max_attempts, backoff_s=backoff_s, timeout_s=timeout_s)
 
 
 @dataclass
@@ -412,16 +518,12 @@ class SshHostsFarm(RunFarm):
                  max_attempts: int = 3, backoff_s: float = 0.5) -> None:
         if not hosts:
             raise ValueError("ssh-hosts farm needs at least one host")
-        slots: List[WorkerSlot] = []
-        self._slot_hosts: Dict[str, HostSpec] = {}
-        for host in hosts:
-            for i in range(host.slots):
-                slot = WorkerSlot(name=f"{host.host}/{i}", host=host.host)
-                slots.append(slot)
-                self._slot_hosts[slot.name] = host
-        super().__init__(slots, max_attempts=max_attempts, backoff_s=backoff_s)
+        super().__init__(
+            [WorkerSlot(name=f"{host.host}/{i}", host=host.host,
+                        command=(host.argv(), None))
+             for host in hosts for i in range(host.slots)],
+            max_attempts=max_attempts, backoff_s=backoff_s, timeout_s=timeout_s)
         self.hosts = list(hosts)
-        self.timeout_s = timeout_s
 
     @classmethod
     def from_file(cls, path: str | Path,
@@ -442,35 +544,6 @@ class SshHostsFarm(RunFarm):
             max_attempts=int(options.get("max_attempts", 3)),
             backoff_s=float(options.get("backoff_s", 0.5)),
         )
-
-    def run_payload(self, slot: WorkerSlot,
-                    request: Dict[str, object]) -> Dict[str, object]:
-        host = self._slot_hosts[slot.name]
-        return _invoke_worker(host.argv(), request, env=None,
-                              timeout_s=self.timeout_s)
-
-
-def _invoke_worker(argv: Sequence[str], request: Dict[str, object],
-                   env: Optional[Dict[str, str]],
-                   timeout_s: Optional[float]) -> Dict[str, object]:
-    """One worker invocation: request on stdin, response line on stdout."""
-    try:
-        proc = subprocess.run(
-            list(argv),
-            input=json.dumps(request, sort_keys=True),
-            capture_output=True, text=True, env=env, timeout=timeout_s,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise WorkerLossError(
-            f"worker timed out after {timeout_s}s: {argv[0]}") from exc
-    except OSError as exc:
-        raise WorkerLossError(f"cannot launch worker {argv!r}: {exc}") from exc
-    if proc.returncode != 0:
-        stderr_tail = proc.stderr.strip().splitlines()[-3:]
-        raise WorkerLossError(
-            f"worker exited {proc.returncode}: "
-            + (" | ".join(stderr_tail) or "no stderr"))
-    return parse_response(proc.stdout)
 
 
 def make_farm(spec: str, jobs: int = 1) -> RunFarm:

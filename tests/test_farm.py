@@ -11,6 +11,7 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,31 @@ def _entries_modulo_timing(store_root: Path):
         document.pop("elapsed")
         out[path.stem] = json.dumps(document, sort_keys=True)
     return out
+
+
+def _child_pids():
+    """Live (or zombie) direct children of this process, from /proc."""
+    me, pids = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited between listdir and read
+        # "pid (comm) state ppid ..." -- comm may itself contain ")".
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.add(int(entry))
+    return pids
+
+
+def _wrapper_farm(tmp_path: Path, source: str, **kwargs) -> SubprocessFarm:
+    """A subprocess farm whose worker command runs ``source`` instead."""
+    wrapper = tmp_path / "wrapper.py"
+    wrapper.write_text(source)
+    kwargs.setdefault("workers", 1)
+    kwargs.setdefault("backoff_s", 0.01)
+    return SubprocessFarm(python=[sys.executable, str(wrapper)], **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +147,45 @@ class TestWorkerProtocol:
         noise = "loading calibration tables...\n"
         payload = json.dumps({"protocol": PROTOCOL_VERSION, "pong": True})
         assert parse_response(noise + payload + "\n")["pong"] is True
+
+    def test_serves_request_lines_until_eof(self):
+        run = json.dumps(run_request(RunSpec("table1").to_dict()))
+        ping = json.dumps(ping_request())
+        rc, out, err = self._invoke(f"{run}\n\n{ping}\n   \n{run}\n")
+        assert rc == 0, err
+        first, second, third = (parse_response(line)
+                                for line in out.splitlines())
+        assert first["outcome"]["status"] == "ok"
+        assert second == {"protocol": PROTOCOL_VERSION, "pong": True}
+        # Back-to-back runs in one interpreter are byte-identical.
+        first["outcome"].pop("elapsed")
+        third["outcome"].pop("elapsed")
+        assert third == first
+
+    def test_malformed_line_ends_the_loop_after_earlier_answers(self):
+        ping = json.dumps(ping_request())
+        rc, out, err = self._invoke(f"{ping}\nnot json\n{ping}\n")
+        assert rc == 2
+        assert out.count("\n") == 1 and parse_response(out)["pong"] is True
+        assert "malformed request" in err
+
+    def test_run_that_prints_to_stdout_still_round_trips(self, monkeypatch):
+        import repro.campaign.executor as executor_module
+
+        real = executor_module.execute_run
+
+        def noisy(spec):
+            print("loading calibration tables...")
+            print(json.dumps({"protocol": PROTOCOL_VERSION, "pong": True}))
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "execute_run", noisy)
+        rc, out, err = self._invoke(
+            json.dumps(run_request(RunSpec("table1").to_dict())))
+        assert rc == 0
+        assert out.count("\n") == 1
+        assert parse_response(out)["outcome"]["status"] == "ok"
+        assert "loading calibration tables" in err
 
     def test_worker_subprocess_end_to_end(self):
         import subprocess
@@ -298,6 +363,175 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
+# Persistent workers: one process per slot per dispatch, never a leak or hang
+# ----------------------------------------------------------------------
+#: Answers pings, then dies (once, by flag file) on the third run request.
+_DIES_ON_THIRD_RUN = """
+import json, os, signal, sys
+from repro.farm.protocol import worker_main
+
+def lines():
+    runs = 0
+    for line in sys.stdin:
+        runs += "spec" in json.loads(line)
+        if runs == 3 and not os.path.exists({flag!r}):
+            open({flag!r}, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield line
+
+sys.exit(worker_main(stdin=lines()))
+"""
+
+#: Answers pings, never answers a run.
+_MUTE_ON_RUNS = """
+import json, sys, time
+for line in sys.stdin:
+    request = json.loads(line)
+    if request.get("ping"):
+        print(json.dumps({"protocol": request["protocol"], "pong": True}),
+              flush=True)
+    else:
+        time.sleep(600)
+"""
+
+#: The version-1 worker shape: read stdin to EOF, then answer.
+_V1_WORKER = """
+import json, sys
+request = json.loads(sys.stdin.read())
+print(json.dumps({"protocol": 1, "pong": True}))
+"""
+
+#: More than a pipe buffer on stderr before becoming a real worker.
+_CHATTY = """
+import os, sys
+sys.stderr.write("y" * (1 << 20) + "\\n")
+sys.stderr.flush()
+os.execv(sys.executable, [sys.executable] + sys.argv[1:])
+"""
+
+
+class TestPersistentWorkers:
+    def _specs(self, count=5):
+        return [RunSpec("table1", seed=seed) for seed in range(count)]
+
+    def test_one_spawn_per_slot_and_no_child_left(self, tmp_path):
+        before = _child_pids()
+        farm = SubprocessFarm(workers=1)
+        outcomes = CampaignExecutor(farm=farm).run(self._specs())
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 5
+        (slot,) = farm.slots
+        assert slot.spawned == 1 and slot.worker is None
+        assert farm.health_rows()[0]["spawned"] == 1
+        assert _child_pids() == before
+        # check() spawns (and closes) its own worker through the same path.
+        assert [ok for _, ok, _ in farm.check()] == [True]
+        assert slot.spawned == 2 and slot.worker is None
+        assert _child_pids() == before
+
+    def test_interrupt_mid_dispatch_leaves_no_child(self):
+        before = _child_pids()
+        farm = SubprocessFarm(workers=3)
+
+        def interrupt(completed, total, outcome):
+            raise KeyboardInterrupt
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            CampaignExecutor(farm=farm).run(self._specs(9), progress=interrupt)
+        assert time.perf_counter() - started < 20.0
+        assert all(slot.worker is None for slot in farm.slots)
+        assert _child_pids() == before
+
+    def test_worker_killed_on_third_run_is_one_loss_one_respawn(self, tmp_path):
+        farm = _wrapper_farm(tmp_path, _DIES_ON_THIRD_RUN.format(
+            flag=str(tmp_path / "killed-once")))
+        farm_store, local_store = tmp_path / "farm", tmp_path / "local"
+        outcomes = CampaignExecutor(
+            store=ResultStore(farm_store), farm=farm).run(self._specs())
+        CampaignExecutor(store=ResultStore(local_store),
+                         farm=LocalFarm()).run(self._specs())
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 5
+        (slot,) = farm.slots
+        assert (slot.losses, slot.retries, slot.spawned) == (1, 1, 2)
+        assert _entries_modulo_timing(farm_store) == _entries_modulo_timing(
+            local_store)
+        assert len(_entries_modulo_timing(farm_store)) == 5
+
+    def test_results_do_not_depend_on_dispatch_order(self, tmp_path):
+        specs = [_scenario_run(0), _scenario_run(1), RunSpec("table1")]
+        stores = []
+        for name, order in (("abc", specs), ("cab", specs[2:] + specs[:2])):
+            CampaignExecutor(store=ResultStore(tmp_path / name),
+                             farm=make_farm("subprocess:1")).run(order)
+            stores.append(_entries_modulo_timing(tmp_path / name))
+        assert stores[0] == stores[1] and len(stores[0]) == 3
+
+    def test_stderr_flood_does_not_block_the_worker(self, tmp_path):
+        farm = _wrapper_farm(tmp_path, _CHATTY, timeout_s=60.0, max_attempts=1)
+        outcomes = CampaignExecutor(farm=farm).run([RunSpec("table1")])
+        assert [outcome.status for outcome in outcomes] == ["ok"]
+
+    def test_mute_worker_is_a_loss_within_timeout(self, tmp_path):
+        before = _child_pids()
+        farm = _wrapper_farm(tmp_path, _MUTE_ON_RUNS, timeout_s=0.3,
+                             max_attempts=2)
+        started = time.perf_counter()
+        outcomes = CampaignExecutor(farm=farm).run([RunSpec("table1")])
+        assert time.perf_counter() - started < 10.0
+        assert [outcome.status for outcome in outcomes] == ["failed"]
+        assert "timed out after 0.3s" in outcomes[0].error
+        assert "\n" not in outcomes[0].error
+        assert farm.slots[0].losses == 2 and farm.slots[0].spawned == 2
+        assert _child_pids() == before
+
+    def test_v1_worker_fails_the_handshake(self, tmp_path, monkeypatch):
+        import repro.farm.farm as farm_module
+
+        monkeypatch.setattr(farm_module, "HANDSHAKE_TIMEOUT_S", 0.5)
+        before = _child_pids()
+        ((name, ok, detail),) = _wrapper_farm(tmp_path, _V1_WORKER).check()
+        assert not ok
+        assert "no pong -- older checkout on the host?" in detail
+        assert _child_pids() == before
+
+    def test_garbage_response_line_is_a_loss(self, tmp_path):
+        farm = _wrapper_farm(
+            tmp_path, "import sys\nfor _ in sys.stdin: print('{{{', flush=True)\n")
+        ((name, ok, detail),) = farm.check()
+        assert not ok and "unparseable worker response" in detail
+        assert farm.slots[0].worker is None
+
+
+# ----------------------------------------------------------------------
+# Torn store entries: a cache miss on --resume, never a traceback
+# ----------------------------------------------------------------------
+class TestTornStoreEntry:
+    def test_resume_reruns_exactly_the_torn_entry(self, tmp_path, capsys):
+        from repro.analysis import load_documents
+
+        store = ResultStore(tmp_path)
+        specs = [RunSpec("table1", seed=seed) for seed in (0, 1, 2)]
+        CampaignExecutor(store=store).run(specs)
+        torn = store.path_for(specs[1].config_hash())
+        torn.write_text(torn.read_text()[:torn.stat().st_size // 2])
+
+        outcomes = CampaignExecutor(store=store).run(specs, resume=True)
+        assert [o.status for o in outcomes] == ["cached", "ok", "cached"]
+        assert store.quarantined == [torn.name + ".corrupt"]
+        assert (torn.parent / (torn.name + ".corrupt")).exists()
+        assert ResultStore(tmp_path).status_counts() == {"ok": 3}
+
+        # status and the analysis loader name the file instead of dying.
+        torn.write_text("{\"spec\": ")
+        assert campaign_main(["status", "--store", str(tmp_path)]) == 0
+        assert f"corrupt entry moved aside: {torn.name}.corrupt" in (
+            capsys.readouterr().out)
+        torn.write_text("[]")
+        with pytest.warns(UserWarning, match="corrupt store entry moved aside"):
+            assert len(load_documents([tmp_path])) == 2
+
+
+# ----------------------------------------------------------------------
 # Determinism battery: local farm == pool == ssh-hosts-to-localhost
 # ----------------------------------------------------------------------
 def _fake_ssh(tmp_path: Path) -> Path:
@@ -368,6 +602,16 @@ class TestFarmCli:
         assert "subprocess (2 workers)" in out
         assert "worker proc/0" in out
         assert ResultStore(tmp_path / "store").status_counts() == {"ok": 2}
+
+    def test_summary_counts_spawns(self, tmp_path, capsys):
+        rc = campaign_main([
+            "run", str(self._sweep(tmp_path)),
+            "--farm", "subprocess:1", "--store", str(tmp_path / "store")])
+        assert rc == 0
+        (summary,) = [line for line in capsys.readouterr().out.splitlines()
+                      if "worker proc/0" in line]
+        assert "ok 2 failed 0 lost 0 retried 0" in summary
+        assert summary.endswith("spawned 1")
 
     def test_run_with_bad_farm_spec(self, tmp_path, capsys):
         rc = campaign_main([
