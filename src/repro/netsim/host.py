@@ -40,16 +40,6 @@ class Host:
         self.senders: Dict[int, "SenderTransport"] = {}
         self.receivers: Dict[int, "ReceiverState"] = {}
 
-        # Pooled kernel: the host is where every delivered packet dies (ACKs
-        # after on_ack, data after on_data), so bind the recycling receive
-        # path once at construction -- the ``set_failed`` idiom, zero cost on
-        # the default kernel.
-        self._packet_pool = sim.kernel.packet_pool
-        if self._packet_pool is not None:
-            self.deliver = self._deliver_pooled  # type: ignore[method-assign]
-            #: Prebound release (one per delivered packet -- hot).
-            self._packet_release = self._packet_pool.release
-
         # Statistics.
         self.sent_packets = 0
         self.sent_bytes = 0
@@ -131,32 +121,6 @@ class Host:
             # was torn down in a test); drop silently.
             return
         ack = receiver.on_data(packet, self.sim.now)
-        self.send_packet(ack)
-
-    def _deliver_pooled(self, packet: Packet) -> None:
-        """:meth:`deliver` for the pooled kernel (kept in lockstep).
-
-        Delivery is where packets die: ACKs are released once the sender has
-        consumed them, data packets once the receiver has produced the ACK
-        (the ACK itself is freshly acquired inside ``on_data``, so the data
-        packet is still live at that point).
-        """
-        self.received_packets += 1
-        self.received_bytes += packet.size_bytes
-        release = self._packet_release
-        if packet.is_ack:
-            sender = self.senders.get(packet.flow_id)
-            if sender is not None:
-                sender.on_ack(packet)
-            release(packet)
-            return
-        receiver = self.receivers.get(packet.flow_id)
-        if receiver is None:
-            # Data for an unknown flow; the drop is this packet's death.
-            release(packet)
-            return
-        ack = receiver.on_data(packet, self.sim.now)
-        release(packet)
         self.send_packet(ack)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

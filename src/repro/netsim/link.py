@@ -167,11 +167,6 @@ class Link:
     def _transmit_failed(self, packet: Packet) -> None:
         """`transmit` of a failed link: blackhole (see :meth:`set_failed`)."""
         self.dropped_packets += 1
-        pool = self.sim.kernel.packet_pool
-        if pool is not None:
-            # Blackholing is the packet's death site (cold path: routing
-            # excludes failed links, so this only fires on misconfiguration).
-            pool.release(packet)
 
     def set_failed(self, failed: bool = True) -> None:
         """Mark the link failed (or repaired).

@@ -484,8 +484,7 @@ class Network:
     def _start_flow(self, spec: FlowSpec, sender_cls, config: TransportConfig) -> None:
         src_host = self.hosts[spec.src]
         dst_host = self.hosts[spec.dst]
-        receiver = ReceiverState(spec, config, on_complete=self._flow_completed,
-                                 packet_pool=self.sim.kernel.packet_pool)
+        receiver = ReceiverState(spec, config, on_complete=self._flow_completed)
         dst_host.add_receiver(receiver)
         sender = sender_cls(src_host, spec, config)
         src_host.add_sender(sender)

@@ -26,6 +26,11 @@ class SwitchNode:
         self._links: Dict[int, Link] = {}
         #: Packets that arrived for a port with no attached link (misconfig).
         self.undeliverable = 0
+        #: Packets dropped because every next hop towards their destination
+        #: was failed or excluded when they arrived (a mid-run link failure
+        #: stranded them; the transport retransmits over the re-pruned
+        #: tables).
+        self.no_route = 0
         #: The bound load-balancer policy; ``None`` for the ecmp default
         #: (the passthrough never swaps the data path, see
         #: :meth:`set_load_balancer`).
@@ -75,7 +80,11 @@ class SwitchNode:
     # ------------------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
         """Handle a packet arriving on an ingress link: route and admit it."""
-        out_port = self.routing.route(packet)
+        try:
+            out_port = self.routing.route(packet)
+        except LookupError:
+            self.no_route += 1
+            return
         self.switch.receive(packet, out_port)
 
     def _deliver_lb(self, packet: Packet) -> None:
@@ -85,7 +94,11 @@ class SwitchNode:
         (there is no choice to make), so downlink hops cost one memoized
         lookup and the policy only ever sees genuine multi-uplink decisions.
         """
-        candidates = self.routing.candidate_ports(packet.dst)
+        try:
+            candidates = self.routing.candidate_ports(packet.dst)
+        except LookupError:
+            self.no_route += 1
+            return
         if len(candidates) == 1:
             out_port = candidates[0]
         else:
@@ -96,11 +109,6 @@ class SwitchNode:
         link = self._links.get(port_id)
         if link is None:
             self.undeliverable += 1
-            pool = self.sim.kernel.packet_pool
-            if pool is not None:
-                # No link attached (misconfig): the drop is this packet's
-                # death site on the pooled kernel.
-                pool.release(packet)
             return
         link.transmit(packet)
 

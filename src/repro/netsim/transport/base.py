@@ -56,8 +56,7 @@ class ReceiverState:
     """Receiver side of a flow: reassembly, cumulative ACKs and ECN echo."""
 
     def __init__(self, flow_spec: "FlowSpec", config: TransportConfig,
-                 on_complete: Callable[[int, float], None],
-                 packet_pool=None) -> None:
+                 on_complete: Callable[[int, float], None]) -> None:
         self.spec = flow_spec
         self.config = config
         self.total_segments = max(1, math.ceil(flow_spec.size_bytes / config.mss_bytes))
@@ -66,9 +65,6 @@ class ReceiverState:
         self.completed = False
         self._on_complete = on_complete
         self.received_packets = 0
-        # ACK allocation factory: the pool's acquire mirrors the Packet
-        # constructor signature, so both kernels share the call site below.
-        self._make_packet = Packet if packet_pool is None else packet_pool.acquire
 
     def on_data(self, packet: Packet, now: float) -> Packet:
         """Process a data packet; returns the ACK to send back."""
@@ -79,7 +75,7 @@ class ReceiverState:
             while self.rcv_nxt in self._out_of_order:
                 self._out_of_order.discard(self.rcv_nxt)
                 self.rcv_nxt += 1
-        ack = self._make_packet(
+        ack = Packet(
             size_bytes=self.config.ack_bytes,
             flow_id=packet.flow_id,
             src=packet.dst,
@@ -118,10 +114,6 @@ class SenderTransport:
         self.sim = host.sim
         self.spec = flow_spec
         self.config = config or TransportConfig()
-        # Data-packet allocation factory (see ReceiverState): draws from the
-        # kernel's packet pool when one exists, else the plain constructor.
-        pool = self.sim.kernel.packet_pool
-        self._make_packet = Packet if pool is None else pool.acquire
 
         self.total_segments = max(
             1, math.ceil(flow_spec.size_bytes / self.config.mss_bytes)
@@ -181,7 +173,7 @@ class SenderTransport:
 
     def _build_packet(self, seq: int) -> Packet:
         payload = self._segment_payload(seq)
-        packet = self._make_packet(
+        packet = Packet(
             size_bytes=payload + self.config.header_bytes,
             flow_id=self.spec.flow_id,
             src=self.spec.src,

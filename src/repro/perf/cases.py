@@ -385,19 +385,3 @@ for _name, (_builder, _desc) in _BUILDERS.items():
             build=(lambda b=_builder, t=_tier: b(t)),
             description=_desc,
         ))
-
-# Pooled-kernel twins of the two ISSUE-pinned hot-path families, following
-# the `websearch_fattree_ecmp_lb` precedent: identical traffic, only the
-# engine section differs, so `python -m repro.perf overhead BASE TWIN`
-# measures the pooling speedup with the interleaved A/B methodology (CI
-# gates pooled at >= 10% faster on the medium tiers and never-slower on the
-# small tiers).
-for _name in ("incast_single_switch", "websearch_leaf_spine"):
-    for _tier in TIERS:
-        _base = _CASES[f"{_name}/{_tier}"]
-        register_case(PerfCase(
-            name=f"{_name}_pooled",
-            tier=_tier,
-            build=case_with_kernel(_base, "pooled").build,
-            description=f"the {_name} case on the pooled kernel (A/B twin)",
-        ))

@@ -46,6 +46,7 @@ from repro.perf.harness import (
     save_snapshot,
 )
 from repro.perf.profiling import SORT_KEYS, profile_case
+from repro.sim.kernel import HeapKernel, make_kernel
 
 
 def _select_cases(scale: str, names: Optional[str]):
@@ -126,14 +127,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_differential(args: argparse.Namespace) -> int:
+    if args.shards == 1 and type(make_kernel(args.kernel)) is HeapKernel:
+        # The candidate *is* the oracle (``pooled`` is an alias of it):
+        # heap vs heap would be identical by construction.
+        print("FAIL: nothing to compare: pass `--shards N` or a non-oracle "
+              "`--kernel`")
+        return 1
     if args.cases:
         cases = [get_case(name) for name in args.cases]
     else:
         tier = None if args.scale == "all" else args.scale
-        # Twin cases exist only for A/B timing; diffing them would just
-        # repeat the pooled/pooled comparison.
-        cases = [c for c in available_cases(tier=tier)
-                 if not c.name.endswith("_pooled")]
+        cases = available_cases(tier=tier)
     if not cases:
         raise KeyError(f"no perf cases match scale={args.scale!r}")
 
@@ -238,9 +242,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              "candidate kernel (correctness gate for alternative kernels)")
     diff_p.add_argument("cases", nargs="*",
                         help="case ids (family/tier); default: every "
-                             "registered non-twin case at --scale")
-    diff_p.add_argument("--kernel", default="pooled",
-                        help="candidate kernel to diff (default: pooled)")
+                             "registered case at --scale")
+    diff_p.add_argument("--kernel", default="heap",
+                        help="candidate kernel to diff (default: heap, "
+                             "which needs --shards N to differ from the "
+                             "oracle)")
     diff_p.add_argument("--shards", type=int, default=1,
                         help="candidate shard count to diff; cases whose "
                              "topology cannot be cut are loudly skipped "

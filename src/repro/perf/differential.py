@@ -93,7 +93,7 @@ def _shard_skip_reason(spec) -> Optional[str]:
     return None
 
 
-def run_differential(case: PerfCase, kernel: str = "pooled",
+def run_differential(case: PerfCase, kernel: str = "heap",
                      shards: int = 1,
                      partition: Optional[str] = None) -> DifferentialResult:
     """Diff one case: single-process heap oracle vs the candidate engine."""
@@ -121,7 +121,7 @@ def run_differential(case: PerfCase, kernel: str = "pooled",
                               shards=shards, diverging_keys=diverging)
 
 
-def run_differentials(cases: Sequence[PerfCase], kernel: str = "pooled",
+def run_differentials(cases: Sequence[PerfCase], kernel: str = "heap",
                       shards: int = 1, partition: Optional[str] = None,
                       progress=None) -> List[DifferentialResult]:
     """Diff every case; ``progress`` is called after each one."""

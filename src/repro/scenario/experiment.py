@@ -117,14 +117,18 @@ def _cmd_registries(args: argparse.Namespace) -> int:
     from repro.scenario.topologies import available_topologies
     from repro.scenario.transports import available_transport_profiles
     from repro.scenario.workloads import available_workloads
-    from repro.sim.kernel import available_kernels
+    from repro.sim.kernel import available_kernels, make_kernel
 
     print("schemes:            " + ", ".join(available_schemes()))
     print("topologies:         " + ", ".join(available_topologies()))
     print("workloads:          " + ", ".join(available_workloads()))
     print("transport profiles: " + ", ".join(available_transport_profiles()))
     print("load balancers:     " + ", ".join(available_load_balancers()))
-    print("engine kernels:     " + ", ".join(available_kernels()))
+    kernels = []
+    for name in available_kernels():
+        runs = make_kernel(name).name
+        kernels.append(name if runs == name else f"{name} (alias of {runs})")
+    print("engine kernels:     " + ", ".join(kernels))
     return 0
 
 
@@ -255,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the document's seed")
     p_run.add_argument("--kernel", default=None,
-                       help="override the document's engine.kernel "
-                            "(e.g. heap, pooled)")
+                       help="override the document's engine.kernel")
     p_run.add_argument("--shards", type=int, default=None,
                        help="override the document's engine.shards (run the "
                             "fabric as N parallel shard processes)")

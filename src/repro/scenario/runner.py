@@ -447,11 +447,6 @@ class ScenarioRunner:
     def _run_packet_level(self, spec, topology, generated) -> None:
         sim = topology.sim
         switch = topology.switch
-        # Packet-level arrivals die inside the switch (drop or sink
-        # transmit), so drawing them from the kernel's pool closes the
-        # recycle loop on the pooled kernel.
-        pool = sim.kernel.packet_pool
-        make_packet = Packet if pool is None else pool.acquire
         for workload, arrivals in generated:
             if any(isinstance(a, FlowSpec) for a in arrivals):
                 raise ValueError(
@@ -465,13 +460,13 @@ class ScenarioRunner:
                 if time < now:
                     raise ValueError(
                         f"cannot schedule into the past: time={time} (now={now})")
-                push(time, partial(_receive_arrival, switch, make_packet, size, port))
+                push(time, partial(_receive_arrival, switch, size, port))
         sim.run(until=spec.duration * spec.run_slack)
 
 
-def _receive_arrival(switch, make_packet, size: int, port: int) -> None:
+def _receive_arrival(switch, size: int, port: int) -> None:
     """One packet-level arrival: build the packet and offer it to the switch."""
-    switch.receive(make_packet(size_bytes=size), port)
+    switch.receive(Packet(size_bytes=size), port)
 
 
 def run_scenario(spec: ScenarioSpec,

@@ -443,8 +443,8 @@ class EngineSpec:
 
     Attributes:
         kernel: registered kernel name (see :mod:`repro.sim.kernel`):
-            ``heap`` (the pure-Python oracle, the default) or ``pooled``
-            (free-listed events plus packet/descriptor pools).  Campaign
+            ``heap`` (the default) or ``pooled``, a compatibility alias
+            that runs the same kernel and is echoed verbatim.  Campaign
             sweeps address it with an ``engine.kernel`` dotted axis.
         shards: number of conservative-parallel shard processes (see
             :mod:`repro.sim.shard`); ``1`` (the default) runs in-process.

@@ -4,7 +4,6 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import (
     HeapKernel,
-    PooledKernel,
     SimKernel,
     available_kernels,
     make_kernel,
@@ -29,7 +28,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "HeapKernel",
-    "PooledKernel",
     "SimKernel",
     "Simulator",
     "SeededRNG",

@@ -29,8 +29,7 @@ class Simulator:
 
     def __init__(self, kernel: Optional[SimKernel] = None) -> None:
         self.now: float = 0.0
-        #: The engine kernel: event storage + dispatch loop + pools.  The
-        #: default HeapKernel is the pre-kernel behavior exactly.
+        #: The engine kernel: event storage + dispatch loop.
         self._kernel = kernel if kernel is not None else HeapKernel()
         #: Back-compat alias -- a SimKernel *is* an EventQueue, and the
         #: inlined hot paths (schedule_fast below, Link.transmit) reach the
@@ -39,12 +38,14 @@ class Simulator:
         self._running = False
         self._stopped = False
         #: Cumulative count of events executed over the simulator's lifetime
-        #: (across multiple :meth:`run` calls; the perf harness reads it).
+        #: (across multiple :meth:`run` calls).  The dispatch loop keeps it
+        #: current per event, so a callback -- the telemetry tick -- reads
+        #: the number fired so far.
         self.events_executed: int = 0
 
     @property
     def kernel(self) -> SimKernel:
-        """The engine kernel (components read its pools at attach time)."""
+        """The engine kernel."""
         return self._kernel
 
     # ------------------------------------------------------------------
@@ -125,29 +126,6 @@ class Simulator:
         # lives in the kernel so it can be swapped wholesale.
         return self._kernel.run_loop(self, until, max_events)
 
-    def set_live_event_counting(self, enabled: bool = True) -> None:
-        """Keep :attr:`events_executed` current *during* :meth:`run`.
-
-        The default loop counts in a local and folds it into
-        :attr:`events_executed` once per :meth:`run` call, so mid-run reads
-        (the telemetry bus samples events/sec while the clock advances) see
-        a stale value.  Rather than tax every event with bookkeeping, this
-        swaps in the kernel's per-event-counting loop as an instance
-        attribute -- the same attach-time trick as ``Link.set_failed`` -- so
-        the class-level :meth:`run` stays branch-free when telemetry is off.
-        Every kernel supplies the hook (``run_loop_counting``), so telemetry
-        behaves identically regardless of the selected kernel.
-        """
-        if enabled:
-            self.run = self._run_counting  # type: ignore[method-assign]
-        else:
-            self.__dict__.pop("run", None)
-
-    def _run_counting(self, until: Optional[float] = None,
-                      max_events: Optional[int] = None) -> int:
-        """:meth:`run` with a live :attr:`events_executed` counter."""
-        return self._kernel.run_loop_counting(self, until, max_events)
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
@@ -160,13 +138,10 @@ class Simulator:
     def reset(self) -> None:
         """Return the simulator to its just-constructed state.
 
-        Clears the event queue, rewinds the clock, zeroes the lifetime
-        event counter and undoes any :meth:`set_live_event_counting` swap
-        (a reset simulator previously kept both the stale counter and the
-        instance-level counting ``run``).
+        Clears the event queue, rewinds the clock and zeroes the lifetime
+        event counter.
         """
         self._queue.clear()
         self.now = 0.0
         self._stopped = False
         self.events_executed = 0
-        self.__dict__.pop("run", None)

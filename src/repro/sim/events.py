@@ -93,10 +93,6 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (time, priority, next(self._counter), callback))
 
-    def reinsert(self, entry: Tuple[float, int, int, Any]) -> None:
-        """Put a popped heap entry back, keeping its original FIFO position."""
-        heapq.heappush(self._heap, entry)
-
     def pop_entry(self) -> Optional[Tuple[float, int, int, Any]]:
         """Pop the earliest live entry ``(time, priority, seq, event_or_cb)``.
 

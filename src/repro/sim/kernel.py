@@ -1,87 +1,65 @@
-"""Pluggable simulation kernels: the heap + dispatch loop behind a seam.
+"""The simulation kernel: the pending-event heap and the dispatch loop.
 
-A :class:`SimKernel` owns everything the inner loop of the discrete-event
+A :class:`SimKernel` owns what the inner loop of the discrete-event
 simulator touches: the pending-event heap (it *is* an
 :class:`~repro.sim.events.EventQueue`, so the ``(time, priority, seq,
 obj)`` entry shape and the inlined hot paths in :meth:`Simulator.schedule_fast
-<repro.sim.engine.Simulator.schedule_fast>` and
-``Link.transmit`` keep working unchanged), the dispatch loop
-(:meth:`~SimKernel.run_loop` and its live-counting twin
-:meth:`~SimKernel.run_loop_counting`), and the allocation policy for the
-objects the simulation churns through (events, packets, packet
-descriptors).
+<repro.sim.engine.Simulator.schedule_fast>` and ``Link.transmit`` reach it
+directly) and the dispatch loop, :meth:`~SimKernel.run_loop`.
 
-Two kernels ship:
+One kernel ships: :class:`HeapKernel`, a pure-Python tuple heap drained by
+a single loop.  Every golden figure, frozen hash and determinism battery
+pins it, and ``python -m repro.perf differential`` judges every other
+engine configuration (a sharded run, a registered kernel) against it.
 
-* :class:`HeapKernel` -- the pure-Python tuple-heap engine, byte-for-byte
-  the pre-kernel ``Simulator`` behavior.  It is the *oracle*: every golden
-  figure, frozen hash and determinism battery pins it, and
-  ``python -m repro.perf differential`` judges every other kernel against
-  it.
-* :class:`PooledKernel` -- the same dispatch semantics plus free lists:
-  fired and cancelled :class:`~repro.sim.events.Event` objects are
-  recycled, and the kernel carries a
-  :class:`~repro.switchsim.pool.PacketPool` /
-  :class:`~repro.switchsim.pool.DescriptorPool` pair that the switch and
-  host layers return dead packets and descriptors to instead of leaving
-  them to the garbage collector.
+The seam stays because things plug in behind it: the sharded executor
+builds its per-shard simulators through :func:`make_kernel`, tests
+register instrumented kernels, and a further :class:`SimKernel` (a
+checked loop, a C inner loop) registered with :func:`register_kernel`
+becomes selectable through the scenario ``engine`` section, ``--kernel``
+CLI flags and campaign axes for free.  The seam carries dispatch only:
+what a packet or descriptor costs to allocate is not the kernel's
+business.
 
-Follow-on kernels (a C/Cython inner loop, sharded execution) are further
-:class:`SimKernel` implementations -- register them with
-:func:`register_kernel` and they become selectable through the scenario
-``engine`` section, ``--kernel`` CLI flags and campaign axes for free.
+``"pooled"`` is a compatibility alias of ``"heap"``, not a second engine.
+It once named a kernel that recycled events, packets and descriptors
+through free lists and stopped paying for itself; stored campaign entries,
+pinned benchmark documents and frozen spec hashes still carry
+``engine.kernel: "pooled"``, so the name validates, is echoed verbatim by
+``to_dict`` and runs :class:`HeapKernel`.  It selects nothing.
 """
 
 from __future__ import annotations
 
-import gc
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.sim.events import Event, EventQueue
 
 
 class SimKernel(EventQueue):
-    """The engine seam: event storage + dispatch loop + allocation policy.
+    """The engine seam: event storage + dispatch loop.
 
     Subclasses inherit the :class:`~repro.sim.events.EventQueue` storage
-    contract (``push`` / ``push_callback`` / ``pop_entry`` / ``reinsert``
-    over a ``(time, priority, seq, event_or_callback)`` tuple heap) and add
-    the
-    dispatch loops.  The loops receive the owning
-    :class:`~repro.sim.engine.Simulator` and drive its public clock/flags
-    (``now``, ``_stopped``, ``_running``, ``events_executed``) exactly the
-    way the pre-kernel monolithic loop did, so kernels are swappable
-    without touching any component code.
+    contract (``push`` / ``push_callback`` / ``pop_entry`` over a
+    ``(time, priority, seq, event_or_callback)`` tuple heap) and add
+    the dispatch loop.  The loop receives the owning
+    :class:`~repro.sim.engine.Simulator` and drives its public clock/flags
+    (``now``, ``_stopped``, ``_running``, ``events_executed``), so kernels
+    are swappable without touching any component code.
 
     Attributes:
-        name: registry name of the kernel (``heap``, ``pooled``, ...).
-        packet_pool: the kernel's packet free list, or ``None`` when the
-            kernel does not recycle packets.  Components read this once at
-            attach time and bind pooled variants of their death-site
-            methods only when it is set, so non-pooling kernels pay zero
-            per-packet cost for the seam.
-        descriptor_pool: same, for :class:`PacketDescriptor` recycling.
+        name: registry name of the kernel (``heap``, ...).
     """
 
     name = "abstract"
-    packet_pool = None
-    descriptor_pool = None
 
     def run_loop(self, sim, until: Optional[float] = None,
                  max_events: Optional[int] = None) -> int:
-        """Drain the queue, advancing ``sim``; returns events executed."""
-        raise NotImplementedError
+        """Drain the queue, advancing ``sim``; returns events executed.
 
-    def run_loop_counting(self, sim, until: Optional[float] = None,
-                          max_events: Optional[int] = None) -> int:
-        """:meth:`run_loop` keeping ``sim.events_executed`` current per event.
-
-        The live-counting hook behind
-        :meth:`~repro.sim.engine.Simulator.set_live_event_counting`: the
-        telemetry bus samples ``events_executed`` *during* the run, so this
-        twin loop pays one attribute increment per event instead of a
-        shadowing local.
+        ``sim.events_executed`` must be current whenever a callback runs
+        (the telemetry bus samples it mid-run).
         """
         raise NotImplementedError
 
@@ -89,319 +67,56 @@ class SimKernel(EventQueue):
 class HeapKernel(SimKernel):
     """The pure-Python tuple-heap kernel (the differential-testing oracle).
 
-    Behaviorally identical to the pre-kernel ``Simulator.run`` loop: same
-    heap, same FIFO tie-break, same lazy cancellation, same equal-timestamp
-    ordering -- the refactor moved the loop body here verbatim.
+    Same heap, same FIFO tie-break, same lazy cancellation and same
+    equal-timestamp ordering as every golden was recorded with.
     """
 
     name = "heap"
 
     def run_loop(self, sim, until: Optional[float] = None,
                  max_events: Optional[int] = None) -> int:
+        # The pop and the lazy-cancel skip of EventQueue.pop_entry are
+        # inlined: one frame per event is the single largest avoidable cost
+        # at this level.  ``executed`` stays a local for the ``max_events``
+        # test and the return value, and is stored to the simulator once per
+        # event, so any callback reads a live ``events_executed``.
         executed = 0
+        base = sim.events_executed
         sim._stopped = False
         sim._running = True
-        pop_entry = self.pop_entry
+        heap = self._heap
+        event_cls = Event
         try:
-            while True:
+            while not sim._stopped:
                 if max_events is not None and executed >= max_events:
                     break
-                if sim._stopped:
-                    break
-                entry = pop_entry()
-                if entry is None:
+                if not heap:
                     # Queue drained: advance the clock to the horizon.
                     if until is not None and sim.now < until:
                         sim.now = until
                     break
-                event_time = entry[0]
-                if until is not None and event_time > until:
-                    # Beyond the horizon: put it back (it keeps its original
-                    # FIFO position) and advance the clock to the horizon.
-                    self.reinsert(entry)
-                    sim.now = until
-                    break
-                sim.now = event_time
+                entry = heappop(heap)
                 obj = entry[3]
-                if obj.__class__ is Event:
-                    obj.callback()
-                else:
-                    obj()
-                executed += 1
-        finally:
-            sim._running = False
-            sim.events_executed += executed
-        return executed
-
-    def run_loop_counting(self, sim, until: Optional[float] = None,
-                          max_events: Optional[int] = None) -> int:
-        # Keep the control flow in lockstep with run_loop; only the counter
-        # bookkeeping differs: ``sim.events_executed`` *is* the loop counter,
-        # so any callback (the telemetry tick) reads a current value.
-        base = sim.events_executed
-        sim._stopped = False
-        sim._running = True
-        pop_entry = self.pop_entry
-        try:
-            while True:
-                if (max_events is not None
-                        and sim.events_executed - base >= max_events):
-                    break
-                if sim._stopped:
-                    break
-                entry = pop_entry()
-                if entry is None:
-                    if until is not None and sim.now < until:
-                        sim.now = until
-                    break
-                event_time = entry[0]
-                if until is not None and event_time > until:
-                    self.reinsert(entry)
-                    sim.now = until
-                    break
-                sim.now = event_time
-                obj = entry[3]
-                if obj.__class__ is Event:
-                    obj.callback()
-                else:
-                    obj()
-                sim.events_executed += 1
-        finally:
-            sim._running = False
-        return sim.events_executed - base
-
-
-class PooledKernel(HeapKernel):
-    """The heap kernel plus free-listed events, packets and descriptors.
-
-    Dispatch semantics are inherited unchanged from :class:`HeapKernel`
-    (identical ordering, identical clock behavior -- the differential gate
-    pins result documents byte-for-byte).  What changes is allocation:
-
-    * :class:`~repro.sim.events.Event` wrappers popped from the heap --
-      fired or lazily cancelled -- go onto a free list and back out through
-      :meth:`push` instead of being garbage.  Safe because every event
-      handle the codebase retains (transport RTO timers, the expulsion
-      retry) is cleared *first thing* in its callback and never cancelled
-      after firing.
-    * :attr:`packet_pool` / :attr:`descriptor_pool` are live pools; the
-      host/switch/link layers bind recycling variants of their packet
-      death sites at construction time when they see them (the same
-      attach-time method-swap idiom as ``Link.set_failed``), so a
-      steady-state run allocates almost nothing per packet and the cyclic
-      collector has nothing to chase.
-    * Because the pools keep the object graph steady, the dispatch loops
-      pause the *cyclic* garbage collector while they run (restoring it on
-      exit, even on exceptions).  Refcounting still frees everything
-      acyclic immediately; what goes away is CPython's periodic
-      generation-0 scans, which the allocation-heavy heap kernel triggers
-      thousands of times per simulated second.  GC scheduling has no
-      observable effect on simulation state, so results stay
-      byte-identical -- the differential gate checks exactly this.
-
-    Recycled objects carry a generation counter (see
-    :mod:`repro.switchsim.pool`): a stale handle -- code touching a packet
-    after returning it -- fails loudly instead of silently aliasing.
-    """
-
-    name = "pooled"
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Imported lazily: repro.switchsim builds on repro.sim, so a
-        # module-level import here would be circular.
-        from repro.switchsim.pool import DescriptorPool, PacketPool
-
-        self.packet_pool = PacketPool()
-        self.descriptor_pool = DescriptorPool()
-        self._free_events: List[Event] = []
-
-    def push(self, time: float, callback: Callable[[], Any]) -> Event:
-        """Schedule ``callback`` at ``time``, reusing a recycled Event."""
-        if time != time:  # fast NaN check without math.isnan
-            raise ValueError("cannot schedule an event at time NaN")
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event.time = time
-            seq = event.seq = next(self._counter)
-            event.callback = callback
-            event.cancelled = False
-        else:
-            event = Event(time, next(self._counter), callback)
-            seq = event.seq
-        heappush(self._heap, (time, 0, seq, event))
-        return event
-
-    def pop_entry(self):
-        """Pop the earliest live entry, recycling lazily cancelled events."""
-        heap = self._heap
-        free = self._free_events
-        while heap:
-            entry = heappop(heap)
-            obj = entry[3]
-            if obj.__class__ is Event and obj.cancelled:
-                obj.callback = None  # drop the closure; fail loudly if fired
-                free.append(obj)
-                continue
-            return entry
-        return None
-
-    def run_loop(self, sim, until: Optional[float] = None,
-                 max_events: Optional[int] = None) -> int:
-        # The scenario/perf path always runs (until=horizon, max_events=None),
-        # so that configuration gets a specialized loop with the pop inlined
-        # and every per-event None-check hoisted out.  Semantics are
-        # identical to HeapKernel.run_loop (cancelled events are consumed
-        # even beyond the horizon, a reinserted entry keeps its original
-        # FIFO sequence number) -- the differential gate pins this.
-        if max_events is not None:
-            return self._run_loop_general(sim, until, max_events)
-        executed = 0
-        sim._stopped = False
-        sim._running = True
-        heap = self._heap
-        free_events = self._free_events
-        event_cls = Event
-        pause_gc = gc.isenabled()
-        if pause_gc:
-            gc.disable()
-        try:
-            if until is None:
-                while heap and not sim._stopped:
-                    event_time, _priority, _seq, obj = heappop(heap)
-                    if obj.__class__ is event_cls:
-                        if obj.cancelled:
-                            obj.callback = None
-                            free_events.append(obj)
-                            continue
-                        sim.now = event_time
-                        obj.callback()
-                        # The event fired; recycle it.  Holders clear their
-                        # reference on entry to the callback (repo
-                        # discipline), so nothing can cancel or re-read it.
-                        obj.callback = None
-                        free_events.append(obj)
-                    else:
-                        sim.now = event_time
-                        obj()
-                    executed += 1
-            else:
-                while not sim._stopped:
-                    if not heap:
-                        if sim.now < until:
-                            sim.now = until
-                        break
-                    entry = heappop(heap)
-                    event_time = entry[0]
-                    obj = entry[3]
-                    if obj.__class__ is event_cls and obj.cancelled:
-                        obj.callback = None
-                        free_events.append(obj)
+                if obj.__class__ is event_cls:
+                    if obj.cancelled:
+                        # Consumed wherever it sits, beyond the horizon too.
                         continue
-                    if event_time > until:
-                        heappush(heap, entry)  # keeps its original seq/FIFO slot
-                        sim.now = until
-                        break
-                    sim.now = event_time
-                    if obj.__class__ is event_cls:
-                        obj.callback()
-                        obj.callback = None
-                        free_events.append(obj)
-                    else:
-                        obj()
-                    executed += 1
-        finally:
-            sim._running = False
-            sim.events_executed += executed
-            if pause_gc:
-                gc.enable()
-        return executed
-
-    def _run_loop_general(self, sim, until: Optional[float],
-                          max_events: int) -> int:
-        """The unspecialized loop (``max_events`` set: tests, debugging)."""
-        executed = 0
-        sim._stopped = False
-        sim._running = True
-        pop_entry = self.pop_entry
-        free_events = self._free_events
-        pause_gc = gc.isenabled()
-        if pause_gc:
-            gc.disable()
-        try:
-            while True:
-                if executed >= max_events:
-                    break
-                if sim._stopped:
-                    break
-                entry = pop_entry()
-                if entry is None:
-                    if until is not None and sim.now < until:
-                        sim.now = until
-                    break
+                    obj = obj.callback
                 event_time = entry[0]
                 if until is not None and event_time > until:
-                    self.reinsert(entry)
+                    # Beyond the horizon: back it goes with its original
+                    # (time, priority, seq), ahead of anything pushed later
+                    # at the same instant; the clock stops at the horizon.
+                    heappush(heap, entry)
                     sim.now = until
                     break
                 sim.now = event_time
-                obj = entry[3]
-                if obj.__class__ is Event:
-                    obj.callback()
-                    obj.callback = None
-                    free_events.append(obj)
-                else:
-                    obj()
+                obj()
                 executed += 1
+                sim.events_executed = base + executed
         finally:
             sim._running = False
-            sim.events_executed += executed
-            if pause_gc:
-                gc.enable()
         return executed
-
-    def run_loop_counting(self, sim, until: Optional[float] = None,
-                          max_events: Optional[int] = None) -> int:
-        base = sim.events_executed
-        sim._stopped = False
-        sim._running = True
-        pop_entry = self.pop_entry
-        free_events = self._free_events
-        pause_gc = gc.isenabled()
-        if pause_gc:
-            gc.disable()
-        try:
-            while True:
-                if (max_events is not None
-                        and sim.events_executed - base >= max_events):
-                    break
-                if sim._stopped:
-                    break
-                entry = pop_entry()
-                if entry is None:
-                    if until is not None and sim.now < until:
-                        sim.now = until
-                    break
-                event_time = entry[0]
-                if until is not None and event_time > until:
-                    self.reinsert(entry)
-                    sim.now = until
-                    break
-                sim.now = event_time
-                obj = entry[3]
-                if obj.__class__ is Event:
-                    obj.callback()
-                    obj.callback = None
-                    free_events.append(obj)
-                else:
-                    obj()
-                sim.events_executed += 1
-        finally:
-            sim._running = False
-            if pause_gc:
-                gc.enable()
-        return sim.events_executed - base
 
 
 _KERNELS: Dict[str, Type[SimKernel]] = {}
@@ -432,4 +147,5 @@ def available_kernels() -> List[str]:
 
 
 register_kernel("heap", HeapKernel)
-register_kernel("pooled", PooledKernel)
+# Compatibility alias (see the module docstring): selects nothing.
+register_kernel("pooled", HeapKernel)

@@ -115,9 +115,8 @@ class _CutRecorder:
     window and the one-event-per-distinct-arrival-instant batching -- but
     schedules a local *maintenance* drain instead of a delivery, and logs
     an encoded handoff record for the round exchange.  The drain keeps the
-    link's ``_in_flight`` depth (a telemetry series) and the pooled
-    kernel's packet lifecycle identical to the oracle: leaving the shard
-    is the packet's local death site.
+    link's ``_in_flight`` depth (a telemetry series) identical to the
+    oracle.
     """
 
     __slots__ = ("link", "sim", "link_id", "worker", "records")
@@ -144,10 +143,8 @@ class _CutRecorder:
             heappush(queue._heap,
                      (time, link.event_priority, next(queue._counter),
                       self._drain))
-        # Snapshot every field the far side needs to rebuild the packet;
-        # metadata is copied because a pooled packet may be recycled (and
-        # its metadata cleared) by the drain before the round is encoded.
-        metadata = dict(packet.metadata) if packet.metadata else None
+        # Snapshot every field the far side needs to rebuild the packet.
+        metadata = packet.metadata or None
         self.records.append([
             time, packet.size_bytes, packet.flow_id, packet.src, packet.dst,
             packet.seq, packet.payload_bytes, packet.is_ack, packet.ack_seq,
@@ -159,14 +156,9 @@ class _CutRecorder:
         link = self.link
         count = link._batch_counts.popleft()
         in_flight = link._in_flight
-        pool = self.worker.pool
         self.worker.maintenance += 1
-        if pool is None:
-            for _ in range(count):
-                in_flight.popleft()
-        else:
-            for _ in range(count):
-                pool.release(in_flight.popleft())
+        for _ in range(count):
+            in_flight.popleft()
 
 
 def _leak_guard(name: str) -> Callable[[Packet], None]:
@@ -196,7 +188,6 @@ class _ShardWorker:
         self.rounds = 0
         self.busy_s = 0.0
         self.blocked_s = 0.0
-        self.pool = None
 
     # -- setup ---------------------------------------------------------
     def _build(self) -> None:
@@ -221,9 +212,6 @@ class _ShardWorker:
         self.topology = topology
         self.network = topology.network
         self.sim = topology.sim
-        self.pool = self.sim.kernel.packet_pool
-        self.make_packet = (Packet if self.pool is None
-                            else self.pool.acquire)
 
         self.bus = None
         if spec.telemetry.enabled:
@@ -320,8 +308,7 @@ class _ShardWorker:
                        network._start_flow(s, cls, cfg))
             elif dst_owned:
                 receiver = ReceiverState(
-                    flow, config, on_complete=network._flow_completed,
-                    packet_pool=sim.kernel.packet_pool)
+                    flow, config, on_complete=network._flow_completed)
                 network.hosts[dst].add_receiver(receiver)
 
     # -- round machinery ----------------------------------------------
@@ -358,9 +345,8 @@ class _ShardWorker:
         self.handoffs_in += total
 
     def _deliver(self, dst_node, batch: List[List[object]]) -> None:
-        make_packet = self.make_packet
         for r in batch:
-            packet = make_packet(
+            packet = Packet(
                 size_bytes=r[1], flow_id=r[2], src=r[3], dst=r[4],
                 seq=r[5], payload_bytes=r[6], is_ack=r[7], ack_seq=r[8],
                 ecn_capable=r[9], ecn_marked=r[10], ecn_echo=r[11],

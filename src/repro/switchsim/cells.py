@@ -33,16 +33,12 @@ from repro.switchsim.packet import Packet
 class PacketDescriptor:
     """A packet descriptor: the packet plus the number of cells it occupies.
 
-    ``generation`` is the pool recycling parity (see
-    ``repro.switchsim.pool``): even while live, odd while free; stays 0 for
-    descriptors never owned by a pool.  ``packet`` is ``Optional`` only
-    because a pooled descriptor on the free list has it cleared -- a live
-    descriptor always carries one.
+    ``num_cells`` drops to 0 once :meth:`CellPool.release` has returned the
+    cells to the free list.
     """
 
-    packet: Optional[Packet]
+    packet: Packet
     num_cells: int
-    generation: int = 0
 
     @property
     def size_bytes(self) -> int:
@@ -62,24 +58,15 @@ class CellPool:
         cell_bytes: cell size; a packet occupies ``ceil(size / cell_bytes)``
             cells, so small packets waste part of their last cell exactly as
             in real chips.
-        descriptor_pool: optional ``repro.switchsim.pool.DescriptorPool``.
-            This class is the single choke point where descriptors are born
-            (:meth:`allocate`) and die (:meth:`release`), so a pooled kernel
-            attaches its pool here and every switch path recycles for free.
-            Released descriptors then come back with ``packet`` cleared --
-            callers must capture ``descriptor.packet`` / sizes *before*
-            releasing (the switch does).
     """
 
-    def __init__(self, buffer_bytes: int, cell_bytes: int = 200,
-                 descriptor_pool=None) -> None:
+    def __init__(self, buffer_bytes: int, cell_bytes: int = 200) -> None:
         if buffer_bytes <= 0:
             raise ValueError("buffer size must be positive")
         if cell_bytes <= 0:
             raise ValueError("cell size must be positive")
         self.buffer_bytes = buffer_bytes
         self.cell_bytes = cell_bytes
-        self.descriptor_pool = descriptor_pool
         self.total_cells = buffer_bytes // cell_bytes
         if self.total_cells == 0:
             raise ValueError(
@@ -130,24 +117,6 @@ class CellPool:
         self.used_bytes += needed_bytes
         self.pointer_memory_ops += needed
         self.data_memory_writes += needed
-        pool = self.descriptor_pool
-        if pool is not None:
-            # Inlined DescriptorPool.acquire (hot path: once per packet per
-            # switch hop) -- keep in sync with repro.switchsim.pool.
-            free_pds = pool._free
-            if free_pds:
-                descriptor = free_pds.pop()
-                if not descriptor.generation & 1:
-                    raise RuntimeError(
-                        f"descriptor pool corruption: descriptor on the free "
-                        f"list with live (even) generation "
-                        f"{descriptor.generation}")
-                descriptor.generation += 1  # odd -> even: live again
-                descriptor.packet = packet
-                descriptor.num_cells = needed
-                pool.reused += 1
-                return descriptor
-            pool.allocated += 1
         return PacketDescriptor(packet, needed)
 
     def release(self, descriptor: PacketDescriptor, read_data: bool) -> int:
@@ -170,17 +139,6 @@ class CellPool:
         self.pointer_memory_ops += freed_cells
         if read_data:
             self.data_memory_reads += freed_cells
-        pool = self.descriptor_pool
-        if pool is not None:
-            # Inlined DescriptorPool.release (hot path; see allocate).  The
-            # packet's fate (recycle vs live on) is the caller's call.
-            if descriptor.generation & 1:
-                raise RuntimeError(
-                    f"double release: descriptor already has free (odd) "
-                    f"generation {descriptor.generation}")
-            descriptor.generation += 1  # even -> odd: free
-            descriptor.packet = None
-            pool._free.append(descriptor)
         return freed_bytes
 
     def reset(self) -> None:

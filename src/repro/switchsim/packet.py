@@ -31,9 +31,7 @@ class Packet:
         priority: traffic class; lower value = higher priority.
         created_at: simulation time the packet was created (for latency stats).
         metadata: free-form annotations (e.g. query id) used by workloads.
-        generation: pool recycling parity (see ``repro.switchsim.pool``):
-            even while live, odd while sitting on a free list.  Stays 0 for
-            packets never owned by a pool.
+        packet_id: process-wide serial number, fresh per constructed packet.
     """
 
     size_bytes: int
@@ -51,7 +49,6 @@ class Packet:
     created_at: float = 0.0
     metadata: Dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    generation: int = 0
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

@@ -182,18 +182,9 @@ class SwitchQueue:
             self.dropped_packets += 1
             self.dropped_bytes += size_bytes
 
-    def clear(self, release=None) -> None:
-        """Empty the queue (used by tests and switch reset).
-
-        ``release`` is an optional per-descriptor callback invoked for each
-        discarded descriptor before it is dropped -- pooled callers pass a
-        recycling hook so cleared descriptors/packets return to their pools
-        instead of leaking.
-        """
+    def clear(self) -> None:
+        """Empty the queue (used by tests and switch reset)."""
         was_active = bool(self._descriptors)
-        if release is not None:
-            for descriptor in self._descriptors:
-                release(descriptor)
         self._descriptors.clear()
         self.length_bytes = 0
         self.deficit_bytes = 0.0

@@ -101,8 +101,7 @@ class SharedMemorySwitch:
         on_transmit: callback invoked as ``on_transmit(packet, port_id)`` when
             a packet completes serialization on an egress port.  The network
             simulator uses it to hand the packet to the attached link; when
-            omitted, transmitted packets simply leave the model (and are
-            recycled when the kernel pools packets).
+            omitted, transmitted packets simply leave the model.
     """
 
     def __init__(
@@ -118,14 +117,7 @@ class SharedMemorySwitch:
         self.on_transmit = on_transmit
         self.name = config.name
 
-        # A pooled kernel supplies packet/descriptor free lists; the cell
-        # pool is the descriptor choke point, and the packet-death sites
-        # below release through ``_packet_pool``.  With the default heap
-        # kernel both are None and every path is byte-identical to pre-pool.
-        kernel = simulator.kernel
-        self._packet_pool = kernel.packet_pool
-        self.cell_pool = CellPool(config.buffer_bytes, config.cell_bytes,
-                                  descriptor_pool=kernel.descriptor_pool)
+        self.cell_pool = CellPool(config.buffer_bytes, config.cell_bytes)
         self.stats = SwitchStats(trace_queues=config.trace_queues)
 
         # Incrementally maintained active-queue counts (total and keyed by
@@ -382,13 +374,9 @@ class SharedMemorySwitch:
             self.buffer_utilization(), self.memory_bandwidth_utilization(now)
         )
         self._trace(queue, now)
-        if self._packet_pool is not None:
-            # Arrival drops are the packet's death: recycle it.
-            self._packet_pool.release(packet)
 
     def _execute_evictions(self, evictions: List[EvictionRequest], now: float) -> None:
         """Carry out Pushout-style evictions coupled to an admission."""
-        packet_pool = self._packet_pool
         for request in evictions:
             queue = self._queues[request.queue_id]
             freed = 0
@@ -396,13 +384,8 @@ class SharedMemorySwitch:
                 descriptor = queue.pop_head() if request.from_head else queue.pop_tail()
                 if descriptor is None:
                     break
-                # Capture before release: a pooled cell pool clears the
-                # descriptor (and may recycle it) on the spot.
                 size = descriptor.size_bytes
-                packet = descriptor.packet
                 self.cell_pool.release(descriptor, read_data=False)
-                if packet_pool is not None:
-                    packet_pool.release(packet)
                 freed += size
                 queue.record_drop(size, expelled=True)
                 self.stats.record_eviction(queue.queue_id, size)
@@ -446,10 +429,9 @@ class SharedMemorySwitch:
         port.tx_queue = None
         port.tx_descriptor = None
         now = self.sim.now
-        # Capture before release: a pooled cell pool clears the descriptor.
         packet = descriptor.packet
         size = packet.size_bytes
-        cells = descriptor.num_cells
+        cells = descriptor.num_cells  # release() zeroes it
         self.cell_pool.release(descriptor, read_data=True)
         queue.record_dequeue(size, now)
         if self._mgr_on_dequeue is not None:
@@ -469,12 +451,7 @@ class SharedMemorySwitch:
         if stats.trace_queues:
             self._trace(queue, now)
         if self.on_transmit is not None:
-            # Ownership of the packet passes to the network layer (link ->
-            # host), which recycles it at its eventual death site.
             self.on_transmit(packet, port.port_id)
-        elif self._packet_pool is not None:
-            # Sink switch: the packet leaves the model here, so recycle it.
-            self._packet_pool.release(packet)
         self._try_transmit(port)
         if engine is not None:
             self._maybe_expel(now)
@@ -495,12 +472,8 @@ class SharedMemorySwitch:
         descriptor = queue.pop_head()
         if descriptor is None:
             return None
-        # Capture before release: a pooled cell pool clears the descriptor.
         size = descriptor.size_bytes
-        packet = descriptor.packet
         self.cell_pool.release(descriptor, read_data=False)
-        if self._packet_pool is not None:
-            self._packet_pool.release(packet)
         queue.record_drop(size, expelled=True)
         self.stats.record_expulsion(queue.queue_id, size)
         self.manager.on_drop(queue, size, now, "expelled")

@@ -11,8 +11,8 @@ fixed-capacity :class:`~repro.telemetry.series.RingSeries` rings.
 Zero-cost-when-off falls out of the design: with telemetry disabled no bus
 exists, no tick events are scheduled, and no hot-path code carries a
 telemetry branch.  The one mid-run need -- a live ``events_executed``
-reading -- is met by :meth:`Simulator.set_live_event_counting`, an
-attach-time method swap in the style of ``Link.set_failed``.
+reading -- costs nothing extra: the dispatch loop keeps the counter current
+per event for every run.
 
 Sampler ticks are read-only, so enabling telemetry cannot change simulation
 outcomes: the relative order of traffic events is preserved and the clock
@@ -170,16 +170,11 @@ class TelemetryBus:
     # Sampling
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin sampling: first tick now, then every ``interval`` seconds.
-
-        Also swaps the simulator into live event counting so the
-        ``sim.events_executed`` probe reads a current value mid-run.
-        """
+        """Begin sampling: first tick now, then every ``interval`` seconds."""
         if self._started:
             raise RuntimeError("telemetry bus already started")
         self._started = True
         self._t0 = self.sim.now
-        self.sim.set_live_event_counting(True)
         self.sim.at(self._t0, self._tick)
 
     def _tick(self) -> None:

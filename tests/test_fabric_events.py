@@ -268,6 +268,43 @@ class TestMidRunRepair:
 
 
 # ----------------------------------------------------------------------
+# A packet with no surviving next hop is a counted drop, not a crash
+# ----------------------------------------------------------------------
+def _stranding_spec(seed: int) -> ScenarioSpec:
+    """The benchmark's tiny ``fabric_features`` document, timeline moved.
+
+    Failing ``agg1_0<->core0`` mid-run on top of the static
+    ``agg0_0<->core1`` failure leaves packets already queued towards pod 0
+    at a switch whose every uplink for that destination is gone.
+    """
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "bench" / "specs.py"
+    module_spec = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(specs)
+    document = specs.fabric_features(seed, "tiny")["features"]
+    for event in document["fabric"]["events"]:
+        action = "fail" if "fail" in event else "repair"
+        event[action] = ["agg1_0", "core0"]
+    return ScenarioSpec.from_dict(document)
+
+
+@pytest.mark.parametrize("seed, strands", [(1, False), (2, True), (3, True),
+                                           (4, True), (5, False)])
+def test_stranded_packets_are_counted_and_retransmitted(seed, strands):
+    spec = _stranding_spec(seed)
+    ScenarioRunner().validate(spec)
+    reset_workload_ids()
+    result = run_scenario(spec)  # raised LookupError on seeds 2-4
+    nodes = result.topology.network.switch_nodes.values()
+    no_route = sum(node.no_route for node in nodes)
+    assert (no_route > 0) == strands
+    # The transports retransmitted through the re-pruned tables.
+    assert result.to_dict()["summary"]["completion"] == 1.0
+
+
+# ----------------------------------------------------------------------
 # Determinism: the timeline document is part of the result contract
 # ----------------------------------------------------------------------
 def test_fail_repair_run_byte_identical_in_process():

@@ -56,9 +56,7 @@ class TestCaseRegistry:
                             "websearch_fattree_ecmp_lb",
                             "websearch_fattree_flowlet",
                             "websearch_fattree_k8",
-                            "dumbbell_burst", "raw_switch_stream",
-                            "incast_single_switch_pooled",
-                            "websearch_leaf_spine_pooled"}
+                            "dumbbell_burst", "raw_switch_stream"}
         for tier in TIERS:
             assert {c.name for c in available_cases(tier=tier)} == families
 

@@ -10,7 +10,6 @@ from repro.sim import Simulator
 from repro.sim.units import GBPS, KB
 from repro.switchsim import Packet, SharedMemorySwitch, SwitchConfig
 from repro.switchsim.cells import CellPool
-from repro.switchsim.pool import DescriptorPool
 
 
 # ----------------------------------------------------------------------
@@ -83,14 +82,12 @@ class _PointerListPool:
                       st.booleans())),
         min_size=1, max_size=120),
     cell_bytes=st.sampled_from([64, 200, 256]),
-    pooled=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_cell_pool_counters_match_pointer_list_reference(ops, cell_bytes, pooled):
+def test_cell_pool_counters_match_pointer_list_reference(ops, cell_bytes):
     """Counting cells is indistinguishable from shuffling their pointers."""
     buffer_bytes = 10_000  # not a multiple of every cell size; fills quickly
-    pool = CellPool(buffer_bytes, cell_bytes,
-                    descriptor_pool=DescriptorPool() if pooled else None)
+    pool = CellPool(buffer_bytes, cell_bytes)
     reference = _PointerListPool(buffer_bytes, cell_bytes)
     live = []  # (descriptor, reference pointers)
     for op in ops:

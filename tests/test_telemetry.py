@@ -191,31 +191,22 @@ def test_bus_to_dict_is_deterministic_and_excludes_wall_clock():
 # ----------------------------------------------------------------------
 # Live event counting on the engine
 # ----------------------------------------------------------------------
-def test_live_event_counting_swap_and_restore():
+def test_live_event_counting_needs_no_opt_in():
+    """A callback reads the number of events fired before it (bus or no bus)."""
     sim = Simulator()
-    observed = []
-    sim.set_live_event_counting(True)
-    assert "run" in sim.__dict__
-    sim.schedule(0.1, lambda: observed.append(sim.events_executed))
-    sim.schedule(0.2, lambda: observed.append(sim.events_executed))
-    executed = sim.run()
-    assert executed == 2
-    # Mid-run reads see the live counter: the first callback runs before
-    # its own event is counted, the second sees the first counted.
-    assert observed == [0, 1]
-    assert sim.events_executed == 2
-    sim.set_live_event_counting(False)
-    assert "run" not in sim.__dict__
-
-
-def test_default_run_loop_counts_only_at_the_end():
-    sim = Simulator()
-    observed = []
-    sim.schedule(0.1, lambda: observed.append(sim.events_executed))
-    sim.schedule(0.2, lambda: observed.append(sim.events_executed))
-    assert sim.run() == 2
-    assert observed == [0, 0]  # stale mid-run, folded in afterwards
-    assert sim.events_executed == 2
+    seen = []
+    for i in range(3):
+        sim.schedule(0.1 * (i + 1), lambda: seen.append(sim.events_executed))
+    sim.schedule(0.15, lambda: sim.schedule(
+        0.0, lambda: seen.append(sim.events_executed)))  # scheduled mid-run
+    assert sim.run() == 5
+    # Each callback runs before its own event is counted.
+    assert seen == [0, 2, 3, 4]
+    assert sim.events_executed == 5
+    # The count is cumulative across run() calls and stays live.
+    sim.schedule(0.1, lambda: seen.append(sim.events_executed))
+    assert sim.run() == 1
+    assert seen[-1] == 5 and sim.events_executed == 6
 
 
 # ----------------------------------------------------------------------
