@@ -63,10 +63,11 @@ class TokenBucket:
         self.expel_cells_consumed = 0.0
 
     def _refill(self, now: float) -> None:
-        if now < self._last_update:
-            # Defensive: callers must use a monotonic clock, but a tiny
-            # floating-point regression should not corrupt the balance.
-            now = self._last_update
+        # Nothing accrues within one instant (a grant attempt refills up to
+        # three times at the same ``now``), and a tiny floating-point
+        # regression of the caller's clock must not corrupt the balance.
+        if now <= self._last_update:
+            return
         elapsed = now - self._last_update
         self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
         self._last_update = now
@@ -179,8 +180,10 @@ class ExpulsionEngine:
         """Expel head packets from over-allocated queues while bandwidth allows.
 
         Returns the seconds until a pass that stopped for lack of tokens can
-        resume, else ``0.0``.  While ``U <= alpha_min * F`` (module docstring)
-        nothing is scanned, counted or allocated.
+        resume, else ``0.0`` -- also when the tokens can never come because
+        the victim's head packet exceeds the bucket's capacity.  While
+        ``U <= alpha_min * F`` (module docstring) nothing is scanned, counted
+        or allocated.
         """
         manager = self.manager
         if manager.proves_none_over_allocated():
@@ -190,6 +193,7 @@ class ExpulsionEngine:
         longest = self.victim_policy == "longest"
         bucket = self.token_bucket
         victims = 0
+        blocked = False
         retry_after = 0.0
         for _ in range(self.max_drops_per_run):
             if longest:
@@ -206,17 +210,21 @@ class ExpulsionEngine:
             # the victim has a head packet.
             cells = queues[index].peek_head().num_cells
             if not bucket.try_consume_expulsion(cells, now):
-                # Never retry more often than one cell-time: retrying on
+                blocked = True
+                # A head packet larger than the whole bucket can never be
+                # granted: waiting for it would only burn events.  Otherwise
+                # never retry more often than one cell-time: retrying on
                 # sub-cell token deficits would flood the event queue.
-                retry_after = max(bucket.time_until(cells, now),
-                                  1.0 / bucket.rate)
+                if cells <= bucket.capacity:
+                    retry_after = max(bucket.time_until(cells, now),
+                                      1.0 / bucket.rate)
                 break
             self.total_expelled_bytes += switch.head_drop(index, now)
             victims += 1
-        if victims or retry_after:
+        if victims or blocked:
             self.passes += 1
             self.total_expelled_packets += victims
-            if retry_after:
+            if blocked:
                 self.token_blocked_passes += 1
             if victims > self.max_victims_per_pass:
                 self.max_victims_per_pass = victims

@@ -21,7 +21,6 @@ be reproducible in isolation (the campaign executor and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import available_schemes, make_buffer_manager
@@ -446,27 +445,30 @@ class ScenarioRunner:
 
     def _run_packet_level(self, spec, topology, generated) -> None:
         sim = topology.sim
-        switch = topology.switch
-        for workload, arrivals in generated:
-            if any(isinstance(a, FlowSpec) for a in arrivals):
+        # The whole schedule is known here, so it goes in as one stream: the
+        # heap holds the next arrival, not every packet of the run.  (The
+        # merged list is a temporary: nothing keeps it alive during the run.)
+        sim.kernel.push_stream(self._packet_arrivals(generated, sim.now),
+                               topology.switch.receive, Packet)
+        sim.run(until=spec.duration * spec.run_slack)
+
+    @staticmethod
+    def _packet_arrivals(generated, now: float) -> List[Tuple[float, int, int]]:
+        """Every workload's ``(time, size, port)`` arrivals, in workload-list
+        order, validated before anything is scheduled."""
+        arrivals: List[Tuple[float, int, int]] = []
+        for workload, produced in generated:
+            if any(isinstance(a, FlowSpec) for a in produced):
                 raise ValueError(
                     f"workload {workload.kind!r} produced transport flows; "
                     "it needs a network-level topology")
-            # Nobody cancels an arrival: push bare callbacks (no Event, no
-            # closure per packet), with the validation ``sim.at`` would do.
-            push = sim.kernel.push_callback
-            now = sim.now
-            for time, size, port in arrivals:
-                if time < now:
-                    raise ValueError(
-                        f"cannot schedule into the past: time={time} (now={now})")
-                push(time, partial(_receive_arrival, switch, size, port))
-        sim.run(until=spec.duration * spec.run_slack)
-
-
-def _receive_arrival(switch, size: int, port: int) -> None:
-    """One packet-level arrival: build the packet and offer it to the switch."""
-    switch.receive(Packet(size_bytes=size), port)
+            arrivals.extend(produced)
+        # The validation ``sim.at`` would do (``push_stream`` rejects NaN).
+        for time, _size, _port in arrivals:
+            if time < now:
+                raise ValueError(
+                    f"cannot schedule into the past: time={time} (now={now})")
+        return arrivals
 
 
 def run_scenario(spec: ScenarioSpec,

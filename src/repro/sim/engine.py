@@ -132,7 +132,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including lazily cancelled ones)."""
+        """Number of events still queued (including lazily cancelled ones
+        and the arrivals a stream has yet to feed into the heap)."""
         return len(self._queue)
 
     def reset(self) -> None:

@@ -13,13 +13,29 @@ scheduling counter (unknowable across process boundaries), only on which
 wire each packet came in on.  Storing plain tuples (rather than comparable
 event objects) keeps every heap comparison in C, which matters because heap
 maintenance dominates the kernel's cost at scale.
+
+A *stream* (:meth:`EventQueue.push_stream`) is a schedule known in full
+before the run -- the packet arrivals of a bare-switch scenario -- held
+outside the heap.  Pushing N arrivals one by one makes every later
+``heappop`` sift through log2(N) levels although only the earliest arrival
+can be the next event; a stream keeps that one arrival in the heap, under a
+single *cursor* callable, and the cursor pushes arrival ``i + 1`` the moment
+it fires arrival ``i``.  The dispatch order is that of N ``push_callback``
+calls because each arrival still enters the heap under the sequence number
+it would have drawn then: the numbers are reserved up front, so they are
+smaller than any number issued during the run (an arrival precedes a
+same-instant event scheduled later, as before), they order two streams'
+same-instant arrivals by which stream was pushed first, and sorting by
+``(time, seq)`` is the heap's own comparator applied ahead of time.  Arrival
+``i + 1`` is in the heap before arrival ``i``'s work runs, hence before
+anything can pop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class Event:
@@ -58,9 +74,12 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
+        self._streams: List[_StreamCursor] = []
 
     def __len__(self) -> int:
-        return len(self._heap)
+        # A stream's unfed arrivals are pending events like any other.
+        return len(self._heap) + sum(
+            len(stream.unfed) for stream in self._streams)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -93,12 +112,46 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (time, priority, next(self._counter), callback))
 
+    def push_stream(self, arrivals: Sequence[Tuple[float, int, int]],
+                    receive: Callable[[Any, int], Any],
+                    make_packet: Callable[[int], Any]) -> None:
+        """Schedule ``receive(make_packet(size), port)`` at ``time`` for every
+        ``(time, size, port)`` of ``arrivals``.
+
+        Equivalent to one :meth:`push_callback` per arrival, in ``arrivals``
+        order -- same sequence numbers, same dispatch order -- but only the
+        earliest unfired arrival occupies the heap (see the module
+        docstring), and its packet is built when it fires.  Like any
+        non-cancellable callback an arrival cannot be withdrawn on its own;
+        :meth:`clear` drops the rest.
+
+        Raises:
+            ValueError: if any ``time`` is NaN; nothing is scheduled then.
+        """
+        for arrival in arrivals:
+            if arrival[0] != arrival[0]:  # fast NaN check without math.isnan
+                raise ValueError("cannot schedule an event at time NaN")
+        if not arrivals:
+            return
+        counter = self._counter
+        # (time, seq) is the heap's comparator and seq is unique, so this is
+        # the order the heap would have produced, ties included.  Descending,
+        # the earliest unfed arrival is a ``list.pop()`` away.
+        unfed = sorted(((time, next(counter), size, port)
+                        for time, size, port in arrivals), reverse=True)
+        time, seq, size, port = unfed.pop()
+        cursor = _StreamCursor(self._heap, unfed, receive, make_packet,
+                               size, port)
+        self._streams.append(cursor)
+        heapq.heappush(self._heap, (time, 0, seq, cursor))
+
     def pop_entry(self) -> Optional[Tuple[float, int, int, Any]]:
         """Pop the earliest live entry ``(time, priority, seq, event_or_cb)``.
 
         Cancelled events are skipped.  The last element is either an
         :class:`Event` (whose ``callback`` must be invoked) or a bare
-        callable pushed by :meth:`push_callback`.
+        callable pushed by :meth:`push_callback` -- or a stream's cursor,
+        which queues the stream's next arrival when called.
         """
         heap = self._heap
         while heap:
@@ -135,5 +188,41 @@ class EventQueue:
         return None
 
     def clear(self) -> None:
-        """Drop all pending events."""
+        """Drop all pending events, unfed stream arrivals included."""
         self._heap.clear()
+        self._streams.clear()
+
+
+class _StreamCursor:
+    """The one heap-resident callable of a :meth:`EventQueue.push_stream`.
+
+    Attributes:
+        unfed: arrivals not yet in the heap, as ``(time, seq, size, port)``
+            in *descending* order; the arrival whose entry is in the heap is
+            not among them (it waits in ``_size`` / ``_port``).
+    """
+
+    __slots__ = ("_heap", "unfed", "_receive", "_make_packet", "_size", "_port")
+
+    def __init__(self, heap: List[Tuple[float, int, int, Any]],
+                 unfed: List[Tuple[float, int, int, int]],
+                 receive: Callable[[Any, int], Any],
+                 make_packet: Callable[[int], Any],
+                 size: int, port: int) -> None:
+        self._heap = heap
+        self.unfed = unfed
+        self._receive = receive
+        self._make_packet = make_packet
+        self._size = size
+        self._port = port
+
+    def __call__(self) -> None:
+        size = self._size
+        port = self._port
+        unfed = self.unfed
+        if unfed:
+            # Feed before firing: whatever this arrival's work sees of the
+            # queue, or raises, the next arrival is already in its place.
+            time, seq, self._size, self._port = unfed.pop()
+            heapq.heappush(self._heap, (time, 0, seq, self))
+        self._receive(self._make_packet(size), port)

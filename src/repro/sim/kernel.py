@@ -41,8 +41,8 @@ class SimKernel(EventQueue):
     """The engine seam: event storage + dispatch loop.
 
     Subclasses inherit the :class:`~repro.sim.events.EventQueue` storage
-    contract (``push`` / ``push_callback`` / ``pop_entry`` over a
-    ``(time, priority, seq, event_or_callback)`` tuple heap) and add
+    contract (``push`` / ``push_callback`` / ``push_stream`` / ``pop_entry``
+    over a ``(time, priority, seq, event_or_callback)`` tuple heap) and add
     the dispatch loop.  The loop receives the owning
     :class:`~repro.sim.engine.Simulator` and drives its public clock/flags
     (``now``, ``_stopped``, ``_running``, ``events_executed``), so kernels

@@ -78,6 +78,12 @@ class SwitchConfig:
             raise ValueError("buffer_bytes must be positive")
         if self.port_rate_bps <= 0:
             raise ValueError("port_rate_bps must be positive")
+        if self.expulsion_token_capacity_bytes < self.cell_bytes:
+            # Tokens are cells: a bucket that cannot hold one could never
+            # grant a head drop, only retry.
+            raise ValueError(
+                "expulsion_token_capacity_bytes must cover at least one cell "
+                f"({self.cell_bytes} B), got {self.expulsion_token_capacity_bytes}")
 
     @property
     def aggregate_rate_bps(self) -> float:
@@ -89,6 +95,13 @@ class SwitchConfig:
         if self.memory_bandwidth_bps is not None:
             return self.memory_bandwidth_bps
         return 2.0 * self.aggregate_rate_bps
+
+
+def _overridden_hook(manager: BufferManager, name: str) -> Optional[Callable]:
+    """``manager.<name>``, or None where it is BufferManager's no-op."""
+    if getattr(type(manager), name) is getattr(BufferManager, name):
+        return None
+    return getattr(manager, name)
 
 
 class SharedMemorySwitch:
@@ -153,17 +166,12 @@ class SharedMemorySwitch:
         # and writes, compared against the total memory bandwidth.
         self._memory_rate = RateWindow(window=50e-6)
 
-        # Hook elision: the on_enqueue/on_dequeue bookkeeping hooks are
-        # no-ops for every built-in scheme; only call them when a scheme
+        # Hook elision: the on_enqueue/on_dequeue/on_drop bookkeeping hooks
+        # are no-ops for every built-in scheme; only call them when a scheme
         # actually overrides them.
-        self._mgr_on_enqueue = (
-            manager.on_enqueue
-            if type(manager).on_enqueue is not BufferManager.on_enqueue
-            else None)
-        self._mgr_on_dequeue = (
-            manager.on_dequeue
-            if type(manager).on_dequeue is not BufferManager.on_dequeue
-            else None)
+        self._mgr_on_enqueue = _overridden_hook(manager, "on_enqueue")
+        self._mgr_on_dequeue = _overridden_hook(manager, "on_dequeue")
+        self._mgr_on_drop = _overridden_hook(manager, "on_drop")
 
         # Expulsion engine for Occamy-style schemes.
         self.expulsion_engine: Optional[ExpulsionEngine] = None
@@ -171,6 +179,9 @@ class SharedMemorySwitch:
         manager.attach(self)
         if manager.uses_expulsion_engine:
             self._build_expulsion_engine()
+        # The manager's O(1) idle proof, asked at the two per-packet call
+        # sites so an idle switch never enters the expulsion driver.
+        self._none_over_allocated = manager.proves_none_over_allocated
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -191,9 +202,8 @@ class SharedMemorySwitch:
         # ``memory_bandwidth_bps``.
         read_path_bytes_per_sec = self.config.total_memory_bandwidth_bps / 2.0 / 8.0
         rate_cells = fraction * read_path_bytes_per_sec / self.config.cell_bytes
-        capacity_cells = max(
-            1.0, self.config.expulsion_token_capacity_bytes / self.config.cell_bytes
-        )
+        capacity_cells = (self.config.expulsion_token_capacity_bytes
+                          / self.config.cell_bytes)
         bucket = TokenBucket(rate_cells_per_sec=rate_cells, capacity_cells=capacity_cells)
         self.expulsion_engine = ExpulsionEngine(
             switch=self,
@@ -292,15 +302,6 @@ class SharedMemorySwitch:
     # ------------------------------------------------------------------
     # Ingress: admission and enqueue
     # ------------------------------------------------------------------
-    def classify(self, packet: Packet, port_id: int) -> SwitchQueue:
-        """Map a packet to a class queue on its egress port.
-
-        The default policy uses ``packet.priority`` as the class index,
-        clamped to the number of queues per port.
-        """
-        class_index = min(packet.priority, self.config.queues_per_port - 1)
-        return self.queue_for(port_id, class_index)
-
     def receive(
         self,
         packet: Packet,
@@ -315,11 +316,12 @@ class SharedMemorySwitch:
         size = packet.size_bytes
         if not 0 <= out_port_id < len(self.ports):
             raise ValueError(f"invalid egress port {out_port_id}")
-        queue = (
-            self.queue_for(out_port_id, class_index)
-            if class_index is not None
-            else self.classify(packet, out_port_id)
-        )
+        # queue_for(), inlined.  Unless the caller names the class, the
+        # packet's priority is its class index, clamped to the port's queues.
+        queues_per_port = self.config.queues_per_port
+        if class_index is None:
+            class_index = min(packet.priority, queues_per_port - 1)
+        queue = self._queues[out_port_id * queues_per_port + class_index]
         stats = self.stats
         stats.arrived_packets += 1
         stats.arrived_bytes += size
@@ -331,9 +333,11 @@ class SharedMemorySwitch:
                 # Defensive re-check: evictions may have freed less than planned.
                 decision = REJECT_BUFFER_FULL
 
+        engine = self.expulsion_engine
         if not decision.accept:
             self._drop_arrival(queue, packet, decision.reason or "dropped", now)
-            self._maybe_expel(now)
+            if engine is not None and not self._none_over_allocated():
+                self._maybe_expel(now)
             return False
 
         descriptor = self.cell_pool.allocate(packet)
@@ -360,7 +364,7 @@ class SharedMemorySwitch:
             self._trace(queue, now)
 
         self._try_transmit(self.ports[queue.port_id])
-        if self.expulsion_engine is not None:
+        if engine is not None and not self._none_over_allocated():
             self._maybe_expel(now)
         return True
 
@@ -369,7 +373,8 @@ class SharedMemorySwitch:
         self.stats.record_drop(queue.queue_id, packet.size_bytes, reason,
                                time=now, queue_length=queue.length_bytes)
         queue.record_drop(packet.size_bytes, expelled=False)
-        self.manager.on_drop(queue, packet.size_bytes, now, reason)
+        if self._mgr_on_drop is not None:
+            self._mgr_on_drop(queue, packet.size_bytes, now, reason)
         self.stats.sample_on_drop(
             self.buffer_utilization(), self.memory_bandwidth_utilization(now)
         )
@@ -389,7 +394,8 @@ class SharedMemorySwitch:
                 freed += size
                 queue.record_drop(size, expelled=True)
                 self.stats.record_eviction(queue.queue_id, size)
-                self.manager.on_drop(queue, size, now, "pushout_evicted")
+                if self._mgr_on_drop is not None:
+                    self._mgr_on_drop(queue, size, now, "pushout_evicted")
             self._trace(queue, now)
 
     # ------------------------------------------------------------------
@@ -453,7 +459,7 @@ class SharedMemorySwitch:
         if self.on_transmit is not None:
             self.on_transmit(packet, port.port_id)
         self._try_transmit(port)
-        if engine is not None:
+        if engine is not None and not self._none_over_allocated():
             self._maybe_expel(now)
 
     # ------------------------------------------------------------------
@@ -476,7 +482,8 @@ class SharedMemorySwitch:
         self.cell_pool.release(descriptor, read_data=False)
         queue.record_drop(size, expelled=True)
         self.stats.record_expulsion(queue.queue_id, size)
-        self.manager.on_drop(queue, size, now, "expelled")
+        if self._mgr_on_drop is not None:
+            self._mgr_on_drop(queue, size, now, "expelled")
         self._trace(queue, now)
         return size
 
@@ -484,10 +491,7 @@ class SharedMemorySwitch:
     # Expulsion engine driver
     # ------------------------------------------------------------------
     def _maybe_expel(self, now: float) -> None:
-        engine = self.expulsion_engine
-        if engine is None:
-            return
-        retry_after = engine.run(now)
+        retry_after = self.expulsion_engine.run(now)
         if retry_after > 0 and self._expulsion_retry_event is None:
             self._expulsion_retry_event = self.sim.schedule(
                 retry_after, self._expulsion_retry

@@ -210,6 +210,47 @@ class TestExpulsionEngineAccounting:
         assert engine.total_expelled_bytes == queue.expelled_bytes
 
 
+class TestBucketSmallerThanTheHeadPacket:
+    """A one-cell bucket can never cover a 1500 B (8-cell) head packet."""
+
+    def drive(self, manager):
+        sim = Simulator()
+        config = SwitchConfig(num_ports=4, port_rate_bps=10 * GBPS,
+                              buffer_bytes=200 * KB,
+                              expulsion_token_capacity_bytes=200)
+        switch = SharedMemorySwitch(config, manager, sim)
+        fates = []
+        # 40 Gbps into port 0, then 40 Gbps into port 1 while queue 0 still
+        # holds most of the buffer: queue 0 ends up far over its threshold.
+        for i in range(1200):
+            port = 0 if i < 800 else 1
+            sim.at(i * 3e-7, lambda port=port: fates.append(
+                switch.receive(Packet(size_bytes=1500), port)))
+        events = sim.run()
+        return switch, fates, events
+
+    def test_is_dt_drop_for_drop_and_event_for_event(self):
+        occamy, occamy_fates, occamy_events = self.drive(Occamy(alpha=8.0))
+        dt, dt_fates, dt_events = self.drive(DynamicThreshold(alpha=8.0))
+        engine = occamy.expulsion_engine
+        # The engine did find victims; every grant was blocked for tokens...
+        assert engine.token_blocked_passes == engine.passes > 100
+        assert occamy.stats.expelled_packets == 0
+        # ...and not one retry was scheduled for a grant that cannot come.
+        assert occamy._expulsion_retry_event is None
+        assert occamy_events == dt_events
+        assert occamy_fates == dt_fates and not all(dt_fates)
+        assert occamy.stats.summary() == dt.stats.summary()
+        assert dict(occamy.stats.drop_reasons) == dict(dt.stats.drop_reasons)
+
+    def test_bucket_below_one_cell_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            SwitchConfig(expulsion_token_capacity_bytes=199)
+        with pytest.raises(ValueError, match="at least one cell"):
+            SwitchConfig(cell_bytes=256, expulsion_token_capacity_bytes=200)
+        SwitchConfig(expulsion_token_capacity_bytes=200)  # one cell: accepted
+
+
 class TestAlphaOverrideWrittenMidRun:
     def drive(self, manager):
         """The same packet-by-packet schedule with the same mid-run writes."""

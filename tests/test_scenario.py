@@ -47,8 +47,8 @@ from repro.scenario import (
     unregister_workload,
 )
 from repro.scenario.scales import get_scale
+from repro.scenario.topologies import make_topology
 from repro.sim import Simulator
-from repro.sim.events import Event
 from repro.workloads import reset_workload_ids
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -271,20 +271,22 @@ class TestScenarioRunner:
             run_scenario(mixed)
 
     def test_packet_level_injection_allocates_no_events(self, monkeypatch):
-        # Arrivals are bare callbacks: nobody cancels them, so no Event (and
-        # no closure) per packet.  Same heap order, hence the same event count.
-        at_run_start = []
+        # Arrivals go in as one stream: no Event, closure or heap entry per
+        # packet -- whatever the packet count, the heap holds the next
+        # arrival only.  Same dispatch order as one callback per packet,
+        # hence the same event count.
+        heap_at_run_start = []
         real_run = Simulator.run
 
         def spying_run(sim, *args, **kwargs):
-            at_run_start.append(
-                [entry for entry in sim.kernel._heap if isinstance(entry[3], Event)])
+            heap_at_run_start.append(
+                (len(sim.kernel._heap), sim.pending_events))
             return real_run(sim, *args, **kwargs)
 
         monkeypatch.setattr(Simulator, "run", spying_run)
         reset_workload_ids()
         result = run_scenario(get_case("raw_switch_stream/small").build())
-        assert at_run_start == [[]]
+        assert heap_at_run_start == [(1, 4441)]
         assert result.switch.stats.arrived_packets == 4441
         assert result.events_executed == 5131  # benchmarks/baseline_small.json
 
@@ -305,6 +307,15 @@ class TestScenarioRunner:
                 run_scenario(spec)
         finally:
             unregister_workload("wl_bad_time")
+        # Rejected before anything is scheduled, good arrivals included.
+        topology = make_topology(
+            "raw_switch", lambda: make_buffer_manager("dt"),
+            **spec.resolved_topology_params())
+        with pytest.raises(ValueError, match=message):
+            ScenarioRunner()._run_packet_level(spec, topology, [
+                (spec.workloads[0], [(0.0, 1500, 0), (bad_time, 1500, 1)])])
+        assert topology.sim.pending_events == 0
+        assert topology.switch.stats.arrived_packets == 0
 
     def test_pinned_id_collision_rejected(self):
         # A 'fixed' workload with pinned ids replayed after the id counter

@@ -123,6 +123,45 @@ class TestSwitchBasics:
         assert order[1:6] == [0] * 5
         assert order[6:] == [1] * 4
 
+    def test_class_is_packet_priority_clamped_unless_named(self):
+        switch, _ = make_switch(queues_per_port=2, num_ports=2,
+                                manager=CompleteSharing(), buffer_bytes=1 * MB)
+        switch.receive(Packet(size_bytes=1500, priority=0), 0)
+        switch.receive(Packet(size_bytes=1500, priority=7), 0)  # clamped to 1
+        switch.receive(Packet(size_bytes=1500, priority=0), 1, class_index=1)
+        assert [q.enqueued_packets for q in switch.queue_views()] == [1, 1, 0, 1]
+
+    def test_bookkeeping_hooks_reach_a_scheme_that_overrides_them(self):
+        class Recording(DynamicThreshold):
+            def __init__(self):
+                super().__init__(alpha=1.0)
+                self.calls = []
+
+            def on_enqueue(self, queue, packet_bytes, now):
+                self.calls.append(("enqueue", queue.queue_id, packet_bytes))
+
+            def on_dequeue(self, queue, packet_bytes, now):
+                self.calls.append(("dequeue", queue.queue_id, packet_bytes))
+
+            def on_drop(self, queue, packet_bytes, now, reason):
+                self.calls.append(("drop", queue.queue_id, packet_bytes, reason))
+
+        manager = Recording()
+        switch, sim = make_switch(manager=manager, buffer_bytes=10 * KB)
+        assert switch.receive(Packet(size_bytes=3000), 0)
+        assert switch.receive(Packet(size_bytes=3000), 0)
+        assert not switch.receive(Packet(size_bytes=4000), 0)  # over threshold
+        assert switch.head_drop(0) == 3000
+        sim.run()
+        assert manager.calls == [
+            ("enqueue", 0, 3000), ("enqueue", 0, 3000),
+            ("drop", 0, 4000, "over_threshold"), ("drop", 0, 3000, "expelled"),
+            ("dequeue", 0, 3000)]
+        # The built-in schemes leave all three as no-ops: nothing to call.
+        plain, _ = make_switch(manager=DynamicThreshold(alpha=1.0))
+        assert (plain._mgr_on_enqueue is plain._mgr_on_dequeue
+                is plain._mgr_on_drop is None)
+
     def test_head_drop_frees_buffer_without_data_read(self):
         switch, sim = make_switch(manager=CompleteSharing(), buffer_bytes=100 * KB)
         for _ in range(10):
