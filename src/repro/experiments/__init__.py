@@ -10,7 +10,7 @@ command line through :mod:`repro.experiments.runner`::
 
 Scales:
 
-* ``bench`` -- minimal parameter grid, used by the pytest-benchmark harness;
+* ``bench`` -- minimal parameter grid, used by the test suite;
 * ``small`` -- scaled-down but complete grid (default);
 * ``paper`` -- the paper's dimensions (slow in pure Python).
 """

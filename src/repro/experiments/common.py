@@ -7,15 +7,11 @@ Since the :mod:`repro.scenario` layer landed, this module is mostly glue:
 * :class:`ExperimentResult` -- the rows-of-dicts container every experiment
   returns (with table/CSV/JSON rendering);
 * re-exports of :class:`~repro.scenario.scales.ScenarioConfig` /
-  :func:`~repro.scenario.scales.get_scale` (their historical home);
-* the two legacy workhorse runners :func:`run_single_switch` and
-  :func:`run_leaf_spine`, kept as deprecated thin wrappers over
-  :func:`repro.scenario.builders.single_switch_scenario` /
-  :func:`~repro.scenario.builders.leaf_spine_scenario` plus
-  :class:`~repro.scenario.runner.ScenarioRunner`.
+  :func:`~repro.scenario.scales.get_scale` (their historical home).
 
-New code should build :class:`~repro.scenario.spec.ScenarioSpec`s directly
-instead of calling the wrappers.
+Harnesses build :class:`~repro.scenario.spec.ScenarioSpec`\\ s with
+:mod:`repro.scenario.builders` and run them through
+:class:`~repro.scenario.runner.ScenarioRunner`.
 """
 
 from __future__ import annotations
@@ -23,47 +19,21 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.core.base import BufferManager
-from repro.core.registry import available_schemes, make_buffer_manager
-from repro.metrics.flows import FlowStats
-from repro.scenario.builders import leaf_spine_scenario, single_switch_scenario
-from repro.scenario.runner import ScenarioRunner
 from repro.scenario.scales import ScenarioConfig, get_scale
-from repro.sim.units import KB
-from repro.topology.leaf_spine import LeafSpineTopology
-from repro.topology.single_switch import SingleSwitchTopology
-from repro.workloads.spec import FlowSpec
 
 __all__ = [
     "ExperimentResult",
-    "LeafSpineRun",
     "ScenarioConfig",
-    "SingleSwitchRun",
     "default_schemes",
     "get_scale",
-    "run_leaf_spine",
-    "run_single_switch",
-    "scheme_factory",
 ]
 
 
 def default_schemes() -> List[str]:
     """The four schemes compared throughout the paper's evaluation."""
     return ["occamy", "abm", "dt", "pushout"]
-
-
-def scheme_factory(name: str, **overrides) -> Callable[[], BufferManager]:
-    """Deprecated: a zero-arg factory for scheme ``name``.
-
-    The paper's default parameters now live in the scheme registry
-    (:mod:`repro.core.registry`); call
-    :func:`~repro.core.registry.make_buffer_manager` directly instead.
-    """
-    if name not in available_schemes():
-        raise KeyError(f"unknown scheme {name!r}")
-    return lambda: make_buffer_manager(name, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -197,109 +167,3 @@ class ExperimentResult:
         if self.notes:
             header += f"  ({self.notes})"
         return header + "\n" + self.format_table()
-
-
-# ----------------------------------------------------------------------
-# Deprecated workhorse runners (thin wrappers over the scenario layer)
-# ----------------------------------------------------------------------
-@dataclass
-class SingleSwitchRun:
-    """Everything an experiment needs from one single-switch run."""
-
-    topology: SingleSwitchTopology
-    flow_stats: FlowStats
-
-    @property
-    def switch_stats(self):
-        return self.topology.switch.stats
-
-
-def run_single_switch(
-    scheme: str,
-    config: ScenarioConfig,
-    query_size_bytes: int,
-    seed: int = 0,
-    background_load: float = 0.5,
-    background_transport: str = "dctcp",
-    query_transport: str = "dctcp",
-    queues_per_port: int = 1,
-    scheduler: str = "fifo",
-    query_priority: int = 0,
-    background_priority: int = 0,
-    alpha_overrides: Optional[Dict[int, float]] = None,
-    scheme_overrides: Optional[Dict[str, object]] = None,
-    extra_flows: Optional[Sequence[FlowSpec]] = None,
-    include_background: bool = True,
-) -> SingleSwitchRun:
-    """Deprecated: run the DPDK-testbed-style scenario.
-
-    Thin wrapper over
-    :func:`~repro.scenario.builders.single_switch_scenario`; build the
-    :class:`~repro.scenario.spec.ScenarioSpec` yourself for new code.
-    """
-    spec = single_switch_scenario(
-        scheme=scheme,
-        config=config,
-        query_size_bytes=query_size_bytes,
-        seed=seed,
-        background_load=background_load,
-        background_transport=background_transport,
-        query_transport=query_transport,
-        queues_per_port=queues_per_port,
-        scheduler=scheduler,
-        query_priority=query_priority,
-        background_priority=background_priority,
-        alpha_overrides=alpha_overrides,
-        scheme_kwargs=scheme_overrides,
-        extra_flows=extra_flows,
-        include_background=include_background,
-    )
-    result = ScenarioRunner().run(spec)
-    return SingleSwitchRun(topology=result.topology,
-                           flow_stats=result.flow_stats)
-
-
-@dataclass
-class LeafSpineRun:
-    """Everything an experiment needs from one leaf-spine run."""
-
-    topology: LeafSpineTopology
-    flow_stats: FlowStats
-
-    def total_drops(self) -> int:
-        return self.topology.total_switch_drops()
-
-
-def run_leaf_spine(
-    scheme: str,
-    config: ScenarioConfig,
-    query_size_bytes: int,
-    seed: int = 0,
-    background_load: float = 0.4,
-    background_kind: str = "websearch",
-    background_flow_size: int = 256 * KB,
-    query_load_queries: Optional[int] = None,
-    scheme_overrides: Optional[Dict[str, object]] = None,
-    buffer_bytes_per_port: Optional[int] = None,
-) -> LeafSpineRun:
-    """Deprecated: run the ns-3-style leaf-spine scenario (Section 6.4).
-
-    Thin wrapper over
-    :func:`~repro.scenario.builders.leaf_spine_scenario`; build the
-    :class:`~repro.scenario.spec.ScenarioSpec` yourself for new code.
-    """
-    spec = leaf_spine_scenario(
-        scheme=scheme,
-        config=config,
-        query_size_bytes=query_size_bytes,
-        seed=seed,
-        background_load=background_load,
-        background_kind=background_kind,
-        background_flow_size=background_flow_size,
-        query_load_queries=query_load_queries,
-        scheme_kwargs=scheme_overrides,
-        buffer_bytes_per_port=buffer_bytes_per_port,
-    )
-    result = ScenarioRunner().run(spec)
-    return LeafSpineRun(topology=result.topology,
-                        flow_stats=result.flow_stats)

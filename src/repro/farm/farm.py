@@ -27,8 +27,8 @@ A worker loss (EOF, non-zero exit, garbage line, no answer within
 ``timeout_s``, failed handshake) is distinct from a run failure: the dead
 process is reaped, the run is retried on a fresh worker with exponential
 backoff, preferentially landing on another slot because the losing slot
-sits out the backoff window; only after ``max_attempts`` losses does the
-run surface as a failed outcome.
+sits out the backoff window; only after ``max_attempts`` losses, or when a
+fail-fast halt cancels the retry, does the run surface as a failed outcome.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ from repro.farm.protocol import (
 
 #: Called with the farm's health rows whenever any slot changes state.
 WorkerCallback = Callable[[List[Dict[str, object]]], None]
+#: A queued run: (index, spec, attempt, outcome to report if it never runs --
+#: set on a retry, ``None`` on a first attempt).
+_Job = Tuple[int, RunSpec, int, Optional[RunOutcome]]
 
 #: Seconds a freshly spawned worker has to answer the opening ping.
 HANDSHAKE_TIMEOUT_S = 30.0
@@ -270,16 +273,22 @@ class RunFarm:
 
         With ``fail_fast``, the first failed outcome stops new work from
         being dispensed; runs already in flight still finish and are
-        yielded (the executor persists them -- nothing silently dropped).
+        yielded (the executor persists them -- nothing silently dropped),
+        and a run whose worker was lost yields its loss as a failed
+        outcome instead of being retried.
         """
         jobs = list(jobs)
         if not jobs:
             return
-        # Jobs are (index, spec, attempt); None tells one slot to stop.
-        work: "queue.Queue[Optional[Tuple[int, RunSpec, int]]]" = queue.Queue()
-        results: "queue.Queue[Tuple[int, RunOutcome]]" = queue.Queue()
+        # None on `work` tells one slot to stop.
+        work: "queue.Queue[Optional[_Job]]" = queue.Queue()
+        # (index, outcome, retry): a slot that lost its worker sends the
+        # retry here instead of onto `work`, so re-queueing and the halt's
+        # drain both happen on this thread and cannot interleave.
+        results: "queue.Queue[Tuple[int, RunOutcome, Optional[_Job]]]" = (
+            queue.Queue())
         for index, spec in jobs:
-            work.put((index, spec, 1))
+            work.put((index, spec, 1, None))
         stop = threading.Event()
         threads = [
             threading.Thread(
@@ -293,7 +302,10 @@ class RunFarm:
         halted = False
         try:
             while remaining:
-                index, outcome = results.get()
+                index, outcome, retry = results.get()
+                if retry is not None and not halted:
+                    work.put(retry)
+                    continue
                 remaining -= 1
                 yield index, outcome
                 if fail_fast and not outcome.ok and not halted:
@@ -301,12 +313,15 @@ class RunFarm:
                     stop.set()
                     # Drain undispensed jobs; anything a slot already holds
                     # stays in flight and arrives through `results` above.
+                    # A drained retry still owes its run an outcome.
                     while True:
                         try:
-                            work.get_nowait()
+                            index, _, _, lost = work.get_nowait()
                         except queue.Empty:
                             break
                         remaining -= 1
+                        if lost is not None:
+                            yield index, lost
         finally:
             stop.set()
             for slot in self.slots:
@@ -320,15 +335,15 @@ class RunFarm:
                 thread.join(timeout=5.0)
 
     def _slot_loop(self, slot: WorkerSlot,
-                   work: "queue.Queue[Optional[Tuple[int, RunSpec, int]]]",
-                   results: "queue.Queue[Tuple[int, RunOutcome]]",
+                   work: "queue.Queue[Optional[_Job]]",
+                   results: "queue.Queue[Tuple[int, RunOutcome, Optional[_Job]]]",
                    stop: threading.Event) -> None:
         try:
             while not stop.is_set():
                 job = work.get()
                 if job is None:
                     return
-                index, spec, attempt = job
+                index, spec, attempt, _ = job
                 slot.busy, slot.current = True, spec.label()
                 self._notify()
                 start = time.perf_counter()
@@ -339,27 +354,25 @@ class RunFarm:
                     slot.losses += 1
                     slot.busy, slot.current = False, ""
                     self._notify()
-                    error = None
                     if attempt >= self.max_attempts:
                         error = (f"worker lost after {attempt} attempts "
                                  f"(last on {slot.name}): {exc}")
                     else:
                         slot.retries += 1
                         # Exponential backoff, slept by the *losing* slot: the
-                        # job goes straight back on the queue after the wait,
-                        # but this slot is the last to ask for more work, so an
-                        # idle healthy worker picks the retry up first.
+                        # job goes back on the queue after the wait, but this
+                        # slot is the last to ask for more work, so an idle
+                        # healthy worker picks the retry up first.
                         stop.wait(min(self.backoff_s * (2 ** (attempt - 1)), 10.0))
-                        if stop.is_set():
-                            error = (f"worker lost on {slot.name} and campaign "
-                                     f"halted before retry: {exc}")
-                    if error is None:
-                        work.put((index, spec, attempt + 1))
-                    else:
-                        results.put((index, RunOutcome(
-                            spec=spec, status=STATUS_FAILED,
-                            elapsed=time.perf_counter() - start,
-                            error=error, traceback=str(exc))))
+                        error = (f"worker lost on {slot.name} and campaign "
+                                 f"halted before retry: {exc}")
+                    lost = RunOutcome(spec=spec, status=STATUS_FAILED,
+                                      elapsed=time.perf_counter() - start,
+                                      error=error, traceback=str(exc))
+                    # `lost` is also the run's outcome if a halt cancels the retry.
+                    retry = ((index, spec, attempt + 1, lost)
+                             if attempt < self.max_attempts else None)
+                    results.put((index, lost, retry))
                     continue
                 slot.busy, slot.current = False, ""
                 if outcome.status == STATUS_FAILED:
@@ -368,7 +381,7 @@ class RunFarm:
                     slot.runs_ok += 1
                 slot.elapsed += outcome.elapsed
                 self._notify()
-                results.put((index, outcome))
+                results.put((index, outcome, None))
         finally:
             self._release(slot)
 

@@ -1,4 +1,4 @@
-"""Measurement helpers: flow/query completion times, slowdowns, CDFs, traces."""
+"""Measurement helpers: flow/query completion times, slowdowns, CDFs."""
 
 from repro.metrics.percentiles import cdf_points, mean, percentile, summarize
 from repro.metrics.flows import (
@@ -8,18 +8,15 @@ from repro.metrics.flows import (
     ideal_fct,
     slowdown,
 )
-from repro.metrics.timeseries import QueueLengthSeries, trace_to_series
 
 __all__ = [
     "FlowRecord",
     "FlowStats",
     "QueryRecord",
-    "QueueLengthSeries",
     "cdf_points",
     "ideal_fct",
     "mean",
     "percentile",
     "slowdown",
     "summarize",
-    "trace_to_series",
 ]

@@ -1,19 +1,18 @@
-"""``repro.perf``: the standing benchmark harness for the simulation core.
-
-The subsystem has three parts:
+"""``repro.perf``: the perf cases and the two gates built on them.
 
 * :mod:`repro.perf.cases` -- a registry of :class:`PerfCase` entries, each
   wrapping a representative :class:`~repro.scenario.spec.ScenarioSpec`
-  (single-switch incast, leaf-spine web-search, dumbbell burst, packet-level
-  raw switch) at ``small`` and ``medium`` scales;
-* :mod:`repro.perf.harness` -- executes cases with warmup + repetitions and
-  records wall time, events/sec, packets/sec and peak RSS into
-  schema-versioned ``BENCH_perf.json`` snapshots;
-* :mod:`repro.perf.compare` / :mod:`repro.perf.profiling` -- snapshot
-  comparison for CI tripwires (``compare baseline.json head.json
-  --fail-above <pct>``) and cProfile top-N tables per case.
+  (single-switch incast, leaf-spine and fat-tree web-search, dumbbell
+  burst, packet-level raw switch);
+* :mod:`repro.perf.differential` -- ``differential``: every case run under
+  the heap oracle and under a candidate engine configuration, result
+  documents byte-diffed;
+* :mod:`repro.perf.harness` -- ``overhead``: an interleaved A/B of two
+  cases, gated on the median per-pair wall-time ratio.
 
-Run it with ``python -m repro.perf run|compare|profile|list``.
+Run it with ``python -m repro.perf list|differential|overhead``.  Speed
+claims are measured with the repo benchmark (``python3 bench/run.py``),
+not here.
 """
 
 from repro.perf.cases import (
@@ -23,27 +22,13 @@ from repro.perf.cases import (
     register_case,
     unregister_case,
 )
-from repro.perf.compare import compare_snapshots
-from repro.perf.harness import (
-    SNAPSHOT_SCHEMA_VERSION,
-    CaseMeasurement,
-    load_snapshot,
-    measure_case,
-    run_cases,
-    save_snapshot,
-)
+from repro.perf.harness import measure_overhead
 
 __all__ = [
-    "CaseMeasurement",
     "PerfCase",
-    "SNAPSHOT_SCHEMA_VERSION",
     "available_cases",
-    "compare_snapshots",
     "get_case",
-    "load_snapshot",
-    "measure_case",
+    "measure_overhead",
     "register_case",
-    "run_cases",
-    "save_snapshot",
     "unregister_case",
 ]

@@ -1,146 +1,33 @@
-"""Executes perf cases and records schema-versioned snapshots.
+"""Interleaved A/B wall-time measurement of two perf cases: the ``overhead`` gate.
 
-A measurement run executes each case's scenario ``warmup`` times unrecorded
-(to populate code caches, import state and allocator pools) and then
-``repetitions`` recorded times.  Wall time is the *minimum* over repetitions
--- the standard benchmarking estimator for the noise-free cost, since
-interference can only slow a run down -- while every repetition is kept in
-the snapshot for inspection.  Besides wall time the harness records the
-discrete-event throughput (events/sec), packet throughput (packets/sec
-through the traffic managers) and the process peak RSS.
-
-Event and packet counts are deterministic for a given spec + seed (the
-harness asserts this across repetitions), so two snapshots of the same case
-are comparable event-for-event: a wall-time delta is a genuine speed change,
-never a workload change.
+``python -m repro.perf overhead BASE VARIANT --fail-above PCT`` answers one
+question -- does the variant cost more than ``PCT`` percent over the base,
+on this machine, now -- and CI uses it to hold the telemetry bus (<= 5%)
+and the load-balancer attach path (<= 2%) to their budgets.  It is a gate,
+not a benchmark: speed claims are measured with ``python3 bench/run.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import platform
-import resource
+import statistics
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from repro.perf.cases import PerfCase
 from repro.scenario.runner import ScenarioRunner
 from repro.workloads import reset_workload_ids
 
-#: Bump when the snapshot layout changes incompatibly.  Version 2 added the
-#: ``peak_child_rss_kb`` field: with the sharded engine the simulation
-#: lives in worker processes, whose memory RUSAGE_SELF never sees.
-SNAPSHOT_SCHEMA_VERSION = 2
 
-
-def _maxrss_kb(who: int) -> int:
-    usage = resource.getrusage(who).ru_maxrss
-    if platform.system() == "Darwin":  # pragma: no cover - ru_maxrss in bytes
-        return usage // 1024
-    return usage
-
-
-def peak_rss_kb() -> int:
-    """Peak resident set size, in KiB: this process **plus** the largest
-    reaped child.
-
-    ``ru_maxrss`` is a high-water mark: it only ever grows over the process
-    lifetime, so per-case values in one run share earlier cases' peaks.  It
-    is still the right CI tripwire -- a leak or blow-up in any case raises
-    the final number.  RUSAGE_CHILDREN (the max over waited-for children)
-    is folded in so sharded-engine runs, whose simulators live in worker
-    processes, cannot under-report; single-process runs report a few MB of
-    interpreter baseline from campaign workers at most.
-    """
-    return _maxrss_kb(resource.RUSAGE_SELF) + _maxrss_kb(
-        resource.RUSAGE_CHILDREN)
-
-
-def peak_child_rss_kb() -> int:
-    """Peak resident set size over reaped child processes, in KiB.
-
-    Zero when the process never forked (the single-process engine).
-    """
-    return _maxrss_kb(resource.RUSAGE_CHILDREN)
-
-
-@dataclass
-class CaseMeasurement:
-    """The recorded metrics of one case."""
-
-    case_id: str
-    wall_time_s: float
-    events: int
-    packets: int
-    repetitions: List[float] = field(default_factory=list)
-    peak_rss_kb: int = 0
-    peak_child_rss_kb: int = 0
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_time_s if self.wall_time_s > 0 else 0.0
-
-    @property
-    def packets_per_sec(self) -> float:
-        return self.packets / self.wall_time_s if self.wall_time_s > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "wall_time_s": self.wall_time_s,
-            "events": self.events,
-            "events_per_sec": round(self.events_per_sec, 1),
-            "packets": self.packets,
-            "packets_per_sec": round(self.packets_per_sec, 1),
-            "peak_rss_kb": self.peak_rss_kb,
-            "peak_child_rss_kb": self.peak_child_rss_kb,
-            "repetitions_s": [round(r, 6) for r in self.repetitions],
-        }
-
-
-def _execute_once(case: PerfCase) -> tuple[float, int, int]:
-    """One timed execution; returns (seconds, events, packets)."""
+def _execute_once(case: PerfCase) -> float:
+    """One timed run of ``case``; returns its wall seconds."""
     spec = case.build()
     runner = ScenarioRunner()
     reset_workload_ids()
     start = time.perf_counter()
-    result = runner.run(spec)
-    elapsed = time.perf_counter() - start
-    sim = result.topology.sim
-    packets = sum(s.stats.arrived_packets for s in result.switches())
-    return elapsed, sim.events_executed, packets
-
-
-def measure_case(case: PerfCase, warmup: int = 1,
-                 repetitions: int = 3) -> CaseMeasurement:
-    """Measure one case: ``warmup`` unrecorded runs + ``repetitions`` timed."""
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
-    for _ in range(warmup):
-        _execute_once(case)
-    times: List[float] = []
-    counts = set()
-    events = packets = 0
-    for _ in range(repetitions):
-        elapsed, events, packets = _execute_once(case)
-        times.append(elapsed)
-        counts.add((events, packets))
-    if len(counts) != 1:
-        raise RuntimeError(
-            f"case {case.case_id!r} is nondeterministic across repetitions: "
-            f"saw (events, packets) counts {sorted(counts)}"
-        )
-    return CaseMeasurement(
-        case_id=case.case_id,
-        wall_time_s=min(times),
-        events=events,
-        packets=packets,
-        repetitions=times,
-        peak_rss_kb=peak_rss_kb(),
-        peak_child_rss_kb=peak_child_rss_kb(),
-    )
+    runner.run(spec)
+    return time.perf_counter() - start
 
 
 @dataclass
@@ -159,48 +46,28 @@ class OverheadMeasurement:
 
     base_id: str
     variant_id: str
-    base_wall_s: float
-    variant_wall_s: float
     base_repetitions: List[float] = field(default_factory=list)
     variant_repetitions: List[float] = field(default_factory=list)
+
+    @property
+    def base_wall_s(self) -> float:
+        return min(self.base_repetitions)
+
+    @property
+    def variant_wall_s(self) -> float:
+        return min(self.variant_repetitions)
 
     @property
     def pair_ratios(self) -> List[float]:
         """Per-pair variant/base wall-time ratios (rep *i* of each side)."""
         return [v / b for b, v in
                 zip(self.base_repetitions, self.variant_repetitions,
-                    strict=False) if b > 0]
+                    strict=True)]
 
     @property
     def overhead_pct(self) -> float:
-        """Variant cost relative to base: median pair ratio, in percent.
-
-        Falls back to the min-over-reps ratio when no pairs were recorded
-        (e.g. a measurement reconstructed from a partial snapshot).
-        """
-        ratios = sorted(self.pair_ratios)
-        if not ratios:
-            if self.base_wall_s <= 0:
-                return 0.0
-            return (self.variant_wall_s / self.base_wall_s - 1.0) * 100.0
-        mid = len(ratios) // 2
-        if len(ratios) % 2:
-            median = ratios[mid]
-        else:
-            median = (ratios[mid - 1] + ratios[mid]) / 2.0
-        return (median - 1.0) * 100.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "base": self.base_id,
-            "variant": self.variant_id,
-            "base_wall_s": round(self.base_wall_s, 6),
-            "variant_wall_s": round(self.variant_wall_s, 6),
-            "overhead_pct": round(self.overhead_pct, 2),
-            "base_repetitions_s": [round(r, 6) for r in self.base_repetitions],
-            "variant_repetitions_s": [round(r, 6)
-                                      for r in self.variant_repetitions],
-        }
+        """Variant cost relative to base: median pair ratio, in percent."""
+        return (statistics.median(self.pair_ratios) - 1.0) * 100.0
 
 
 def measure_overhead(base: PerfCase, variant: PerfCase, warmup: int = 1,
@@ -212,70 +79,21 @@ def measure_overhead(base: PerfCase, variant: PerfCase, warmup: int = 1,
     load) cannot systematically favor one side, with a garbage collection
     before each timed run so collector pauses land between measurements.
     The overhead estimate is the median of per-pair ratios (see
-    :class:`OverheadMeasurement`); the recorded wall times stay min-over-reps
-    for display.
+    :class:`OverheadMeasurement`).
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     for _ in range(warmup):
         _execute_once(base)
         _execute_once(variant)
-    base_times: List[float] = []
-    variant_times: List[float] = []
+    measurement = OverheadMeasurement(base_id=base.case_id,
+                                      variant_id=variant.case_id)
     for rep in range(repetitions):
-        pair = ((base, base_times), (variant, variant_times))
+        pair = ((base, measurement.base_repetitions),
+                (variant, measurement.variant_repetitions))
         if rep % 2:
             pair = (pair[1], pair[0])
         for case, times in pair:
             gc.collect()
-            times.append(_execute_once(case)[0])
-    return OverheadMeasurement(
-        base_id=base.case_id,
-        variant_id=variant.case_id,
-        base_wall_s=min(base_times),
-        variant_wall_s=min(variant_times),
-        base_repetitions=base_times,
-        variant_repetitions=variant_times,
-    )
-
-
-def run_cases(cases: Sequence[PerfCase], warmup: int = 1, repetitions: int = 3,
-              progress=None) -> Dict[str, object]:
-    """Measure every case and assemble a snapshot document."""
-    measurements: Dict[str, Dict[str, object]] = {}
-    for case in cases:
-        measurement = measure_case(case, warmup=warmup, repetitions=repetitions)
-        measurements[case.case_id] = measurement.to_dict()
-        if progress is not None:
-            progress(measurement)
-    return {
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "created_unix": int(time.time()),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "warmup": warmup,
-        "repetitions": repetitions,
-        "cases": measurements,
-    }
-
-
-def save_snapshot(snapshot: Dict[str, object], path: Path) -> None:
-    path = Path(path)
-    path.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
-
-
-def load_snapshot(path: Path) -> Dict[str, object]:
-    data = json.loads(Path(path).read_text())
-    version = data.get("schema_version")
-    if version != SNAPSHOT_SCHEMA_VERSION:
-        raise ValueError(
-            f"snapshot {path} has schema_version {version!r}; "
-            f"this build reads version {SNAPSHOT_SCHEMA_VERSION}"
-        )
-    return data
-
-
-def default_snapshot_path(scale: Optional[str] = None) -> Path:
-    """The conventional snapshot location (``BENCH_perf[_scale].json``)."""
-    suffix = f"_{scale}" if scale else ""
-    return Path(f"BENCH_perf{suffix}.json")
+            times.append(_execute_once(case))
+    return measurement

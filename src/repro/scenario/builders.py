@@ -10,10 +10,10 @@ declarative scenarios:
 * :func:`packet_burst_scenario` -- the P4-prototype micro-benchmarks
   (Figures 3/11/12): raw packet streams and bursts on a bare switch.
 
-They reproduce the legacy runners of :mod:`repro.experiments.common`
-parameter-for-parameter (including derived quantities such as fanout caps and
-query pacing), so a figure harness re-expressed through them is
-trace-identical to the original hand-wired code.  Every returned spec is
+They reproduce the original hand-wired harness runners parameter-for-parameter
+(including derived quantities such as fanout caps and query pacing), so a
+figure harness re-expressed through them is trace-identical to the original
+code.  Every returned spec is
 JSON-serializable: ``spec.to_dict()`` is a valid campaign scenario document.
 """
 

@@ -8,9 +8,8 @@ Two shapes live here:
   once full, new samples overwrite the oldest (the ring keeps the newest
   window).
 * :class:`QueueLengthSeries` / :func:`trace_to_series` -- the per-event
-  queue-length series extracted from switch traces (Figures 3 and 11).
-  They moved here from ``repro.metrics.timeseries`` (which re-exports
-  them) so the figure harnesses and the bus share one series module.
+  queue-length series extracted from switch traces (Figures 3 and 11),
+  so the figure harnesses and the bus share one series module.
 """
 
 from __future__ import annotations

@@ -334,10 +334,10 @@ class TestEnginePassTripwires:
             assert switch.expulsion_engine.passes == 0
 
     def test_expelling_run_keeps_its_victim_count(self):
-        # dumbbell_burst/small expels nothing (0 at PR 12 too), so the
+        # dumbbell_burst expels nothing (0 at PR 12 too), so the
         # expelling tripwire rides on the bare-switch perf case instead.
         reset_workload_ids()
-        result = run_scenario(get_case("raw_switch_stream/small").build())
+        result = run_scenario(get_case("raw_switch_stream").build())
         engine = result.switch.expulsion_engine
         assert engine.passes > 0
         assert engine.total_expelled_packets == 2355  # as at PR 12

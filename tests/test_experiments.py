@@ -1,7 +1,7 @@
 """Tests for the experiment harnesses (run at the smallest scale).
 
 These are integration tests: they exercise the full stack (workloads, netsim,
-switch, schemes) through the same entry points the benchmark harness uses, and
+switch, schemes) through the same entry points the experiment runner uses, and
 assert the qualitative *shape* of each paper result rather than absolute
 numbers.
 """
@@ -15,24 +15,16 @@ from repro.experiments.common import (
     ScenarioConfig,
     default_schemes,
     get_scale,
-    run_single_switch,
-    scheme_factory,
 )
 from repro.experiments.runner import EXPERIMENTS, get_runner, run_experiment
+from repro.scenario.builders import single_switch_scenario
+from repro.scenario.runner import ScenarioRunner
 
 
 class TestCommonInfrastructure:
     def test_default_schemes(self):
         schemes = default_schemes()
         assert "occamy" in schemes and "dt" in schemes
-
-    def test_scheme_factory_overrides(self):
-        manager = scheme_factory("dt", alpha=4.0)()
-        assert manager.alpha == 4.0
-
-    def test_scheme_factory_unknown(self):
-        with pytest.raises(KeyError):
-            scheme_factory("bogus")
 
     def test_get_scale(self):
         bench = get_scale("bench")
@@ -53,12 +45,13 @@ class TestCommonInfrastructure:
         assert "occamy" in text and "scheme" in text
         assert "demo" in str(result)
 
-    def test_run_single_switch_produces_queries(self):
-        config = get_scale("bench")
-        run = run_single_switch("dt", config, query_size_bytes=40_000, seed=1,
-                                background_load=0.2)
-        assert run.flow_stats.completed_queries()
-        assert run.flow_stats.completion_fraction() > 0.9
+    def test_single_switch_scenario_produces_queries(self):
+        spec = single_switch_scenario(scheme="dt", config=get_scale("bench"),
+                                      query_size_bytes=40_000, seed=1,
+                                      background_load=0.2)
+        flow_stats = ScenarioRunner().run(spec).flow_stats
+        assert flow_stats.completed_queries()
+        assert flow_stats.completion_fraction() > 0.9
 
 
 class TestRunnerRegistry:

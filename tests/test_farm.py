@@ -10,14 +10,20 @@ plain ``--jobs N`` pool path.
 import io
 import json
 import os
+import queue
 import sys
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.campaign import CampaignExecutor, ResultStore, RunSpec
 from repro.campaign.cli import main as campaign_main
+from repro.campaign.executor import STATUS_FAILED, STATUS_OK, RunOutcome
+from repro.farm import farm as farm_module
+from repro.farm.farm import RunFarm, WorkerSlot
 from repro.farm import (
     HostSpec,
     LocalFarm,
@@ -335,6 +341,86 @@ class TestDispatch:
         # persisted -- in-flight runs are drained, never silently dropped.
         for outcome in outcomes:
             assert store.load(outcome.spec.config_hash()) is not None
+
+    def test_halt_during_a_retry_handoff_yields_one_outcome_per_run(
+            self, monkeypatch):
+        """Run 1 loses its worker; its slot decides to retry, and before the
+        retry is queued run 0 fails and the fail-fast halt drains the queue.
+        The dispatch must end, reporting run 1's loss, not wait forever for
+        a retry queued after the drain (or run it after the halt)."""
+        bound = 5.0  # every wait is bounded: a wrong order fails, never hangs
+        checked = threading.Event()  # run 1's slot has read `stop`
+        failed = threading.Event()  # run 0 has returned its failure
+        drained = threading.Event()  # the halt has emptied the work queue
+
+        class DrainSignallingQueue(queue.Queue):
+            def get_nowait(self):
+                try:
+                    return super().get_nowait()
+                except queue.Empty:
+                    drained.set()
+                    raise
+
+        monkeypatch.setattr(farm_module, "queue", SimpleNamespace(
+            Queue=DrainSignallingQueue, Empty=queue.Empty))
+
+        class GatedStop:
+            """A slot's view of `stop`.  The first check after a backoff
+            reads the flag, then holds it until the drain; any check after
+            run 0 failed waits for the drain, so no slot is idle in
+            `work.get()` when a late retry arrives."""
+
+            def __init__(self, stop):
+                self._stop, self._after_backoff = stop, False
+
+            def wait(self, timeout=None):
+                self._after_backoff = True
+                return self._stop.wait(timeout)
+
+            def is_set(self):
+                if self._after_backoff:
+                    self._after_backoff = False
+                    value = self._stop.is_set()
+                    checked.set()
+                    drained.wait(bound)
+                    return value
+                if failed.is_set():
+                    drained.wait(bound)
+                return self._stop.is_set()
+
+        attempts = []
+
+        class ScriptedFarm(RunFarm):
+            def _slot_loop(self, slot, work, results, stop):
+                super()._slot_loop(slot, work, results, GatedStop(stop))
+
+            def _run_once(self, slot, spec):
+                attempts.append(spec.seed)
+                if spec.seed == 1:
+                    if attempts.count(1) == 1:
+                        raise WorkerLossError("worker died")
+                    return RunOutcome(spec=spec, status=STATUS_OK)
+                checked.wait(bound)
+                failed.set()
+                return RunOutcome(spec=spec, status=STATUS_FAILED,
+                                  error="run failed")
+
+        farm = ScriptedFarm([WorkerSlot(name=f"fake/{i}", host="inline")
+                             for i in range(2)], backoff_s=0.0)
+        specs = [RunSpec("table1", seed=0), RunSpec("table1", seed=1)]
+        yielded = []
+        consumer = threading.Thread(
+            target=lambda: yielded.extend(
+                farm.dispatch(enumerate(specs), fail_fast=True)),
+            daemon=True)
+        consumer.start()
+        consumer.join(4 * bound)
+        assert not consumer.is_alive(), "dispatch hung on a stranded retry"
+        assert sorted(attempts) == [0, 1]  # the retry never ran
+        errors = {index: outcome.error for index, outcome in yielded}
+        assert sorted(index for index, _ in yielded) == [0, 1]
+        assert errors[0] == "run failed"
+        assert "halted before retry: worker died" in errors[1]
 
     def test_health_rows_shape(self):
         farm = LocalFarm()

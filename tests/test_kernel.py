@@ -317,7 +317,7 @@ def test_differential_small_case_is_identical(counting_kernel):
     from repro.perf.cases import get_case
     from repro.perf.differential import run_differential
 
-    outcome = run_differential(get_case("raw_switch_stream/small"),
+    outcome = run_differential(get_case("raw_switch_stream"),
                                kernel=counting_kernel.name)
     assert outcome.identical, outcome.diverging_keys
     assert outcome.events > 0
@@ -328,7 +328,7 @@ def test_differential_small_case_is_identical(counting_kernel):
 def test_perf_cli_differential_smoke(capsys, counting_kernel):
     from repro.perf.cli import main
 
-    assert main(["differential", "raw_switch_stream/small",
+    assert main(["differential", "raw_switch_stream",
                  "--kernel", counting_kernel.name]) == 0
     out = capsys.readouterr().out
     assert "identical" in out
@@ -341,7 +341,7 @@ def test_perf_cli_differential_refuses_a_vacuous_comparison(capsys, argv):
     """heap vs heap (or its alias) would be green by construction."""
     from repro.perf.cli import main
 
-    assert main(["differential", "raw_switch_stream/small"] + argv) == 1
+    assert main(["differential", "raw_switch_stream"] + argv) == 1
     out = capsys.readouterr().out
     assert ("nothing to compare: pass `--shards N` or a non-oracle "
             "`--kernel`") in out
@@ -349,10 +349,10 @@ def test_perf_cli_differential_refuses_a_vacuous_comparison(capsys, argv):
 
 
 def test_perf_case_with_kernel_keeps_case_id():
-    from repro.perf.cases import case_with_kernel, get_case
+    from repro.perf.cases import case_with_engine, get_case
 
-    case = get_case("incast_single_switch/small")
-    pooled = case_with_kernel(case, "pooled")
+    case = get_case("incast_single_switch")
+    pooled = case_with_engine(case, kernel="pooled")
     assert pooled.case_id == case.case_id
     assert pooled.build().engine.kernel == "pooled"
     assert case.build().engine.is_default()  # the original is untouched

@@ -11,9 +11,9 @@ from repro.metrics import (
     percentile,
     slowdown,
     summarize,
-    trace_to_series,
 )
 from repro.switchsim.stats import QueueTraceSample
+from repro.telemetry import trace_to_series
 
 
 class TestPercentiles:

@@ -285,10 +285,10 @@ class TestScenarioRunner:
 
         monkeypatch.setattr(Simulator, "run", spying_run)
         reset_workload_ids()
-        result = run_scenario(get_case("raw_switch_stream/small").build())
+        result = run_scenario(get_case("raw_switch_stream").build())
         assert heap_at_run_start == [(1, 4441)]
         assert result.switch.stats.arrived_packets == 4441
-        assert result.events_executed == 5131  # benchmarks/baseline_small.json
+        assert result.events_executed == 5131  # one callback per packet: 5131 too
 
     @pytest.mark.parametrize("bad_time, message", [
         (-1e-6, "into the past"), (float("nan"), "time NaN")])

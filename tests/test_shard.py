@@ -106,7 +106,7 @@ def test_runner_validate_rejects_unpartitionable_specs():
     from repro.scenario.runner import ScenarioRunner
 
     # Switch-level topologies have no link graph to cut.
-    raw = get_case("raw_switch_stream/small").build()
+    raw = get_case("raw_switch_stream").build()
     raw = replace(raw, engine=EngineSpec(shards=2))
     with pytest.raises(ValueError, match="network-level topology"):
         ScenarioRunner().validate(raw)
