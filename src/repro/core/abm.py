@@ -61,17 +61,18 @@ class ABM(BufferManager):
             self._port_rate_bytes[port_id] = rate_bps / 8.0
 
     def threshold(self, queue: QueueView, now: float) -> float:
-        # Hot path: the active-queue count is O(1) (maintained incrementally
-        # by the switch) and the port rate comes from the attach-time cache.
+        # Hot path: the active-queue count is read from the switch's
+        # incrementally maintained table and the port rate comes from the
+        # attach-time cache.
         switch = self.switch
         if switch is None:
             self._require_switch()
         override = queue.alpha_override
         alpha = self.alpha if override is None else override
-        n_active = switch.active_queue_count(queue.priority)
+        n_active = switch._active_by_priority[queue.priority]
         if n_active < 1:
             n_active = 1
-        value = (alpha / n_active * switch.free_buffer_bytes
+        value = (alpha / n_active * switch.cell_pool.free_bytes
                  * self._normalized_drain(queue))
         return value if value > 0.0 else 0.0
 

@@ -32,24 +32,33 @@ class DynamicThreshold(BufferManager):
 
     def __init__(self, alpha: float = 1.0) -> None:
         super().__init__()
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        self.alpha = alpha
         #: Effective per-queue alphas (in queue order) and the smallest of
-        #: them; refreshed on attach and on every ``alpha_override`` write.
+        #: them; refreshed on attach and on every ``alpha`` or
+        #: ``alpha_override`` write.
         self._alphas = []
         self._alpha_min = alpha
+        self.alpha = alpha
+
+    @property
+    def alpha(self) -> float:
+        """The default alpha; writing it re-derives the per-queue alphas."""
+        return self._alpha
+
+    @alpha.setter
+    def alpha(self, alpha: float) -> None:
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        self._alpha = alpha
+        self.on_queue_alpha_changed()
 
     def threshold(self, queue: QueueView, now: float) -> float:
-        # Hot path: effective_alpha/clamp_threshold inlined.  The constructor
-        # guarantees alpha > 0, but a per-queue alpha_override may be
-        # non-positive, so the product still clamps at zero.
+        # Hot path: the effective alpha comes from the attach-time cache.
+        # alpha > 0, but a per-queue alpha_override may be non-positive, so
+        # the product still clamps at zero.
         switch = self.switch
         if switch is None:
             self._require_switch()
-        override = queue.alpha_override
-        alpha = self.alpha if override is None else override
-        value = alpha * switch.free_buffer_bytes
+        value = self._alphas[queue.queue_id] * switch.cell_pool.free_bytes
         return value if value > 0.0 else 0.0
 
     def admit(self, queue: QueueView, packet_bytes: int, now: float) -> AdmissionDecision:
@@ -61,9 +70,7 @@ class DynamicThreshold(BufferManager):
         free = switch.cell_pool.free_bytes
         if packet_bytes > free:
             return REJECT_BUFFER_FULL
-        override = queue.alpha_override
-        alpha = self.alpha if override is None else override
-        limit = alpha * free
+        limit = self._alphas[queue.queue_id] * free
         if limit < 0.0:
             limit = 0.0
         if queue.length_bytes + packet_bytes > limit:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.units import transmission_time
 from repro.switchsim.queue import SwitchQueue
@@ -21,6 +21,9 @@ class EgressPort:
         if rate_bps <= 0:
             raise ValueError("port rate must be positive")
         self.port_id = port_id
+        #: Serialization delay by packet size at the current rate, filled by
+        #: the switch's transmit path; the ``rate_bps`` setter clears it.
+        self.delay_by_size: Dict[int, float] = {}
         self.rate_bps = rate_bps
         self.scheduler = scheduler
         self.queues: List[SwitchQueue] = []
@@ -41,6 +44,15 @@ class EgressPort:
         #: Time the port finished its last transmission (for utilization stats).
         self.last_tx_end = 0.0
         self.busy_time = 0.0
+
+    @property
+    def rate_bps(self) -> float:
+        return self._rate_bps
+
+    @rate_bps.setter
+    def rate_bps(self, rate_bps: float) -> None:
+        self._rate_bps = rate_bps
+        self.delay_by_size.clear()
 
     @property
     def rate_bytes_per_sec(self) -> float:

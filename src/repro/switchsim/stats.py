@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
@@ -50,14 +51,20 @@ class RateWindow:
 class SwitchStats:
     """Aggregated counters and samples collected by the traffic manager.
 
-    The paper's Figure 7 plots the CDF of buffer utilization and memory
-    bandwidth utilization *at packet-drop time*; those samples are recorded by
-    :meth:`sample_on_drop`.
+    The switch writes the admission-drop fields and the trace inline on its
+    hot paths; expulsions and evictions go through :meth:`record_expulsion`
+    and :meth:`record_eviction`.  The paper's Figure 7 plots the CDF of
+    buffer utilization and memory bandwidth utilization *at packet-drop
+    time*: one sample of each is appended per admission drop.
+
+    The queue trace (Figures 3 and 11) is one flat ``array('d')``,
+    :attr:`queue_trace_flat`, four doubles per sample in recording order:
+    time, queue id, length in bytes, threshold in bytes.  Recording a sample
+    is one ``extend``; :attr:`queue_trace` builds the
+    :class:`QueueTraceSample` objects on demand.
     """
 
-    def __init__(self, trace_queues: bool = False) -> None:
-        self.trace_queues = trace_queues
-
+    def __init__(self) -> None:
         # Packet/byte counters.
         self.arrived_packets = 0
         self.arrived_bytes = 0
@@ -90,22 +97,13 @@ class SwitchStats:
         #: Peak buffer occupancy in bytes.
         self.max_occupancy_bytes = 0
 
-        #: Optional queue-length/threshold trace.
-        self.queue_trace: List[QueueTraceSample] = []
+        #: Queue-length/threshold trace, flat (see the class docstring);
+        #: stays empty unless the switch config sets ``trace_queues``.
+        self.queue_trace_flat = array("d")
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_drop(self, queue_id: int, nbytes: int, reason: str,
-                    time: float = 0.0, queue_length: int = 0) -> None:
-        self.dropped_packets += 1
-        self.dropped_bytes += nbytes
-        self.drop_reasons[reason] += 1
-        self.per_queue_drops[queue_id] += 1
-        if queue_id not in self.first_drop_time:
-            self.first_drop_time[queue_id] = time
-            self.first_drop_queue_length[queue_id] = queue_length
-
     def record_expulsion(self, queue_id: int, nbytes: int) -> None:
         self.expelled_packets += 1
         self.expelled_bytes += nbytes
@@ -118,20 +116,17 @@ class SwitchStats:
         self.drop_reasons["pushout_evicted"] += 1
         self.per_queue_expulsions[queue_id] += 1
 
-    def sample_on_drop(self, buffer_utilization: float, bandwidth_utilization: float) -> None:
-        self.buffer_utilization_on_drop.append(buffer_utilization)
-        self.bandwidth_utilization_on_drop.append(bandwidth_utilization)
-
-    def trace_queue(self, time: float, queue_id: int, length_bytes: int,
-                    threshold_bytes: float) -> None:
-        if self.trace_queues:
-            self.queue_trace.append(
-                QueueTraceSample(time, queue_id, length_bytes, threshold_bytes)
-            )
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
+    @property
+    def queue_trace(self) -> List[QueueTraceSample]:
+        """The queue trace as samples, built from :attr:`queue_trace_flat`."""
+        flat = self.queue_trace_flat
+        return [QueueTraceSample(flat[i], int(flat[i + 1]), int(flat[i + 2]),
+                                 flat[i + 3])
+                for i in range(0, len(flat), 4)]
+
     @property
     def total_lost_packets(self) -> int:
         """All packets lost inside the switch, however they were lost."""

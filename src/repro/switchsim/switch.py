@@ -50,8 +50,11 @@ class SwitchConfig:
             used when the buffer manager does not specify one.
         expulsion_token_capacity_bytes: burst capacity of the expulsion
             token bucket.
-        trace_queues: record per-event queue-length/threshold traces
-            (needed by Figures 3 and 11, expensive for large runs).
+        trace_queues: record a queue-length/threshold sample on every
+            enqueue, admission drop, transmission, eviction and head drop
+            (Figures 3 and 11 plot them).  Each sample is four doubles
+            appended to ``SwitchStats.queue_trace_flat`` plus one threshold
+            query; off, the switch pays one ``is not None`` test per event.
         name: label used in logs and experiment output.
     """
 
@@ -131,7 +134,7 @@ class SharedMemorySwitch:
         self.name = config.name
 
         self.cell_pool = CellPool(config.buffer_bytes, config.cell_bytes)
-        self.stats = SwitchStats(trace_queues=config.trace_queues)
+        self.stats = SwitchStats()
 
         # Incrementally maintained active-queue counts (total and keyed by
         # priority), updated through the queues' activity listener instead of
@@ -165,6 +168,7 @@ class SharedMemorySwitch:
         # Memory bandwidth accounting: a sliding window over cell-data reads
         # and writes, compared against the total memory bandwidth.
         self._memory_rate = RateWindow(window=50e-6)
+        self._memory_bandwidth_bps = config.total_memory_bandwidth_bps
 
         # Hook elision: the on_enqueue/on_dequeue/on_drop bookkeeping hooks
         # are no-ops for every built-in scheme; only call them when a scheme
@@ -182,6 +186,11 @@ class SharedMemorySwitch:
         # The manager's O(1) idle proof, asked at the two per-packet call
         # sites so an idle switch never enters the expulsion driver.
         self._none_over_allocated = manager.proves_none_over_allocated
+        # Queue tracing: a sample is one extend of the flat trace with
+        # (time, queue id, length, threshold); None when tracing is off.
+        self._threshold = manager.threshold
+        self._record_trace = (self.stats.queue_trace_flat.extend
+                              if config.trace_queues else None)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -290,14 +299,7 @@ class SharedMemorySwitch:
         self.manager.on_queue_alpha_changed()
 
     def buffer_utilization(self) -> float:
-        return self.occupancy_bytes / self.buffer_size_bytes
-
-    def memory_bandwidth_utilization(self, now: Optional[float] = None) -> float:
-        """Fraction of the memory bandwidth consumed over the recent window."""
-        if now is None:
-            now = self.sim.now
-        consumed_bps = self._memory_rate.rate_bytes_per_sec(now) * 8.0
-        return min(1.0, consumed_bps / self.config.total_memory_bandwidth_bps)
+        return self.cell_pool.used_bytes / self.config.buffer_bytes
 
     # ------------------------------------------------------------------
     # Ingress: admission and enqueue
@@ -320,7 +322,14 @@ class SharedMemorySwitch:
         # packet's priority is its class index, clamped to the port's queues.
         queues_per_port = self.config.queues_per_port
         if class_index is None:
-            class_index = min(packet.priority, queues_per_port - 1)
+            class_index = packet.priority
+            if class_index >= queues_per_port:
+                class_index = queues_per_port - 1
+        if not 0 <= class_index < queues_per_port:
+            # A negative index would land on the previous port's queue.
+            raise ValueError(
+                f"invalid class index {class_index} "
+                f"(port {out_port_id} has {queues_per_port} queue(s))")
         queue = self._queues[out_port_id * queues_per_port + class_index]
         stats = self.stats
         stats.arrived_packets += 1
@@ -360,25 +369,45 @@ class SharedMemorySwitch:
         if occupancy > stats.max_occupancy_bytes:
             stats.max_occupancy_bytes = occupancy
         self._memory_rate.record(now, size)
-        if stats.trace_queues:
-            self._trace(queue, now)
+        record_trace = self._record_trace
+        if record_trace is not None:
+            record_trace((now, queue.queue_id, queue.length_bytes,
+                          self._threshold(queue, now)))
 
-        self._try_transmit(self.ports[queue.port_id])
+        port = self.ports[out_port_id]
+        if not port.busy:
+            self._try_transmit(port)
         if engine is not None and not self._none_over_allocated():
             self._maybe_expel(now)
         return True
 
     def _drop_arrival(self, queue: SwitchQueue, packet: Packet, reason: str,
                       now: float) -> None:
-        self.stats.record_drop(queue.queue_id, packet.size_bytes, reason,
-                               time=now, queue_length=queue.length_bytes)
-        queue.record_drop(packet.size_bytes, expelled=False)
+        # Every counter and sample of an admission drop, written in place;
+        # the two utilization samples feed Figure 7.
+        size = packet.size_bytes
+        queue_id = queue.queue_id
+        stats = self.stats
+        stats.dropped_packets += 1
+        stats.dropped_bytes += size
+        stats.drop_reasons[reason] += 1
+        stats.per_queue_drops[queue_id] += 1
+        if queue_id not in stats.first_drop_time:
+            stats.first_drop_time[queue_id] = now
+            stats.first_drop_queue_length[queue_id] = queue.length_bytes
+        queue.dropped_packets += 1
+        queue.dropped_bytes += size
         if self._mgr_on_drop is not None:
-            self._mgr_on_drop(queue, packet.size_bytes, now, reason)
-        self.stats.sample_on_drop(
-            self.buffer_utilization(), self.memory_bandwidth_utilization(now)
-        )
-        self._trace(queue, now)
+            self._mgr_on_drop(queue, size, now, reason)
+        stats.buffer_utilization_on_drop.append(
+            self.cell_pool.used_bytes / self.config.buffer_bytes)
+        stats.bandwidth_utilization_on_drop.append(
+            min(1.0, self._memory_rate.rate_bytes_per_sec(now) * 8.0
+                / self._memory_bandwidth_bps))
+        record_trace = self._record_trace
+        if record_trace is not None:
+            record_trace((now, queue_id, queue.length_bytes,
+                          self._threshold(queue, now)))
 
     def _execute_evictions(self, evictions: List[EvictionRequest], now: float) -> None:
         """Carry out Pushout-style evictions coupled to an admission."""
@@ -396,14 +425,15 @@ class SharedMemorySwitch:
                 self.stats.record_eviction(queue.queue_id, size)
                 if self._mgr_on_drop is not None:
                     self._mgr_on_drop(queue, size, now, "pushout_evicted")
-            self._trace(queue, now)
+            if self._record_trace is not None:
+                self._record_trace((now, queue.queue_id, queue.length_bytes,
+                                    self._threshold(queue, now)))
 
     # ------------------------------------------------------------------
     # Egress: scheduling and transmission
     # ------------------------------------------------------------------
     def _try_transmit(self, port: EgressPort) -> None:
-        if port.busy:
-            return
+        """Start serializing the port's next packet; the port must be idle."""
         queue = port.single_queue
         if queue is not None:
             # Single-queue port: any scheduler serves the one queue, so the
@@ -419,7 +449,10 @@ class SharedMemorySwitch:
             if descriptor is None:  # pragma: no cover - scheduler picked active queue
                 return
         port.busy = True
-        delay = port.serialization_delay(descriptor.packet.size_bytes)
+        size = descriptor.packet.size_bytes
+        delay = port.delay_by_size.get(size)
+        if delay is None:
+            delay = port.delay_by_size[size] = port.serialization_delay(size)
         # The in-flight state lives on the port (one transmission at a time);
         # the scheduled callback is the port's prebuilt bound method, so the
         # inner transmit loop allocates no closures.
@@ -454,11 +487,14 @@ class SharedMemorySwitch:
         port.busy_time += delay
         port.last_tx_end = now
         port.busy = False
-        if stats.trace_queues:
-            self._trace(queue, now)
+        record_trace = self._record_trace
+        if record_trace is not None:
+            record_trace((now, queue.queue_id, queue.length_bytes,
+                          self._threshold(queue, now)))
         if self.on_transmit is not None:
             self.on_transmit(packet, port.port_id)
-        self._try_transmit(port)
+        if not port.busy:  # on_transmit may have re-entered receive()
+            self._try_transmit(port)
         if engine is not None and not self._none_over_allocated():
             self._maybe_expel(now)
 
@@ -484,7 +520,9 @@ class SharedMemorySwitch:
         self.stats.record_expulsion(queue.queue_id, size)
         if self._mgr_on_drop is not None:
             self._mgr_on_drop(queue, size, now, "expelled")
-        self._trace(queue, now)
+        if self._record_trace is not None:
+            self._record_trace((now, queue_id, queue.length_bytes,
+                                self._threshold(queue, now)))
         return size
 
     # ------------------------------------------------------------------
@@ -502,15 +540,8 @@ class SharedMemorySwitch:
         self._maybe_expel(self.sim.now)
 
     # ------------------------------------------------------------------
-    # Tracing and introspection
+    # Introspection
     # ------------------------------------------------------------------
-    def _trace(self, queue: SwitchQueue, now: float) -> None:
-        if self.stats.trace_queues:
-            self.stats.trace_queue(
-                now, queue.queue_id, queue.length_bytes,
-                self.manager.threshold(queue, now),
-            )
-
     def threshold_of(self, queue_id: int) -> float:
         """Current admission threshold of a queue (convenience for tests)."""
         return self.manager.threshold(self._queues[queue_id], self.sim.now)

@@ -50,3 +50,6 @@ class FlowSpec:
             raise ValueError("start time cannot be negative")
         if self.src == self.dst:
             raise ValueError("source and destination must differ")
+        if self.priority < 0:
+            raise ValueError(
+                f"priority must be a non-negative class index, got {self.priority}")

@@ -8,6 +8,7 @@ from repro.core import (
     CompletePartitioning,
     CompleteSharing,
     DynamicThreshold,
+    Occamy,
     StaticThreshold,
 )
 from repro.sim import Simulator
@@ -70,6 +71,34 @@ class TestDynamicThreshold:
         assert not dt.over_allocated(queue, 0.0)
         assert dt.first_over_allocated(0, 0.0) is None
         assert dt.longest_over_allocated(0.0) is None
+
+    @pytest.mark.parametrize("cls", [DynamicThreshold, Occamy])
+    def test_alpha_written_after_attach_matches_a_fresh_manager(self, cls):
+        manager = cls(alpha=1.0)
+        switch, _ = make_switch(manager, num_ports=4)
+        for port, count in ((0, 60), (1, 40), (2, 5)):
+            for _ in range(count):
+                assert switch.receive(Packet(size_bytes=1500), port)
+        switch.queue_for(3).alpha_override = 2.0
+        queue0 = switch.queue_for(0)
+        assert manager.admit(queue0, 1500, 0.0).accept
+        manager.alpha = 0.05
+        # Admission, thresholds, the idle proof and the victim scan all see
+        # the write, exactly as a manager built with the new alpha would.
+        fresh = cls(alpha=0.05)
+        fresh.attach(switch)
+        assert not manager.admit(queue0, 1500, 0.0).accept
+        for queue in switch.queue_views():
+            assert manager.threshold(queue, 0.0) == fresh.threshold(queue, 0.0)
+            assert manager.admit(queue, 1500, 0.0) is fresh.admit(queue, 1500, 0.0)
+        assert manager.proves_none_over_allocated() is False
+        assert fresh.proves_none_over_allocated() is False
+        for start in range(switch.total_queue_count):
+            assert (manager.first_over_allocated(start, 0.0)
+                    == fresh.first_over_allocated(start, 0.0))
+        assert manager.first_over_allocated(1, 0.0) == 1
+        with pytest.raises(ValueError):
+            manager.alpha = 0
 
     def test_steady_state_formulas(self):
         dt = DynamicThreshold(alpha=8.0)

@@ -213,6 +213,21 @@ class TestScenarioRunner:
         assert row["scheme"] == "occamy" and row["topology"] == "dumbbell"
         assert "avg_fct_ms" in row
 
+    def test_negative_flow_priority_is_rejected(self):
+        # Regression: this spec used to run to completion 0.0, its packets
+        # leaving switch 0 through the previous port's queue.
+        spec = ScenarioSpec.from_dict({
+            "name": "negative-priority",
+            "scheme": {"name": "dt", "kwargs": {}},
+            "topology": {"kind": "dumbbell", "params": {"num_pairs": 2}},
+            "workloads": [{"kind": "fixed", "params": {"flows": [
+                {"src": 0, "dst": 2, "size_bytes": 30000, "priority": -1}]}}],
+            "duration": 0.002,
+        })
+        reset_workload_ids()
+        with pytest.raises(ValueError, match="priority"):
+            run_scenario(spec)
+
     def test_leaf_spine_all_reduce_scenario(self):
         reset_workload_ids()
         spec = leaf_spine_scenario(

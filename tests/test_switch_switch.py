@@ -40,6 +40,20 @@ class TestSwitchBasics:
         with pytest.raises(ValueError):
             switch.receive(Packet(size_bytes=100), 99)
 
+    def test_receive_rejects_a_class_outside_the_port(self):
+        # Regression: priority -1 indexed the previous port's last queue.
+        switch, _ = make_switch(num_ports=2, queues_per_port=2)
+        for packet, class_index in ((Packet(size_bytes=100, priority=-1), None),
+                                    (Packet(size_bytes=100), 2),
+                                    (Packet(size_bytes=100), -1)):
+            with pytest.raises(ValueError, match="class index"):
+                switch.receive(packet, 1, class_index)
+        assert switch.stats.arrived_packets == 0
+        assert switch.occupancy_bytes == 0
+        # Priorities above the last class still clamp onto it.
+        assert switch.receive(Packet(size_bytes=100, priority=7), 1)
+        assert switch.queue_for(1, 1).enqueued_packets == 1
+
     def test_packet_forwarded_end_to_end(self):
         transmitted = []
         sim = Simulator()

@@ -34,6 +34,10 @@ class TestFlowSpec:
             FlowSpec(src=0, dst=0, size_bytes=100, start_time=0.0)
         with pytest.raises(ValueError):
             FlowSpec(src=0, dst=1, size_bytes=100, start_time=-1.0)
+        # A priority is a class index; -1 would select the previous port's
+        # queue on the switch.
+        with pytest.raises(ValueError, match="priority"):
+            FlowSpec(src=0, dst=1, size_bytes=100, start_time=0.0, priority=-1)
 
     def test_unique_flow_ids(self):
         a = FlowSpec(src=0, dst=1, size_bytes=100, start_time=0.0)
