@@ -459,27 +459,32 @@ class Network:
         config = transport_config or self._transport_config
         sender_cls = make_transport(transport)
         for spec in flows:
-            if spec.src not in self.hosts or spec.dst not in self.hosts:
-                raise ValueError(
-                    f"flow {spec.flow_id} references unknown hosts "
-                    f"{spec.src}->{spec.dst}"
-                )
-            self.injected_flows.append(spec)
-            self.flow_stats.register_flow(
-                FlowRecord(
-                    flow_id=spec.flow_id,
-                    src=spec.src,
-                    dst=spec.dst,
-                    size_bytes=spec.size_bytes,
-                    start_time=spec.start_time,
-                    query_id=spec.query_id,
-                    priority=spec.priority,
-                )
-            )
+            self.register_flow(spec)
             self.sim.at(
                 spec.start_time,
                 lambda s=spec, cls=sender_cls, cfg=config: self._start_flow(s, cls, cfg),
             )
+
+    def register_flow(self, spec: FlowSpec) -> None:
+        """Record ``spec`` as injected, with its ``FlowStats`` record, without
+        scheduling its start (the sharded executor starts flows itself)."""
+        if spec.src not in self.hosts or spec.dst not in self.hosts:
+            raise ValueError(
+                f"flow {spec.flow_id} references unknown hosts "
+                f"{spec.src}->{spec.dst}"
+            )
+        self.injected_flows.append(spec)
+        self.flow_stats.register_flow(
+            FlowRecord(
+                flow_id=spec.flow_id,
+                src=spec.src,
+                dst=spec.dst,
+                size_bytes=spec.size_bytes,
+                start_time=spec.start_time,
+                query_id=spec.query_id,
+                priority=spec.priority,
+            )
+        )
 
     def _start_flow(self, spec: FlowSpec, sender_cls, config: TransportConfig) -> None:
         src_host = self.hosts[spec.src]

@@ -77,15 +77,12 @@ def _shard_skip_reason(spec) -> Optional[str]:
     shards than pods/leaves -- is skipped up front with the partitioner's
     own message.
     """
-    from repro.core.registry import make_buffer_manager
     from repro.netsim.partition import partition_topology
-    from repro.scenario.topologies import make_topology
 
+    runner = ScenarioRunner()
     try:
-        ScenarioRunner().validate(spec)
-        topology = make_topology(spec.topology.kind,
-                                 lambda: make_buffer_manager("dt"),
-                                 **spec.resolved_topology_params())
+        runner.validate(spec)
+        topology = runner.build(spec)
         partition_topology(topology, spec.engine.shards,
                            spec.engine.partition)
     except ValueError as exc:

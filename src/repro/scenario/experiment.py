@@ -132,63 +132,38 @@ def _cmd_registries(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_fabric_resolves(spec: ScenarioSpec, seen: set) -> None:
-    """Build the topology of a non-default-fabric spec (no traffic).
+def _validate_build_resolves(runner, spec: ScenarioSpec, seen: set) -> None:
+    """Build (and cut) the topology of a non-default-fabric or sharded spec.
 
     Registry validation cannot see fabric *contents* -- whether
-    ``failures``/``degraded`` endpoint names and ``tier_rates`` tier names
-    actually exist is decided by the topology builder.  Constructing the
-    (traffic-free) topology resolves them, so a renamed switch or tier in
-    an example document fails validation instead of failing at run time.
-    Distinct (topology, fabric) combinations are built once per call.
+    ``failures``/``degraded`` endpoint names, ``tier_rates`` tier names and
+    ``fabric.events`` endpoints actually exist is decided against the built
+    network -- nor whether a shard cut is *valid* for the topology (enough
+    pods/leaves, positive cut-link delays, full node cover), which the
+    partitioner decides.  Building the (traffic-free) topology with
+    ``ScenarioRunner.build`` and, for ``shards > 1``, partitioning it makes
+    a stale example fail validation instead of failing at run time.
+    Distinct (topology, fabric, engine) combinations are built once per
+    call.
     """
-    from repro.core.registry import make_buffer_manager
+    from repro.netsim.partition import partition_topology
     from repro.scenario.spec import canonical_json
-    from repro.scenario.topologies import make_topology
 
-    if spec.fabric.is_default():
+    if spec.fabric.is_default() and spec.engine.shards <= 1:
         return
-    key = canonical_json([spec.topology.to_dict(), spec.fabric.to_dict()])
+    key = canonical_json([spec.topology.to_dict(), spec.fabric.to_dict(),
+                          spec.engine.to_dict()])
     if key in seen:
         return
     seen.add(key)
-    topology = make_topology(spec.topology.kind,
-                             lambda: make_buffer_manager("dt"),
-                             **spec.resolved_topology_params())
-    # Timeline endpoints resolve against the built network too, so a
-    # renamed switch in an example's fabric.events fails validation here
-    # instead of mid-simulation.
+    topology = runner.build(spec)
     network = getattr(topology, "network", None)
     if network is not None:
         for event in spec.fabric.events:
             network.check_fabric_event(event)
-
-
-def _validate_partition_resolves(spec: ScenarioSpec, seen: set) -> None:
-    """Build and partition the topology of a multi-shard spec (no traffic).
-
-    ``EngineSpec.validate`` only checks that the strategy name exists;
-    whether the cut is *valid* for this topology (enough pods/leaves,
-    positive cut-link delays, full node cover) is decided by the
-    partitioner against the built fabric.  Resolving it here makes a stale
-    example -- say a shard count exceeding the pod count -- fail
-    validation instead of failing at run time.
-    """
-    from repro.core.registry import make_buffer_manager
-    from repro.netsim.partition import partition_topology
-    from repro.scenario.spec import canonical_json
-    from repro.scenario.topologies import make_topology
-
-    if spec.engine.shards <= 1:
-        return
-    key = canonical_json([spec.topology.to_dict(), spec.engine.to_dict()])
-    if key in seen:
-        return
-    seen.add(key)
-    topology = make_topology(spec.topology.kind,
-                             lambda: make_buffer_manager("dt"),
-                             **spec.resolved_topology_params())
-    partition_topology(topology, spec.engine.shards, spec.engine.partition)
+    if spec.engine.shards > 1:
+        partition_topology(topology, spec.engine.shards,
+                           spec.engine.partition)
 
 
 def validate_spec_file(path: str) -> str:
@@ -198,10 +173,11 @@ def validate_spec_file(path: str) -> str:
     :class:`~repro.scenario.spec.ScenarioSpec` plus the runner's registry
     validation; campaign documents through
     :class:`~repro.campaign.spec.SweepSpec` expansion, with every embedded
-    scenario document validated the same way.  Non-default fabric sections
-    additionally build their (traffic-free) topology so failure/degradation
-    endpoint names and tier names resolve.  Raises on the first problem, so
-    stale example specs fail CI instead of rotting silently.
+    scenario document validated the same way.  Specs with a non-default
+    fabric or ``shards > 1`` additionally build (and cut) their
+    traffic-free topology, so fabric names and the partition resolve.
+    Raises on the first problem, so stale example specs fail CI instead of
+    rotting silently.
     """
     from repro.campaign.spec import SweepSpec
     from repro.scenario.runner import ScenarioRunner
@@ -220,13 +196,11 @@ def validate_spec_file(path: str) -> str:
             if embedded is not None:
                 spec = ScenarioSpec.from_dict(embedded)
                 runner.validate(spec)
-                _validate_fabric_resolves(spec, built)
-                _validate_partition_resolves(spec, built)
+                _validate_build_resolves(runner, spec, built)
         return f"campaign ({len(runs)} runs)"
     spec = ScenarioSpec.from_dict(document)
     runner.validate(spec)
-    _validate_fabric_resolves(spec, built)
-    _validate_partition_resolves(spec, built)
+    _validate_build_resolves(runner, spec, built)
     return "scenario"
 
 

@@ -8,7 +8,8 @@ simulation, and wraps the outcome in a typed :class:`ScenarioResult`.
 Injection order matters for reproducibility (simultaneous events fire in
 scheduling order): query flows (``query_id`` set) are injected first, then
 everything else, each group in workload-list order -- the exact order of the
-original figure harnesses.
+original figure harnesses.  :meth:`ScenarioRunner.build` and
+:meth:`ScenarioRunner.flow_order` are the sharded executor's setup too.
 
 The runner does **not** reset the global flow/query id counters: experiments
 run several scenarios in sequence and ids must keep incrementing across them
@@ -41,6 +42,8 @@ from repro.scenario.workloads import (
     available_workloads,
     make_workload,
 )
+from repro.sim.engine import Simulator
+from repro.sim.kernel import make_kernel
 from repro.sim.rng import SeededRNG
 from repro.switchsim.packet import Packet
 from repro.workloads.spec import FlowSpec
@@ -249,23 +252,8 @@ class ScenarioRunner:
 
             return run_sharded(spec, on_sample=on_sample)
         self.validate(spec)
-        manager_factory = lambda: make_buffer_manager(  # noqa: E731
-            spec.scheme.name, **spec.scheme.kwargs)
+        topology = self.build(spec)
         level = topology_level(spec.topology.kind)
-        topology_params = spec.resolved_topology_params()
-        if not spec.engine.is_default():
-            # Non-default kernel: hand the topology a pre-built simulator.
-            # The default path stays untouched (builders construct their own
-            # Simulator), so heap-kernel runs are byte-identical to pre-PR.
-            from repro.sim.engine import Simulator
-            from repro.sim.kernel import make_kernel
-
-            topology_params["simulator"] = Simulator(
-                kernel=make_kernel(spec.engine.kernel))
-        topology = make_topology(spec.topology.kind, manager_factory,
-                                 **topology_params)
-        self._apply_alpha_overrides(spec, topology)
-        self._apply_load_balancer(spec, topology, level)
 
         # The fabric event timeline is scheduled before any traffic, so an
         # event at the same instant as a flow arrival fires first -- a
@@ -292,27 +280,13 @@ class ScenarioRunner:
             bus.on_sample = on_sample
             bus.start()
 
-        rng = SeededRNG(spec.seed)
-        hosts = list(getattr(topology, "hosts", []) or [])
-        link_rate_bps = getattr(topology, "link_rate_bps", 0.0)
-        generated: List[Tuple[WorkloadSpec, Sequence]] = []
-        for workload in spec.workloads:
-            ctx = WorkloadContext(
-                rng=rng.child(workload.rng_label or workload.kind),
-                duration=spec.duration,
-                hosts=hosts,
-                link_rate_bps=link_rate_bps,
-                topology=topology,
-            )
-            generated.append(
-                (workload, make_workload(workload.kind, workload.params, ctx))
-            )
-
         if level == LEVEL_SWITCH:
-            self._run_packet_level(spec, topology, generated)
+            self._run_packet_level(spec, topology,
+                                   self._generate(spec, topology))
             flow_stats = None
         else:
-            self._run_network_level(spec, topology, generated)
+            self._run_network_level(spec, topology,
+                                    self.flow_order(spec, topology))
             flow_stats = topology.network.flow_stats
         sim = topology.sim
         # Sampler and recovery-probe ticks are excluded so the reported
@@ -324,6 +298,82 @@ class ScenarioRunner:
                               flow_stats=flow_stats, level=level,
                               events_executed=events, final_time=sim.now,
                               telemetry=bus, timeline=timeline)
+
+    def build(self, spec: ScenarioSpec):
+        """The wired, traffic-free topology of ``spec``.
+
+        The one place a spec becomes a topology: the scheme's buffer
+        managers, a simulator on the spec's engine kernel, the fabric
+        section merged into the builder params, then the alpha overrides
+        and one load-balancer instance per switch.  The sharded executor
+        (parent and every worker) and the ``validate`` CLI build through
+        here too.
+        """
+        manager_factory = lambda: make_buffer_manager(  # noqa: E731
+            spec.scheme.name, **spec.scheme.kwargs)
+        topology = make_topology(
+            spec.topology.kind, manager_factory,
+            simulator=Simulator(kernel=make_kernel(spec.engine.kernel)),
+            **spec.resolved_topology_params())
+        overrides = spec.alpha_overrides
+        if overrides:
+            for node in topology.all_switches():
+                for queue in getattr(node, "switch", node).queue_views():
+                    if queue.class_index in overrides:
+                        queue.alpha_override = overrides[queue.class_index]
+        # One fresh policy per switch (never shared state), ecmp included:
+        # binding the passthrough is a no-op on the data path but keeps the
+        # attach machinery exercised.  Bare switches have no routing stage
+        # (validate rejects a non-default lb there).
+        if topology_level(spec.topology.kind) != LEVEL_SWITCH:
+            for node in topology.all_switches():
+                node.set_load_balancer(
+                    make_load_balancer(spec.lb.name, **spec.lb.kwargs))
+        return topology
+
+    def flow_order(self, spec: ScenarioSpec,
+                   topology) -> List[Tuple[str, List[FlowSpec]]]:
+        """Every workload's flows in injection order, grouped by protocol.
+
+        Generates the workloads of a network-level ``spec`` and checks them
+        before anything is scheduled: transport flows only, unique flow
+        ids (``Network.register_flow`` checks the hosts).  Returns
+        ``(protocol, flows)`` groups -- query flows first, then the rest,
+        each in workload-list order -- each workload's transport resolved
+        (its own or the scenario default).  The single-process run injects
+        the groups; the sharded executor ships the same order to its
+        workers.
+        """
+        seen_ids: Dict[int, str] = {}
+        generated = self._generate(spec, topology)
+        for workload, flows in generated:
+            if any(not isinstance(f, FlowSpec) for f in flows):
+                raise ValueError(
+                    f"workload {workload.kind!r} produced raw packet arrivals; "
+                    "it needs a packet-level topology (e.g. raw_switch)")
+            for flow in flows:
+                # FlowStats keys records by flow_id and would silently
+                # overwrite on collision, corrupting every metric.  Pinned
+                # ids (a 'fixed' workload replayed after the id counter was
+                # reset) are the one way to get here.
+                if flow.flow_id in seen_ids:
+                    raise ValueError(
+                        f"duplicate flow_id {flow.flow_id}: workloads "
+                        f"{seen_ids[flow.flow_id]!r} and {workload.kind!r} "
+                        "both produced it.  Drop the pinned 'flow_id' "
+                        "entries from the fixed workload (or build it with "
+                        "keep_ids=False) so ids are auto-assigned.")
+                seen_ids[flow.flow_id] = workload.kind
+        default_protocol = spec.transport.protocol
+        groups: List[Tuple[str, List[FlowSpec]]] = []
+        for query_pass in (True, False):
+            for workload, flows in generated:
+                group = [f for f in flows
+                         if (f.query_id is not None) == query_pass]
+                if group:
+                    groups.append(
+                        (workload.transport or default_protocol, group))
+        return groups
 
     # -- validation ----------------------------------------------------
     def validate(self, spec: ScenarioSpec) -> None:
@@ -384,63 +434,32 @@ class ScenarioRunner:
                 make_transport(workload.transport)
 
     # -- internals -----------------------------------------------------
-    def _apply_load_balancer(self, spec: ScenarioSpec, topology,
-                             level: str) -> None:
-        """Bind one fresh policy instance per switch (never shared state).
+    def _generate(self, spec: ScenarioSpec,
+                  topology) -> List[Tuple[WorkloadSpec, Sequence]]:
+        """Every workload's output from its own seeded substream, in
+        workload-list order."""
+        rng = SeededRNG(spec.seed)
+        hosts = list(getattr(topology, "hosts", []) or [])
+        link_rate_bps = getattr(topology, "link_rate_bps", 0.0)
+        generated: List[Tuple[WorkloadSpec, Sequence]] = []
+        for workload in spec.workloads:
+            ctx = WorkloadContext(
+                rng=rng.child(workload.rng_label or workload.kind),
+                duration=spec.duration,
+                hosts=hosts,
+                link_rate_bps=link_rate_bps,
+                topology=topology,
+            )
+            generated.append(
+                (workload, make_workload(workload.kind, workload.params, ctx))
+            )
+        return generated
 
-        Runs for *every* network-level scenario, including the ecmp
-        default: binding a passthrough is a no-op on the node, so the
-        default data path is byte-identical to pre-LB behaviour while the
-        attach machinery itself stays exercised.
-        """
-        if level == LEVEL_SWITCH:
-            return  # bare switches have no routing stage (validate rejects
-            # non-default lb there)
-        for node in topology.all_switches():
-            node.set_load_balancer(
-                make_load_balancer(spec.lb.name, **spec.lb.kwargs))
-
-    def _apply_alpha_overrides(self, spec: ScenarioSpec, topology) -> None:
-        if not spec.alpha_overrides:
-            return
-        nodes = topology.all_switches()
-        for node in nodes:
-            switch = getattr(node, "switch", node)
-            for queue in switch.queue_views():
-                if queue.class_index in spec.alpha_overrides:
-                    queue.alpha_override = spec.alpha_overrides[queue.class_index]
-
-    def _run_network_level(self, spec, topology, generated) -> None:
+    def _run_network_level(self, spec, topology, groups) -> None:
         network = topology.network
         network.set_transport_config(make_transport_config(spec.transport))
-        default_protocol = spec.transport.protocol
-        seen_ids: Dict[int, str] = {}
-        for workload, flows in generated:
-            if any(not isinstance(f, FlowSpec) for f in flows):
-                raise ValueError(
-                    f"workload {workload.kind!r} produced raw packet arrivals; "
-                    "it needs a packet-level topology (e.g. raw_switch)")
-            for flow in flows:
-                # FlowStats keys records by flow_id and would silently
-                # overwrite on collision, corrupting every metric.  Pinned
-                # ids (a 'fixed' workload replayed after the id counter was
-                # reset) are the one way to get here.
-                if flow.flow_id in seen_ids:
-                    raise ValueError(
-                        f"duplicate flow_id {flow.flow_id}: workloads "
-                        f"{seen_ids[flow.flow_id]!r} and {workload.kind!r} "
-                        "both produced it.  Drop the pinned 'flow_id' "
-                        "entries from the fixed workload (or build it with "
-                        "keep_ids=False) so ids are auto-assigned.")
-                seen_ids[flow.flow_id] = workload.kind
-        # Query flows first, then the rest, each in workload-list order.
-        for query_pass in (True, False):
-            for workload, flows in generated:
-                group = [f for f in flows
-                         if (f.query_id is not None) == query_pass]
-                if group:
-                    network.inject_flows(
-                        group, transport=workload.transport or default_protocol)
+        for protocol, flows in groups:
+            network.inject_flows(flows, transport=protocol)
         network.run(until=spec.duration * spec.run_slack)
 
     def _run_packet_level(self, spec, topology, generated) -> None:

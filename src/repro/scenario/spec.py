@@ -39,6 +39,31 @@ def canonical_json(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _check_keys(section: str, data: Mapping[str, object],
+                known: tuple) -> None:
+    """Reject keys of a spec section outside ``known``, so a typo cannot
+    silently fall back to a default."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(f'{section}.{k}' for k in unknown)}; "
+            f"{section} takes {', '.join(known)}")
+
+
+def _bool_field(name: str, value: object) -> bool:
+    """``value`` if it is a real bool (``bool("false")`` is True)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _int_field(name: str, value: object) -> int:
+    """``value`` if it is an int and not a bool (no silent truncation)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class SchemeSpec:
     """A buffer-management scheme by registry name plus constructor kwargs."""
@@ -307,6 +332,8 @@ class FabricSpec:
     def from_dict(cls, data: Optional[Mapping[str, object]]) -> "FabricSpec":
         if data is None:
             return cls()
+        _check_keys("fabric", data,
+                    ("tier_rates", "failures", "degraded", "events"))
         spec = cls(
             tier_rates={str(k): float(v)
                         for k, v in dict(data.get("tier_rates", {})).items()},
@@ -360,6 +387,7 @@ class LoadBalancerSpec:
             return cls()
         if isinstance(data, str):  # shorthand: "flowlet"
             return cls(name=data)
+        _check_keys("lb", data, ("name", "kwargs"))
         spec = cls(name=str(data.get("name", "ecmp")),
                    kwargs=dict(data.get("kwargs", {})))
         spec.validate()
@@ -426,12 +454,18 @@ class TelemetrySpec:
     def from_dict(cls, data: Optional[Mapping[str, object]]) -> "TelemetrySpec":
         if data is None:
             return cls()
+        _check_keys("telemetry", data,
+                    ("enabled", "interval", "capacity", "per_port"))
         spec = cls(
-            enabled=bool(data.get("enabled", False)),
+            enabled=_bool_field("telemetry.enabled",
+                                data.get("enabled", False)),
             interval=(None if data.get("interval") is None
                       else float(data["interval"])),
-            capacity=int(data.get("capacity", TELEMETRY_DEFAULT_CAPACITY)),
-            per_port=bool(data.get("per_port", True)),
+            capacity=_int_field(
+                "telemetry.capacity",
+                data.get("capacity", TELEMETRY_DEFAULT_CAPACITY)),
+            per_port=_bool_field("telemetry.per_port",
+                                 data.get("per_port", True)),
         )
         spec.validate()
         return spec
@@ -514,9 +548,10 @@ class EngineSpec:
             return cls()
         if isinstance(data, str):  # shorthand: "pooled"
             return cls(kernel=data)
+        _check_keys("engine", data, ("kernel", "shards", "partition"))
         return cls(
             kernel=str(data.get("kernel", "heap")),
-            shards=int(data.get("shards", 1)),
+            shards=_int_field("engine.shards", data.get("shards", 1)),
             partition=str(data.get("partition", "auto")),
         )
 

@@ -15,13 +15,18 @@ Determinism is the design constraint, not a best-effort property: the merged
 **byte-identical** to the single-process oracle (``python -m repro.perf
 differential --shards N`` is the gate).  Three rules make that hold:
 
-* **Full build, masked execution.**  Every worker builds the *identical*
-  complete topology (same construction order, salts, routing tables and
-  static fabric failures/degradations), then swaps ``transmit`` on the cut
-  links it owns the sending side of for a recorder -- the
-  ``Link.set_failed`` method-swap idiom.  Non-owned regions carry no
-  traffic (their links get a loud leak guard), so every owned component
-  sees exactly the oracle's event sequence.
+* **Full build, masked execution.**  The parent and every worker build
+  the *identical* complete topology through ``ScenarioRunner.build`` (same
+  construction order, salts, routing tables, static fabric
+  failures/degradations, alpha overrides and load balancers), and the
+  parent takes the flows from the runner's own ``flow_order`` -- the
+  single-process run's generation, checks and injection order.  Each
+  worker then swaps ``transmit`` on the cut links it owns the sending
+  side of for a recorder -- the ``Link.set_failed`` method-swap idiom.
+  Non-owned regions carry no traffic (their links get a loud leak guard),
+  so every owned component sees exactly the oracle's event sequence.
+  The merged result is the parent's own topology: each switch gets its
+  owner shard's ``SwitchStats`` state written in.
 * **Canonical handoff order.**  The kernel orders same-timestamp events by
   a *content* key, not by scheduling history: every fabric link carries a
   stable priority derived from the sorted link list
@@ -58,38 +63,19 @@ import multiprocessing
 import resource
 import time as _time
 import traceback
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.registry import make_buffer_manager
-from repro.metrics.flows import FlowRecord
 from repro.netsim.network import host_node_name
 from repro.netsim.partition import Partition, partition_topology
 from repro.netsim.transport.base import ReceiverState
 from repro.netsim.transport.factory import make_transport
 from repro.scenario.spec import ScenarioSpec
-from repro.scenario.topologies import make_topology
 from repro.scenario.transports import make_transport_config
-from repro.scenario.workloads import WorkloadContext, make_workload
-from repro.sim.rng import SeededRNG
 from repro.switchsim.packet import Packet
 from repro.workloads.spec import FlowSpec
-
-#: Keys of ``SwitchStats.summary()`` in emission order; the merged result
-#: rebuilds each owned switch's summary in exactly this order so the
-#: serialized document is byte-identical to the oracle's.
-_SUMMARY_KEYS = (
-    "arrived_packets",
-    "admitted_packets",
-    "transmitted_packets",
-    "dropped_packets",
-    "expelled_packets",
-    "evicted_packets",
-    "ecn_marked_packets",
-    "loss_rate",
-    "max_occupancy_bytes",
-)
 
 #: Per-shard diagnostic series prefix; stripped from the merged telemetry
 #: document (diagnostics must never perturb canonical output).
@@ -192,23 +178,9 @@ class _ShardWorker:
     # -- setup ---------------------------------------------------------
     def _build(self) -> None:
         from repro.scenario.runner import ScenarioRunner
-        from repro.sim.engine import Simulator
-        from repro.sim.kernel import make_kernel
 
         spec = ScenarioSpec.from_dict(self.payload["spec"])
-        self.spec = spec
-        self.horizon = spec.duration * spec.run_slack
-        manager_factory = lambda: make_buffer_manager(  # noqa: E731
-            spec.scheme.name, **spec.scheme.kwargs)
-        params = spec.resolved_topology_params()
-        if spec.engine.kernel != "heap":
-            params["simulator"] = Simulator(
-                kernel=make_kernel(spec.engine.kernel))
-        topology = make_topology(spec.topology.kind, manager_factory,
-                                 **params)
-        runner = ScenarioRunner()
-        runner._apply_alpha_overrides(spec, topology)
-        runner._apply_load_balancer(spec, topology, "network")
+        topology = ScenarioRunner().build(spec)
         self.topology = topology
         self.network = topology.network
         self.sim = topology.sim
@@ -218,7 +190,7 @@ class _ShardWorker:
             from repro.telemetry.bus import TelemetryBus
 
             bus = TelemetryBus(spec.telemetry, self.sim,
-                               horizon=self.horizon)
+                               horizon=spec.duration * spec.run_slack)
             bus.attach(topology)
             # Diagnostic series; read at the same ticks as every other
             # probe so the parent can reconstruct the oracle's event
@@ -283,33 +255,25 @@ class _ShardWorker:
         config = network.transport_config
         sender_classes: Dict[str, object] = {}
         self.owned_dst_flows: List[int] = []
-        for entry in self.payload["flows"]:
-            (flow_id, src, dst, size_bytes, start_time, priority,
-             query_id, protocol) = entry
-            flow = FlowSpec(src=src, dst=dst, size_bytes=size_bytes,
-                            start_time=start_time, priority=priority,
-                            query_id=query_id, flow_id=flow_id)
-            network.injected_flows.append(flow)
-            network.flow_stats.register_flow(FlowRecord(
-                flow_id=flow_id, src=src, dst=dst, size_bytes=size_bytes,
-                start_time=start_time, query_id=query_id,
-                priority=priority))
-            src_owned = assignment[host_node_name(src)] == me
-            dst_owned = assignment[host_node_name(dst)] == me
+        for protocol, *fields in self.payload["flows"]:
+            flow = FlowSpec(*fields)
+            network.register_flow(flow)
+            src_owned = assignment[host_node_name(flow.src)] == me
+            dst_owned = assignment[host_node_name(flow.dst)] == me
             if dst_owned:
-                self.owned_dst_flows.append(flow_id)
+                self.owned_dst_flows.append(flow.flow_id)
             if src_owned:
                 sender_cls = sender_classes.get(protocol)
                 if sender_cls is None:
                     sender_cls = sender_classes[protocol] = (
                         make_transport(protocol))
-                sim.at(start_time,
+                sim.at(flow.start_time,
                        lambda s=flow, cls=sender_cls, cfg=config:
                        network._start_flow(s, cls, cfg))
             elif dst_owned:
                 receiver = ReceiverState(
                     flow, config, on_complete=network._flow_completed)
-                network.hosts[dst].add_receiver(receiver)
+                network.hosts[flow.dst].add_receiver(receiver)
 
     # -- round machinery ----------------------------------------------
     def _apply_handoffs(self, blobs: List[str]) -> None:
@@ -406,12 +370,9 @@ class _ShardWorker:
 
     def _final_report(self) -> Dict[str, object]:
         me = self.shard
-        switches: Dict[str, Dict[str, object]] = {}
-        for node in self.topology.all_switches():
-            if self.assignment[node.name] != me:
-                continue
-            switch = getattr(node, "switch", node)
-            switches[node.name] = switch.stats.summary()
+        switches = {node.name: _stats_state(node.switch.stats)
+                    for node in self.topology.all_switches()
+                    if self.assignment[node.name] == me}
         finishes = []
         flows = self.network.flow_stats.flows
         for flow_id in self.owned_dst_flows:
@@ -471,46 +432,6 @@ class ShardRound:
     shards: List[Dict[str, object]] = field(default_factory=list)
 
 
-class _ShimStats:
-    """Duck-typed ``SwitchStats`` over one shard's reported summary."""
-
-    def __init__(self, summary: Dict[str, object]) -> None:
-        self._summary = {key: summary[key] for key in _SUMMARY_KEYS}
-        for key in _SUMMARY_KEYS:
-            setattr(self, key, summary[key])
-
-    @property
-    def total_lost_packets(self) -> int:
-        return (self.dropped_packets + self.expelled_packets
-                + self.evicted_packets)
-
-    def summary(self) -> Dict[str, object]:
-        return dict(self._summary)
-
-
-class _ShimSwitch:
-    def __init__(self, name: str, summary: Dict[str, object]) -> None:
-        self.name = name
-        self.stats = _ShimStats(summary)
-
-
-class _ShimSim:
-    def __init__(self, events_executed: int, now: float) -> None:
-        self.events_executed = events_executed
-        self.now = now
-
-
-class _MergedTopology:
-    """The slice of a topology the result/report layers actually touch."""
-
-    def __init__(self, switches: List[_ShimSwitch], sim: _ShimSim) -> None:
-        self._switches = switches
-        self.sim = sim
-
-    def all_switches(self) -> List[_ShimSwitch]:
-        return list(self._switches)
-
-
 class _MergedTelemetry:
     """Carrier for the merged telemetry document (``to_dict`` only)."""
 
@@ -530,9 +451,9 @@ def _merge_telemetry(reports: List[Dict[str, object]],
                      assignment: Dict[str, int]) -> Dict[str, object]:
     docs = [report["telemetry"] for report in reports]
     base = docs[0]
+    grid = ("interval", "capacity", "ticks", "dropped_samples", "time")
     for i, doc in enumerate(docs[1:], start=1):
-        for key in ("interval", "capacity", "ticks", "dropped_samples",
-                    "time"):
+        for key in grid:
             if doc[key] != base[key]:
                 raise ShardCrash(
                     f"telemetry grid diverged between shard 0 and shard "
@@ -559,63 +480,32 @@ def _merge_telemetry(reports: List[Dict[str, object]],
                 sum(doc["series"][name][k] for doc in docs)
                 for k in range(len(base["time"]))
             ]
-    return {
-        "interval": base["interval"],
-        "capacity": base["capacity"],
-        "ticks": base["ticks"],
-        "dropped_samples": base["dropped_samples"],
-        "time": base["time"],
-        "series": dict(sorted(merged.items())),
-    }
+    return {**{key: base[key] for key in grid},
+            "series": dict(sorted(merged.items()))}
 
 
-def _generate_flows(spec: ScenarioSpec, topology) -> List[List[object]]:
-    """Generate and order every workload flow exactly like the runner.
+def _stats_state(stats) -> Dict[str, object]:
+    """A switch's whole ``SwitchStats`` state as JSON-ready fields: every
+    counter, dict and drop-sample list (the flat queue trace as a list)."""
+    return {name: list(value) if isinstance(value, array) else value
+            for name, value in vars(stats).items()}
 
-    Returns injection-ordered entries ``[flow_id, src, dst, size_bytes,
-    start_time, priority, query_id, protocol]`` with each flow's transport
-    protocol resolved (workload override or scenario default).
+
+def _load_stats(stats, state: Dict[str, object]) -> None:
+    """Write a worker-reported ``SwitchStats`` state into fresh ``stats``.
+
+    JSON turned the per-queue dicts' int keys into strings; they are
+    restored here (``drop_reasons`` is the one dict keyed by strings).
     """
-    rng = SeededRNG(spec.seed)
-    hosts = list(getattr(topology, "hosts", []) or [])
-    link_rate_bps = getattr(topology, "link_rate_bps", 0.0)
-    generated = []
-    for workload in spec.workloads:
-        ctx = WorkloadContext(
-            rng=rng.child(workload.rng_label or workload.kind),
-            duration=spec.duration,
-            hosts=hosts,
-            link_rate_bps=link_rate_bps,
-            topology=topology,
-        )
-        generated.append(
-            (workload, make_workload(workload.kind, workload.params, ctx)))
-    seen_ids: Dict[int, str] = {}
-    for workload, flows in generated:
-        if any(not isinstance(f, FlowSpec) for f in flows):
-            raise ValueError(
-                f"workload {workload.kind!r} produced raw packet arrivals; "
-                "sharded execution needs a network-level topology")
-        for flow in flows:
-            if flow.flow_id in seen_ids:
-                raise ValueError(
-                    f"duplicate flow_id {flow.flow_id}: workloads "
-                    f"{seen_ids[flow.flow_id]!r} and {workload.kind!r} "
-                    "both produced it")
-            seen_ids[flow.flow_id] = workload.kind
-    default_protocol = spec.transport.protocol
-    entries: List[List[object]] = []
-    for query_pass in (True, False):
-        for workload, flows in generated:
-            protocol = workload.transport or default_protocol
-            for flow in flows:
-                if (flow.query_id is not None) == query_pass:
-                    entries.append([
-                        flow.flow_id, flow.src, flow.dst, flow.size_bytes,
-                        flow.start_time, flow.priority, flow.query_id,
-                        protocol,
-                    ])
-    return entries
+    for name, value in state.items():
+        current = getattr(stats, name)
+        if isinstance(current, dict):
+            current.update(value if name == "drop_reasons"
+                           else {int(k): v for k, v in value.items()})
+        elif isinstance(value, list):
+            current.extend(value)
+        else:
+            setattr(stats, name, value)
 
 
 class _ShardPool:
@@ -628,7 +518,6 @@ class _ShardPool:
             "fork" if "fork" in methods else "spawn")
         base_payload = {
             "spec": spec.to_dict(),
-            "num_shards": partition.num_shards,
             "assignment": partition.assignment,
             "cut_links": [list(pair) for pair in partition.cut_links],
             "flows": flows,
@@ -698,25 +587,31 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
     plain telemetry hooks cannot observe worker-process buses and are
     ignored.  Per-shard diagnostics land on the result's ``shard_stats``
     attribute -- never in the canonical document.
+
+    The parent validates the spec, builds its topology with
+    ``ScenarioRunner.build``, cuts it, and takes the runner's
+    ``flow_order`` -- so a spec the single-process run rejects raises the
+    same error here, before any worker starts.  The flows are registered
+    on the parent's network and shipped, in that order, to every worker.
+    The result's topology is the parent's: its switches carry their owner
+    shard's counters, its ``FlowStats`` the workers' completion times.
     """
     from repro.scenario.runner import ScenarioResult, ScenarioRunner
 
     runner = ScenarioRunner()
     runner.validate(spec)
-    manager_factory = lambda: make_buffer_manager(  # noqa: E731
-        spec.scheme.name, **spec.scheme.kwargs)
-    topology = make_topology(spec.topology.kind, manager_factory,
-                             **spec.resolved_topology_params())
+    topology = runner.build(spec)
     partition = partition_topology(topology, spec.engine.shards,
                                    spec.engine.partition)
-    flows = _generate_flows(spec, topology)
-    flow_stats = topology.network.flow_stats
-    for entry in flows:
-        flow_id, src, dst, size_bytes, start_time, priority, query_id, _ = (
-            entry)
-        flow_stats.register_flow(FlowRecord(
-            flow_id=flow_id, src=src, dst=dst, size_bytes=size_bytes,
-            start_time=start_time, query_id=query_id, priority=priority))
+    network = topology.network
+    # Shipped as [protocol, *the FlowSpec fields in declaration order].
+    flows: List[List[object]] = []
+    for protocol, group in runner.flow_order(spec, topology):
+        for flow in group:
+            network.register_flow(flow)
+            flows.append([protocol, flow.src, flow.dst, flow.size_bytes,
+                          flow.start_time, flow.priority, flow.query_id,
+                          flow.flow_id])
 
     on_round = (on_sample if on_sample is not None
                 and getattr(on_sample, "shard_aware", False) else None)
@@ -727,13 +622,10 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
     # The first global minimum is known without an exchange: at setup the
     # only scheduled events are the flow starts and (with telemetry) the
     # first sampler tick at t=0.
-    t_next: Optional[float] = None
+    starts = [entry[4] for entry in flows]
     if spec.telemetry.enabled:
-        t_next = 0.0
-    for entry in flows:
-        start = entry[4]
-        if t_next is None or start < t_next:
-            t_next = start
+        starts.append(0.0)
+    t_next: Optional[float] = min(starts, default=None)
 
     pool = _ShardPool(spec, partition, flows)
     reports: List[Dict[str, object]] = []
@@ -804,16 +696,10 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
     # max-of-members), but apply in flow-id order anyway: deterministic
     # merged state regardless of shard count.
     for flow_id, finish_time in sorted(finishes):
-        flow_stats.flow_finished(flow_id, finish_time)
-
-    shim_switches = []
+        network.flow_stats.flow_finished(flow_id, finish_time)
     for node in topology.all_switches():
         owner = partition.assignment[node.name]
-        shim_switches.append(
-            _ShimSwitch(node.name, reports[owner]["switches"][node.name]))
-    ticks = reports[0]["ticks"]
-    merged_topology = _MergedTopology(
-        shim_switches, _ShimSim(events + ticks, horizon))
+        _load_stats(node.switch.stats, reports[owner]["switches"][node.name])
     telemetry = None
     if spec.telemetry.enabled:
         telemetry = _MergedTelemetry(
@@ -821,8 +707,8 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
 
     result = ScenarioResult(
         spec=spec,
-        topology=merged_topology,
-        flow_stats=flow_stats,
+        topology=topology,
+        flow_stats=network.flow_stats,
         level="network",
         events_executed=events,
         final_time=horizon,

@@ -194,6 +194,25 @@ class TestScenarioSpec:
         bumped = ScenarioSpec.from_dict({**spec.to_dict(), "seed": spec.seed + 1})
         assert bumped.config_hash() != spec.config_hash()
 
+    @pytest.mark.parametrize("section, value, message", [
+        # A typo in a section key used to fall back to the default.
+        ("engine", {"shard": 2}, "engine.shard"),
+        ("fabric", {"failure": [["a", "b"]]}, "fabric.failure"),
+        ("lb", {"name": "ecmp", "kwarg": {}}, "lb.kwarg"),
+        ("telemetry", {"enable": True}, "telemetry.enable"),
+        # Lossy coercions: bool("false") is True, int(2.9) is 2.
+        ("telemetry", {"enabled": "false"}, "telemetry.enabled"),
+        ("telemetry", {"per_port": "false"}, "telemetry.per_port"),
+        ("telemetry", {"capacity": 2.7}, "telemetry.capacity"),
+        ("engine", {"shards": 2.9}, "engine.shards"),
+        ("engine", {"shards": True}, "engine.shards"),
+    ])
+    def test_section_typos_and_lossy_values_are_rejected(
+            self, section, value, message):
+        document = {**_dumbbell_burst_spec().to_dict(), section: value}
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(document)
+
     def test_scheme_shorthand(self):
         assert SchemeSpec.from_dict("dt") == SchemeSpec(name="dt")
         assert TopologySpec.from_dict("dumbbell") == TopologySpec(kind="dumbbell")

@@ -23,6 +23,7 @@ import pytest
 # Imported before anything that pulls in repro.netsim directly: the
 # scenario package settles the netsim<->scenario import cycle.
 from repro.scenario import EngineSpec, ScenarioSpec, run_scenario
+from repro.scenario.spec import FabricSpec, LoadBalancerSpec, WorkloadSpec
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import RunSpec
 from repro.core.registry import make_buffer_manager
@@ -35,28 +36,43 @@ EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 SRC_DIR = Path(__file__).parent.parent / "src"
 
 
-def _spec(shards: int = 1) -> ScenarioSpec:
+#: Variants of the base spec: each one exercises a different part of
+#: ``ScenarioRunner.build`` that the parent and every worker share.
+VARIANTS = {
+    "base": {},
+    "flowlet": {"lb": LoadBalancerSpec(name="flowlet")},
+    "alpha_overrides": {"alpha_overrides": {0: 8.0, 1: 1.0}},
+    "degraded": {"fabric": FabricSpec(degraded=[["agg0_0", "core0", 0.5]])},
+}
+
+
+def _spec(shards: int = 1, variant: str = "base") -> ScenarioSpec:
     # The fat-tree websearch example: k=4 (4 pods), two ECMP stages, three
     # workload families -- the richest standing determinism scenario, and a
     # pod cut supports up to 4 shards.
     spec = ScenarioSpec.from_file(EXAMPLES_DIR / "scenario_fattree_websearch.json")
     spec.duration = 0.0015
+    spec = replace(spec, **VARIANTS[variant])
     if shards > 1:
         spec = replace(spec, engine=EngineSpec(shards=shards))
     return spec
 
 
-def _run_to_json(spec: ScenarioSpec) -> str:
+def _to_json(result) -> str:
     """Canonical document with the engine section stripped.
 
     The sharded spec embeds ``engine.shards`` (it is part of the config
     hash), so raw documents always differ from the oracle's; which engine
     ran is spec identity, not simulation outcome.
     """
-    reset_workload_ids()
-    document = run_scenario(spec).to_dict()
+    document = result.to_dict()
     document["spec"].pop("engine", None)
     return json.dumps(document, sort_keys=True)
+
+
+def _run_to_json(spec: ScenarioSpec) -> str:
+    reset_workload_ids()
+    return _to_json(run_scenario(spec))
 
 
 # ----------------------------------------------------------------------
@@ -126,9 +142,66 @@ def test_validate_spec_file_resolves_the_partition(tmp_path):
 # ----------------------------------------------------------------------
 # Byte-identity ladder: in process
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_byte_identical_to_oracle_in_process(shards):
-    assert _run_to_json(_spec(shards)) == _run_to_json(_spec())
+@pytest.mark.parametrize("shards, variant", [
+    pytest.param(2, "base", id="2"),
+    pytest.param(4, "base", id="4"),
+    pytest.param(2, "flowlet", id="2-flowlet"),
+    pytest.param(2, "alpha_overrides", id="2-alpha_overrides"),
+    pytest.param(2, "degraded", id="2-degraded"),
+])
+def test_sharded_byte_identical_to_oracle_in_process(shards, variant):
+    reset_workload_ids()
+    sharded = run_scenario(_spec(shards, variant))
+    reset_workload_ids()
+    oracle = run_scenario(_spec(1, variant))
+    assert _to_json(sharded) == _to_json(oracle)
+    # The merged switches are the parent's real ones, carrying their owner
+    # shard's whole SwitchStats state -- byte counters, per-queue dicts and
+    # drop samples included, none of which the document shows.
+    merged = [vars(switch.stats) for switch in sharded.switches()]
+    expected = [vars(switch.stats) for switch in oracle.switches()]
+    assert merged == expected
+    assert any(state["transmitted_bytes"] > 0 for state in merged)
+
+
+def test_switch_stats_state_survives_the_report_round_trip():
+    # What a worker reports is JSON: the per-queue dicts come back keyed by
+    # strings and the queue trace as a list, and the parent restores both.
+    from repro.sim.shard import _load_stats, _stats_state
+    from repro.switchsim.stats import SwitchStats
+
+    stats = SwitchStats()
+    stats.arrived_packets, stats.arrived_bytes = 3, 4500
+    stats.dropped_packets, stats.dropped_bytes = 1, 1500
+    stats.drop_reasons["threshold"] += 1
+    stats.per_queue_drops[2] += 1
+    stats.first_drop_time[2] = 1.25e-05
+    stats.first_drop_queue_length[2] = 3000
+    stats.buffer_utilization_on_drop.append(0.5)
+    stats.bandwidth_utilization_on_drop.append(0.75)
+    stats.record_expulsion(1, 1500)
+    stats.queue_trace_flat.extend([1e-06, 2, 3000, 4500.5])
+    merged = SwitchStats()
+    _load_stats(merged, json.loads(json.dumps(_stats_state(stats))))
+    assert vars(merged) == vars(stats)
+
+
+def test_unknown_host_fails_in_the_parent_like_single_process(monkeypatch):
+    # A flow to a host the k=4 fat-tree does not have: the single-process
+    # run rejects it, and so must the sharded parent -- before any worker
+    # starts, not as a ShardCrash from inside one.
+    import repro.sim.shard as shard_mod
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(shard_mod, "_ShardPool", no_workers)
+    for shards in (1, 2):
+        spec = replace(_spec(shards), workloads=[WorkloadSpec("fixed", {
+            "flows": [{"src": 0, "dst": 99, "size_bytes": 1000}]})])
+        reset_workload_ids()
+        with pytest.raises(ValueError, match="unknown hosts 0->99"):
+            run_scenario(spec)
 
 
 def test_sharded_repeated_run_byte_identical_in_process():
