@@ -18,7 +18,6 @@ firesim's run-farm configs and conweave-ns3's autorun + analysis pipeline:
 from repro.campaign.aggregate import (
     CampaignReport,
     campaign_report,
-    load_rows,
     numeric_columns,
     scheme_deltas,
     scheme_summary,
@@ -56,7 +55,6 @@ __all__ = [
     "execute_run",
     "grid_from_dict",
     "set_by_path",
-    "load_rows",
     "numeric_columns",
     "print_progress",
     "scheme_deltas",

@@ -52,16 +52,6 @@ def tagged_rows(entries: Iterable[StoreEntry]) -> List[Dict[str, object]]:
     return rows
 
 
-def load_rows(
-    store: ResultStore, experiment: Optional[str] = None
-) -> List[Dict[str, object]]:
-    """All tagged rows in the store, optionally for one experiment."""
-    entries = store.ok_entries()
-    if experiment is not None:
-        entries = [e for e in entries if e.spec.experiment == experiment]
-    return tagged_rows(entries)
-
-
 def numeric_columns(rows: Sequence[Dict[str, object]]) -> List[str]:
     """Metric-candidate columns: numeric, non-bool, non-tag, in first-seen order."""
     columns: List[str] = []

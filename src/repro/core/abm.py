@@ -51,10 +51,6 @@ class ABM(BufferManager):
         super().attach(switch)
         self._port_rate_bytes = [port.rate_bps / 8.0 for port in switch.ports]
 
-    def detach(self) -> None:
-        super().detach()
-        self._port_rate_bytes = []
-
     def on_port_rate_changed(self, port_id: int, rate_bps: float) -> None:
         """Keep the attach-time rate cache in sync with per-link retuning."""
         if self._port_rate_bytes:

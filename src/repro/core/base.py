@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     List,
@@ -93,9 +92,9 @@ class BufferManager:
     """Abstract base class for buffer management schemes.
 
     Subclasses implement :meth:`threshold` and may override :meth:`admit` for
-    non-threshold behaviour (e.g. Pushout).  The switch calls the ``on_*``
-    hooks so that schemes needing history (e.g. ABM's drain-rate term) can
-    maintain it.
+    non-threshold behaviour (e.g. Pushout).  The switch calls the two
+    ``on_*_changed`` hooks when a port rate or a queue alpha is rewritten
+    after attach, so schemes caching them (ABM, DT) stay consistent.
 
     The scheme is attached to a switch with :meth:`attach`; afterwards
     ``self.switch`` exposes the buffer size, occupancy and queue views.
@@ -109,7 +108,8 @@ class BufferManager:
     preemptive_admission: bool = False
 
     #: Whether the scheme drives the switch's expulsion engine (Occamy-style
-    #: decoupled preemption on the egress side).
+    #: decoupled preemption on the egress side).  The engine's victim scans
+    #: are DynamicThreshold's, so such a scheme derives from it.
     uses_expulsion_engine: bool = False
 
     def __init__(self) -> None:
@@ -153,8 +153,8 @@ class BufferManager:
     def over_allocated(self, queue: QueueView, now: float) -> bool:
         """Whether ``queue`` currently holds more than its fair threshold.
 
-        The comparator of Occamy's head-drop selector: the expulsion engine's
-        victim scans below apply exactly this test per queue.
+        The comparator of Occamy's head-drop selector: DT's victim scans
+        (which Occamy inherits) apply exactly this test per queue.
         """
         return queue.length_bytes > self.threshold(queue, now)
 
@@ -166,44 +166,9 @@ class BufferManager:
         """
         return False
 
-    def first_over_allocated(self, start: int, now: float) -> Optional[int]:
-        """Index of the first over-allocated queue at or after ``start``.
-
-        Wraps around, visiting every queue once: a round-robin arbiter's grant
-        over the comparator bitmap, without building the bitmap.  ``None`` if
-        no queue is over-allocated.  DT overrides both scans to read its
-        shared free-buffer term once.
-        """
-        queues = self._require_switch().queue_views()
-        for index in chain(range(start, len(queues)), range(start)):
-            queue = queues[index]
-            if queue.length_bytes > self.threshold(queue, now):
-                return index
-        return None
-
-    def longest_over_allocated(self, now: float) -> Optional[int]:
-        """Index of the longest over-allocated queue (first wins ties)."""
-        best = None
-        best_length = -1
-        for index, queue in enumerate(self._require_switch().queue_views()):
-            length = queue.length_bytes
-            if length > best_length and length > self.threshold(queue, now):
-                best = index
-                best_length = length
-        return best
-
     # ------------------------------------------------------------------
-    # Bookkeeping hooks (no-ops by default)
+    # Change notifications (no-ops by default)
     # ------------------------------------------------------------------
-    def on_enqueue(self, queue: QueueView, packet_bytes: int, now: float) -> None:
-        """Called after a packet has been enqueued."""
-
-    def on_dequeue(self, queue: QueueView, packet_bytes: int, now: float) -> None:
-        """Called after a packet has been dequeued for transmission."""
-
-    def on_drop(self, queue: QueueView, packet_bytes: int, now: float, reason: str) -> None:
-        """Called after a packet has been dropped (admission or expulsion)."""
-
     def on_port_rate_changed(self, port_id: int, rate_bps: float) -> None:
         """Called when an egress port's line rate is retuned after attach.
 
@@ -215,9 +180,6 @@ class BufferManager:
     def on_queue_alpha_changed(self) -> None:
         """Called when a queue's ``alpha_override`` is written after attach
         (DT refreshes its cached per-queue alphas here)."""
-
-    def reset(self) -> None:
-        """Clear any internal state (called when the switch resets)."""
 
     # ------------------------------------------------------------------
     # Helpers

@@ -100,6 +100,12 @@ class DynamicThreshold(BufferManager):
         return pool.used_bytes <= self._alpha_min * pool.free_bytes
 
     def first_over_allocated(self, start: int, now: float):
+        """Index of the first over-allocated queue at or after ``start``.
+
+        Wraps around, visiting every queue once: a round-robin arbiter's grant
+        over the comparator bitmap, without building the bitmap.  ``None`` if
+        no queue is over-allocated.  The expulsion engine's round-robin scan.
+        """
         # The free-buffer term is shared by every queue; read it once.
         queues = self.switch.queue_views()
         alphas = self._alphas
@@ -111,6 +117,10 @@ class DynamicThreshold(BufferManager):
         return None
 
     def longest_over_allocated(self, now: float):
+        """Index of the longest over-allocated queue (first wins ties).
+
+        The expulsion engine's ``victim_policy="longest"`` scan.
+        """
         alphas = self._alphas
         free = self.switch.cell_pool.free_bytes
         best = None

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.base import BufferManager
+    from repro.core.dt import DynamicThreshold
     from repro.switchsim.switch import SharedMemorySwitch
 
 
@@ -154,7 +154,7 @@ class ExpulsionEngine:
     def __init__(
         self,
         switch: "SharedMemorySwitch",
-        manager: "BufferManager",
+        manager: "DynamicThreshold",
         token_bucket: TokenBucket,
         victim_policy: str = "round_robin",
         max_drops_per_run: int = 64,

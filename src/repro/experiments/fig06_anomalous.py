@@ -105,11 +105,3 @@ def run(scale: str = "small", seed: int = 0,
             ),
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

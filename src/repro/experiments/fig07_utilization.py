@@ -77,11 +77,3 @@ def run(scale: str = "small", seed: int = 0,
             p99_util=percentile(samples, 99),
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -142,7 +142,7 @@ def run(scale: str = "small", seed: int = 0,
     return result
 
 
-def main(argv: List[str] = None) -> None:  # pragma: no cover - CLI convenience
+def main(argv: List[str] = None) -> None:
     import argparse
     from pathlib import Path
 

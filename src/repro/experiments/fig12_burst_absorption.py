@@ -13,7 +13,7 @@ parameter.  The paper's observations to reproduce:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig11_queue_evolution import drive_burst_scenario
@@ -32,16 +32,6 @@ def loss_rate_for(scheme: str, alpha: float, burst_bytes: int,
     # Expelled packets belong to the over-allocated queue (queue 1); burst
     # losses are admission drops at queue 2.
     return q2.dropped_packets / total
-
-
-def max_absorbable_burst(scheme: str, alpha: float,
-                         burst_sizes: Sequence[int]) -> int:
-    """Largest burst in ``burst_sizes`` absorbed with zero loss."""
-    best = 0
-    for burst in burst_sizes:
-        if loss_rate_for(scheme, alpha, burst) == 0.0:
-            best = max(best, burst)
-    return best
 
 
 def run(scale: str = "small", seed: int = 0,
@@ -70,11 +60,3 @@ def run(scale: str = "small", seed: int = 0,
                     loss_rate=round(rate, 4),
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

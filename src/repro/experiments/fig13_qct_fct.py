@@ -61,11 +61,3 @@ def run(scale: str = "small", seed: int = 0,
                 completion=round(stats.completion_fraction(), 3),
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -79,11 +79,3 @@ def run(scale: str = "small", seed: int = 0,
                 expelled=with_bg.switch_stats.expelled_packets,
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

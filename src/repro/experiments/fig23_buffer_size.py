@@ -59,11 +59,3 @@ def run(scale: str = "small", seed: int = 0,
                 drops=run_result.total_drops(),
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

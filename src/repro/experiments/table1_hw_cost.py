@@ -47,11 +47,3 @@ def run(scale: str = "small", seed: int = 0, num_queues: int = 64,
         power_mw=round(report.total_power_mw, 3),
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,10 +27,6 @@ class RoundRobinArbiterCircuit:
         self._pointer = 0
         self.grant_history: List[int] = []
 
-    @property
-    def pointer(self) -> int:
-        return self._pointer
-
     def arbitrate(self, requests: Sequence[bool]) -> Optional[int]:
         """Grant the first asserted request at or after the pointer."""
         if len(requests) != self.num_requests:
@@ -44,10 +40,6 @@ class RoundRobinArbiterCircuit:
                 self.grant_history.append(idx)
                 return idx
         return None
-
-    def reset(self) -> None:
-        self._pointer = 0
-        self.grant_history.clear()
 
 
 class FixedPriorityArbiter:

@@ -28,7 +28,6 @@ from repro.lb.base import (
 )
 from repro.lb.registry import (
     available_load_balancers,
-    load_balancer_defaults,
     make_load_balancer,
     register_load_balancer,
     unregister_load_balancer,
@@ -41,7 +40,6 @@ __all__ = [
     "LoadBalancer",
     "SprayBalancer",
     "available_load_balancers",
-    "load_balancer_defaults",
     "make_load_balancer",
     "register_load_balancer",
     "unregister_load_balancer",

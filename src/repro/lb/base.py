@@ -20,7 +20,7 @@ lives on the base class so the telemetry bus can probe any policy uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.netsim.routing import _mix, switch_salt
 from repro.switchsim.packet import Packet
@@ -94,10 +94,6 @@ class LoadBalancer:
         list shared with the routing table.
         """
         raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        where = self.node.name if self.node is not None else "unbound"
-        return f"<{type(self).__name__} {self.name} @ {where}>"
 
 
 class EcmpPassthrough(LoadBalancer):
@@ -220,8 +216,3 @@ class SprayBalancer(LoadBalancer):
         port = candidates[self._n % len(candidates)]
         self._n += 1
         return self._record((packet.flow_id, packet.dst), port)
-
-
-def default_load_balancer() -> Optional[LoadBalancer]:
-    """The policy of a spec with no ``lb`` section: the ecmp passthrough."""
-    return EcmpPassthrough()

@@ -66,16 +66,6 @@ def available_load_balancers() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def load_balancer_defaults(name: str) -> Dict[str, object]:
-    """The registered default kwargs of policy ``name`` (a copy)."""
-    if name not in _DEFAULTS:
-        raise KeyError(
-            f"unknown load balancer {name!r}; "
-            f"available: {', '.join(available_load_balancers())}"
-        )
-    return dict(_DEFAULTS[name])
-
-
 def make_load_balancer(name: str, **kwargs) -> LoadBalancer:
     """Instantiate the policy registered under ``name`` (fresh per call).
 

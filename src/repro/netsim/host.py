@@ -122,6 +122,3 @@ class Host:
             return
         ack = receiver.on_data(packet, self.sim.now)
         self.send_packet(ack)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<Host {self.host_id} rate={self.nic_rate_bps / 1e9:.0f}Gbps>"

@@ -190,10 +190,3 @@ class Link:
         deliver = self.dst_node.deliver
         for _ in range(count):
             deliver(in_flight.popleft())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        rate = ("inherit" if self.rate_bps is None
-                else f"{self.effective_rate_bps / 1e9:.1f}Gbps")
-        status = " FAILED" if self.failed else ""
-        return (f"<Link {self.name or id(self)} delay={self.delay * 1e6:.1f}us "
-                f"rate={rate}{status}>")

@@ -505,18 +505,12 @@ class Network:
         """Run the simulation until ``until`` (or until the event queue drains)."""
         return self.sim.run(until=until, max_events=max_events)
 
-    def total_switch_drops(self) -> int:
-        return sum(node.stats.total_lost_packets for node in self.switch_nodes.values())
-
     def total_timeouts(self) -> int:
         count = 0
         for host in self.hosts.values():
             for sender in host.senders.values():
                 count += sender.timeouts
         return count
-
-    def switch(self, name: str) -> SwitchNode:
-        return self.switch_nodes[name]
 
     def link_between(self, a: Union[str, int], b: Union[str, int]) -> Link:
         """The ``a -> b`` direction of a registered link (names or host ids)."""
@@ -526,9 +520,3 @@ class Network:
         if record is None:
             raise KeyError(f"no link {a_name}->{b_name}")
         return record.link
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<Network hosts={len(self.hosts)} switches={len(self.switch_nodes)} "
-            f"flows={len(self.injected_flows)}>"
-        )

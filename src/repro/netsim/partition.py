@@ -67,16 +67,6 @@ class Partition:
     cut_links: List[Tuple[str, str]] = field(default_factory=list)
     lookahead: float = 0.0
 
-    def shard_of(self, name: str) -> int:
-        return self.assignment[name]
-
-    def counts(self) -> List[int]:
-        """Nodes per shard (diagnostics, balance checks)."""
-        counts = [0] * self.num_shards
-        for shard in self.assignment.values():
-            counts[shard] += 1
-        return counts
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "num_shards": self.num_shards,
@@ -85,17 +75,6 @@ class Partition:
             "cut_links": [list(pair) for pair in self.cut_links],
             "lookahead": self.lookahead,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Partition":
-        return cls(
-            num_shards=int(data["num_shards"]),
-            strategy=str(data["strategy"]),
-            assignment={str(k): int(v)
-                        for k, v in dict(data["assignment"]).items()},
-            cut_links=[(str(a), str(b)) for a, b in data["cut_links"]],
-            lookahead=float(data["lookahead"]),
-        )
 
 
 def _block(index: int, total: int, num_shards: int) -> int:

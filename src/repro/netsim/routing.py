@@ -159,10 +159,6 @@ class EcmpRoutingTable:
         self._excluded.setdefault(dst_host, set()).add(port_id)
         self._invalidate()
 
-    @property
-    def salt(self) -> int:
-        return self._salt
-
     def set_salt(self, salt: int) -> None:
         """Set the per-switch hash salt (invalidates memoized picks)."""
         self._salt = salt & 0xFFFFFFFF
@@ -175,9 +171,6 @@ class EcmpRoutingTable:
     @property
     def disabled_uplinks(self) -> List[int]:
         return sorted(self._disabled)
-
-    def uplink_weight(self, port_id: int) -> float:
-        return self._weights.get(port_id, 1.0)
 
     # -- selection -----------------------------------------------------
     def _surviving_members(self, dst: int) -> List[int]:

@@ -118,10 +118,3 @@ class SwitchNode:
     @property
     def stats(self):
         return self.switch.stats
-
-    @property
-    def manager(self) -> BufferManager:
-        return self.switch.manager
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<SwitchNode {self.name} ports={self.switch.port_count}>"

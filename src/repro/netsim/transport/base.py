@@ -158,10 +158,6 @@ class SenderTransport:
     def done(self) -> bool:
         return self.snd_una >= self.total_segments
 
-    @property
-    def inflight(self) -> int:
-        return self.snd_nxt - self.snd_una
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -344,9 +340,3 @@ class SenderTransport:
         """Window collapse on a retransmission timeout."""
         self.ssthresh = max(2.0, self.cwnd / 2.0)
         self.cwnd = 1.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<{type(self).__name__} flow={self.spec.flow_id} "
-            f"una={self.snd_una}/{self.total_segments} cwnd={self.cwnd:.1f}>"
-        )

@@ -24,8 +24,3 @@ def make_transport(name: str) -> Type[SenderTransport]:
         raise KeyError(
             f"unknown transport {name!r}; available: {', '.join(sorted(_TRANSPORTS))}"
         ) from None
-
-
-def register_transport(name: str, cls: Type[SenderTransport]) -> None:
-    """Register a custom transport class (for extensions and tests)."""
-    _TRANSPORTS[name.lower()] = cls

@@ -140,9 +140,11 @@ def _validate_build_resolves(runner, spec: ScenarioSpec, seen: set) -> None:
     ``fabric.events`` endpoints actually exist is decided against the built
     network -- nor whether a shard cut is *valid* for the topology (enough
     pods/leaves, positive cut-link delays, full node cover), which the
-    partitioner decides.  Building the (traffic-free) topology with
-    ``ScenarioRunner.build`` and, for ``shards > 1``, partitioning it makes
-    a stale example fail validation instead of failing at run time.
+    partitioner decides, nor whether a ``fabric.events`` failure partitions
+    the fabric.  Building the (traffic-free) topology with
+    ``ScenarioRunner.build``, replaying its fail / repair events in order
+    and, for ``shards > 1``, partitioning it makes a stale example fail
+    validation instead of failing at run time.
     Distinct (topology, fabric, engine) combinations are built once per
     call.
     """
@@ -159,8 +161,22 @@ def _validate_build_resolves(runner, spec: ScenarioSpec, seen: set) -> None:
     topology = runner.build(spec)
     network = getattr(topology, "network", None)
     if network is not None:
-        for event in spec.fabric.events:
+        for index, event in enumerate(spec.fabric.events):
             network.check_fabric_event(event)
+            if event["action"] not in ("fail", "repair"):
+                continue
+            # Replay the timeline on the throwaway network: fail / repair
+            # re-prune routing, so a cut that partitions the fabric fails
+            # here instead of mid-run.
+            a, b = event["link"]
+            apply = (network.fail_link if event["action"] == "fail"
+                     else network.repair_link)
+            try:
+                apply(a, b)
+            except ValueError as exc:
+                raise ValueError(
+                    f"fabric.events[{index}] (t={event['t']}, "
+                    f"{event['action']} {a}<->{b}): {exc}") from None
     if spec.engine.shards > 1:
         partition_topology(topology, spec.engine.shards,
                            spec.engine.partition)

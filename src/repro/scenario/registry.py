@@ -44,6 +44,3 @@ class Registry(Generic[T]):
 
     def names(self) -> List[str]:
         return sorted(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries

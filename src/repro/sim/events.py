@@ -60,13 +60,6 @@ class Event:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq}{state}>"
-
 
 class EventQueue:
     """A binary-heap event queue with lazy cancellation."""

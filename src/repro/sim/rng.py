@@ -34,14 +34,8 @@ class SeededRNG:
     def random(self) -> float:
         return self._random.random()
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._random.uniform(lo, hi)
-
     def expovariate(self, rate: float) -> float:
         return self._random.expovariate(rate)
-
-    def randint(self, lo: int, hi: int) -> int:
-        return self._random.randint(lo, hi)
 
     def choice(self, seq: Sequence):
         return self._random.choice(seq)

@@ -53,28 +53,3 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {self.size_bytes}")
-
-    def copy_header(self) -> "Packet":
-        """Return a shallow copy with a fresh packet id (used for retransmits)."""
-        clone = Packet(
-            size_bytes=self.size_bytes,
-            flow_id=self.flow_id,
-            src=self.src,
-            dst=self.dst,
-            seq=self.seq,
-            payload_bytes=self.payload_bytes,
-            is_ack=self.is_ack,
-            ack_seq=self.ack_seq,
-            ecn_capable=self.ecn_capable,
-            priority=self.priority,
-            created_at=self.created_at,
-            metadata=dict(self.metadata),
-        )
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        kind = "ACK" if self.is_ack else "DATA"
-        return (
-            f"<Packet #{self.packet_id} {kind} flow={self.flow_id} "
-            f"seq={self.seq} size={self.size_bytes}B prio={self.priority}>"
-        )

@@ -77,21 +77,5 @@ class EgressPort:
         """Wire time for a packet of ``size_bytes`` at this port's rate."""
         return transmission_time(size_bytes, self.rate_bps)
 
-    def has_backlog(self) -> bool:
-        """Whether any of the port's queues holds packets."""
-        return any(queue.is_active for queue in self.queues)
-
     def backlog_bytes(self) -> int:
         return sum(queue.length_bytes for queue in self.queues)
-
-    def utilization(self, now: float) -> float:
-        """Fraction of time the wire has been busy since simulation start."""
-        if now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / now)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<EgressPort {self.port_id} rate={self.rate_bps/1e9:.0f}Gbps "
-            f"queues={len(self.queues)} busy={self.busy}>"
-        )

@@ -193,9 +193,3 @@ class SwitchQueue:
 
     def __len__(self) -> int:
         return len(self._descriptors)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<SwitchQueue {self.queue_id} port={self.port_id} "
-            f"class={self.class_index} len={self.length_bytes}B>"
-        )

@@ -21,9 +21,6 @@ class Scheduler:
         """Pick the next queue to serve, or ``None`` if all are empty."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear scheduler state (round-robin pointers, deficits)."""
-
 
 class FifoScheduler(Scheduler):
     """Single-queue ports: always serve the first non-empty queue."""
@@ -93,11 +90,6 @@ class WeightedRoundRobinScheduler(Scheduler):
                     self._credits[q.queue_id] = q.weight
         return active[0]
 
-    def reset(self) -> None:
-        self._credits.clear()
-        self._order = []
-        self._pointer = 0
-
 
 class DeficitRoundRobinScheduler(Scheduler):
     """Deficit Round Robin (byte-accurate weighted fairness).
@@ -148,10 +140,6 @@ class DeficitRoundRobinScheduler(Scheduler):
             self._advance(n)
         # Fallback: guarantee progress even with pathological weights.
         return active[0]
-
-    def reset(self) -> None:
-        self._pointer = 0
-        self._visit_credited = False
 
 
 def make_scheduler(name: str, quantum_bytes: int = 1500) -> Scheduler:

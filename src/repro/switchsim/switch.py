@@ -100,13 +100,6 @@ class SwitchConfig:
         return 2.0 * self.aggregate_rate_bps
 
 
-def _overridden_hook(manager: BufferManager, name: str) -> Optional[Callable]:
-    """``manager.<name>``, or None where it is BufferManager's no-op."""
-    if getattr(type(manager), name) is getattr(BufferManager, name):
-        return None
-    return getattr(manager, name)
-
-
 class SharedMemorySwitch:
     """A shared-memory switch with pluggable buffer management.
 
@@ -169,13 +162,6 @@ class SharedMemorySwitch:
         # and writes, compared against the total memory bandwidth.
         self._memory_rate = RateWindow(window=50e-6)
         self._memory_bandwidth_bps = config.total_memory_bandwidth_bps
-
-        # Hook elision: the on_enqueue/on_dequeue/on_drop bookkeeping hooks
-        # are no-ops for every built-in scheme; only call them when a scheme
-        # actually overrides them.
-        self._mgr_on_enqueue = _overridden_hook(manager, "on_enqueue")
-        self._mgr_on_dequeue = _overridden_hook(manager, "on_dequeue")
-        self._mgr_on_drop = _overridden_hook(manager, "on_drop")
 
         # Expulsion engine for Occamy-style schemes.
         self.expulsion_engine: Optional[ExpulsionEngine] = None
@@ -361,8 +347,6 @@ class SharedMemorySwitch:
             packet.ecn_marked = True
             stats.ecn_marked_packets += 1
         queue.push(descriptor)
-        if self._mgr_on_enqueue is not None:
-            self._mgr_on_enqueue(queue, size, now)
         stats.admitted_packets += 1
         stats.admitted_bytes += size
         occupancy = self.cell_pool.used_bytes
@@ -397,8 +381,6 @@ class SharedMemorySwitch:
             stats.first_drop_queue_length[queue_id] = queue.length_bytes
         queue.dropped_packets += 1
         queue.dropped_bytes += size
-        if self._mgr_on_drop is not None:
-            self._mgr_on_drop(queue, size, now, reason)
         stats.buffer_utilization_on_drop.append(
             self.cell_pool.used_bytes / self.config.buffer_bytes)
         stats.bandwidth_utilization_on_drop.append(
@@ -423,8 +405,6 @@ class SharedMemorySwitch:
                 freed += size
                 queue.record_drop(size, expelled=True)
                 self.stats.record_eviction(queue.queue_id, size)
-                if self._mgr_on_drop is not None:
-                    self._mgr_on_drop(queue, size, now, "pushout_evicted")
             if self._record_trace is not None:
                 self._record_trace((now, queue.queue_id, queue.length_bytes,
                                     self._threshold(queue, now)))
@@ -473,8 +453,6 @@ class SharedMemorySwitch:
         cells = descriptor.num_cells  # release() zeroes it
         self.cell_pool.release(descriptor, read_data=True)
         queue.record_dequeue(size, now)
-        if self._mgr_on_dequeue is not None:
-            self._mgr_on_dequeue(queue, size, now)
         stats = self.stats
         stats.transmitted_packets += 1
         stats.transmitted_bytes += size
@@ -518,8 +496,6 @@ class SharedMemorySwitch:
         self.cell_pool.release(descriptor, read_data=False)
         queue.record_drop(size, expelled=True)
         self.stats.record_expulsion(queue.queue_id, size)
-        if self._mgr_on_drop is not None:
-            self._mgr_on_drop(queue, size, now, "expelled")
         if self._record_trace is not None:
             self._record_trace((now, queue_id, queue.length_bytes,
                                 self._threshold(queue, now)))
@@ -548,9 +524,3 @@ class SharedMemorySwitch:
 
     def total_backlog_bytes(self) -> int:
         return sum(queue.length_bytes for queue in self._queues)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<SharedMemorySwitch {self.name!r} ports={self.port_count} "
-            f"buffer={self.buffer_size_bytes}B bm={self.manager.describe()}>"
-        )

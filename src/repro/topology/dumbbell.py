@@ -132,6 +132,3 @@ class DumbbellTopology:
     def all_switches(self) -> List[SwitchNode]:
         """Uniform accessor shared by every topology: all switch nodes."""
         return [self.left, self.right]
-
-    def total_switch_drops(self) -> int:
-        return sum(node.stats.total_lost_packets for node in self.all_switches())

@@ -236,9 +236,6 @@ class FatTreeTopology:
     def all_switches(self) -> List[SwitchNode]:
         return self.edges + self.aggs + self.cores
 
-    def total_switch_drops(self) -> int:
-        return sum(node.stats.total_lost_packets for node in self.all_switches())
-
     # ------------------------------------------------------------------
     # Path introspection (tests, diagnostics)
     # ------------------------------------------------------------------

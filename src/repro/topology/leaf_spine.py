@@ -183,6 +183,3 @@ class LeafSpineTopology:
 
     def all_switches(self) -> List[SwitchNode]:
         return self.leaves + self.spines
-
-    def total_switch_drops(self) -> int:
-        return sum(node.stats.total_lost_packets for node in self.all_switches())

@@ -93,6 +93,3 @@ class RawSwitchTopology:
 
     def all_switches(self) -> List[SharedMemorySwitch]:
         return [self.switch]
-
-    def total_switch_drops(self) -> int:
-        return self.switch.stats.total_lost_packets

@@ -118,10 +118,3 @@ class SingleSwitchTopology:
     def all_switches(self):
         """Uniform accessor shared by every topology: all switch nodes."""
         return [self.switch_node]
-
-    def total_switch_drops(self) -> int:
-        return self.switch_node.stats.total_lost_packets
-
-    def queue_of_host(self, host_id: int, class_index: int = 0):
-        """The switch queue feeding ``host_id`` (its egress port queue)."""
-        return self.switch.queue_for(host_id, class_index)

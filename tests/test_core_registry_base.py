@@ -5,9 +5,11 @@ import pytest
 from repro.core import (
     ABM,
     BufferManager,
+    CompleteSharing,
     DynamicThreshold,
     Occamy,
     Pushout,
+    StaticThreshold,
     available_schemes,
     make_buffer_manager,
     register_scheme,
@@ -104,5 +106,7 @@ class TestBaseHelpers:
         assert dt.effective_alpha(queue, 1.0) == 8.0
 
     def test_repr_and_describe(self):
-        for manager in (DynamicThreshold(), ABM(), Occamy(), Pushout()):
+        # CompleteSharing keeps the base describe(); the others override it.
+        for manager in (DynamicThreshold(), ABM(), Occamy(), Pushout(),
+                        StaticThreshold(), CompleteSharing()):
             assert manager.name in repr(manager) or manager.name in manager.describe()

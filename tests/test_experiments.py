@@ -90,6 +90,24 @@ class TestMicroExperiments:
         # Occamy actually expelled packets from the over-allocated queue.
         assert rows[("occamy", 4.0)]["q1_expelled"] > 0
 
+    def test_runner_cli_runs_one_figure_and_reports_progress(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["table1", "--scale", "bench"]) == 0
+        out = capsys.readouterr().out
+        assert "[table1 completed in " in out
+        assert "[1 experiment(s) completed in " in out and "jobs=1]" in out
+
+    def test_fig11_cli_writes_one_telemetry_csv_per_run(self, tmp_path, capsys):
+        fig11_queue_evolution.main(["--csv", str(tmp_path)])
+        expected = {f"fig11_{scheme}_alpha{alpha}.csv"
+                    for scheme in ("occamy", "dt") for alpha in (1.0, 4.0)}
+        assert {path.name for path in tmp_path.iterdir()} == expected
+        for name in expected:
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0].split(",")[0] == "time" and len(lines) > 1
+        assert capsys.readouterr().out.count("wrote ") == 4
+
     def test_fig12_occamy_absorbs_at_least_as_much_as_dt(self):
         result = fig12_burst_absorption.run(scale="bench")
         for alpha in (1.0, 4.0):

@@ -160,6 +160,28 @@ class TestEventResolution:
         with pytest.raises(ValueError, match="partition the host"):
             validate_spec_file(str(path))
 
+    def test_timeline_that_partitions_the_fabric_fails_validation(
+            self, tmp_path):
+        # Cutting all four of pod 0's aggregation uplinks strands its hosts;
+        # each event alone is a valid link, only the replayed sequence is not.
+        from repro.scenario.experiment import validate_spec_file
+
+        uplinks = [["agg0_0", "core0"], ["agg0_0", "core1"],
+                   ["agg0_1", "core2"], ["agg0_1", "core3"]]
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(_events_doc(
+            [{"t": 0.001, "fail": link} for link in uplinks])))
+        with pytest.raises(ValueError, match=(
+                r"^fabric\.events\[3\] \(t=0\.001, fail agg0_1<->core3\): "
+                r"link failures .* disconnect host")):
+            validate_spec_file(str(path))
+        # A repair before the last cut keeps pod 0 reachable: repairs replay.
+        repaired = [{"t": 0.001, "fail": link} for link in uplinks[:3]]
+        repaired += [{"t": 0.002, "repair": uplinks[0]},
+                     {"t": 0.003, "fail": uplinks[3]}]
+        path.write_text(json.dumps(_events_doc(repaired)))
+        assert validate_spec_file(str(path)) == "scenario"
+
     def test_events_need_network_level_topology(self):
         spec = ScenarioSpec.from_file(DEGRADED_EXAMPLE)
         spec.topology.kind = "raw_switch"
@@ -270,19 +292,13 @@ class TestMidRunRepair:
 # ----------------------------------------------------------------------
 # A packet with no surviving next hop is a counted drop, not a crash
 # ----------------------------------------------------------------------
-def _stranding_spec(seed: int) -> ScenarioSpec:
+def _stranding_spec(specs, seed: int) -> ScenarioSpec:
     """The benchmark's tiny ``fabric_features`` document, timeline moved.
 
     Failing ``agg1_0<->core0`` mid-run on top of the static
     ``agg0_0<->core1`` failure leaves packets already queued towards pod 0
     at a switch whose every uplink for that destination is gone.
     """
-    import importlib.util
-
-    path = Path(__file__).parent.parent / "bench" / "specs.py"
-    module_spec = importlib.util.spec_from_file_location("bench_specs", path)
-    specs = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(specs)
     document = specs.fabric_features(seed, "tiny")["features"]
     for event in document["fabric"]["events"]:
         action = "fail" if "fail" in event else "repair"
@@ -292,8 +308,9 @@ def _stranding_spec(seed: int) -> ScenarioSpec:
 
 @pytest.mark.parametrize("seed, strands", [(1, False), (2, True), (3, True),
                                            (4, True), (5, False)])
-def test_stranded_packets_are_counted_and_retransmitted(seed, strands):
-    spec = _stranding_spec(seed)
+def test_stranded_packets_are_counted_and_retransmitted(seed, strands,
+                                                        bench_specs):
+    spec = _stranding_spec(bench_specs, seed)
     ScenarioRunner().validate(spec)
     reset_workload_ids()
     result = run_scenario(spec)  # raised LookupError on seeds 2-4

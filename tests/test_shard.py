@@ -296,6 +296,30 @@ def test_sharded_with_telemetry_byte_identical_to_oracle():
 
 
 # ----------------------------------------------------------------------
+# The sharded live dashboard (``run --live`` with ``engine.shards > 1``)
+# ----------------------------------------------------------------------
+def test_live_run_paints_the_shard_board_and_one_row_per_shard(
+        tmp_path, capsys, bench_specs):
+    from repro.scenario.experiment import main
+
+    document = bench_specs.fabric_websearch(1, "tiny")["dt_shards2"]
+    spec_path = tmp_path / "websearch_shards2.json"
+    spec_path.write_text(json.dumps(document))
+    assert main(["run", str(spec_path), "--live"]) == 0
+    captured = capsys.readouterr()
+    # stderr is not a TTY: the board appends one compact line per paint.
+    board = [line for line in captured.err.splitlines()
+             if line.startswith(("[live]", "[done]"))]
+    assert board[-1].startswith("[done] bench-fabric-websearch-dt")
+    assert "(2 shards)" in board[-1] and "100.0%" in board[-1]
+    rows = [line for line in captured.err.splitlines()
+            if line.startswith("  shard ")]
+    assert [row.split(":")[0] for row in rows] == ["  shard 0", "  shard 1"]
+    assert "[shards=2 strategy=leaves" in captured.err
+    assert "hash=" in captured.out
+
+
+# ----------------------------------------------------------------------
 # Crash containment: one dead shard fails the run loudly, never hangs
 # ----------------------------------------------------------------------
 def test_one_crashing_shard_raises_shard_crash_with_traceback(monkeypatch):

@@ -93,11 +93,3 @@ class TestPacket:
     def test_unique_ids(self):
         a, b = Packet(size_bytes=100), Packet(size_bytes=100)
         assert a.packet_id != b.packet_id
-
-    def test_copy_header_fresh_identity(self):
-        original = Packet(size_bytes=1500, flow_id=7, seq=3, metadata={"k": 1})
-        clone = original.copy_header()
-        assert clone.packet_id != original.packet_id
-        assert clone.flow_id == 7 and clone.seq == 3
-        clone.metadata["k"] = 2
-        assert original.metadata["k"] == 1

@@ -249,7 +249,7 @@ def test_write_csv_emits_time_plus_selected_columns():
 
 
 # ----------------------------------------------------------------------
-# Boards (non-TTY fallback; full rendering is exercised via --live smoke)
+# Boards: non-TTY append-only lines and TTY repaint in place
 # ----------------------------------------------------------------------
 def test_live_dashboard_renders_through_a_real_bus():
     sim, bus = _bus(TelemetrySpec(enabled=True, capacity=4), horizon=1.0)
@@ -265,6 +265,24 @@ def test_live_dashboard_renders_through_a_real_bus():
     assert "[done] unit" in text
     assert "samples 4" in text
     assert "\x1b[" not in text  # non-TTY stays plain
+
+
+def test_tty_board_repaints_in_place():
+    sim, bus = _bus(TelemetrySpec(enabled=True, capacity=4), horizon=1.0)
+    stream = io.StringIO()
+    board = LiveDashboard("unit", stream=stream, use_ansi=True,
+                          min_refresh_s=0.0)
+    bus.on_sample = board
+    bus.start()
+    sim.run(until=1.0)
+    board.finish(bus)
+    paints = stream.getvalue().split("\x1b[?25l")[1:]  # hide-cursor opens one
+    assert len(paints) >= 2
+    assert paints[0].startswith("\x1b[2K")  # nothing painted yet to climb
+    lines = paints[0].count("\n")
+    # Every later paint first moves up over the previous board.
+    assert all(p.startswith(f"\x1b[{lines}F") for p in paints[1:])
+    assert "[done] unit" in paints[-1]
 
 
 def test_campaign_board_tracks_outcomes():
