@@ -22,7 +22,8 @@ be reproducible in isolation (the campaign executor and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.registry import available_schemes, make_buffer_manager
 from repro.lb import available_load_balancers, make_load_balancer
@@ -46,6 +47,7 @@ from repro.sim.engine import Simulator
 from repro.sim.kernel import make_kernel
 from repro.sim.rng import SeededRNG
 from repro.switchsim.packet import Packet
+from repro.workloads.burst import PacketSchedule
 from repro.workloads.spec import FlowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bus uses spec)
@@ -432,6 +434,11 @@ class ScenarioRunner:
         for workload in spec.workloads:
             if workload.transport is not None:
                 make_transport(workload.transport)
+        if topology_level(spec.topology.kind) == LEVEL_SWITCH:
+            # A packet schedule is O(1) to build, so a rate, duration or
+            # packet size it cannot be built from fails here, not as a run
+            # that never ends.
+            self._packet_sources(self._generate(spec, None), 0.0)
 
     # -- internals -----------------------------------------------------
     def _generate(self, spec: ScenarioSpec,
@@ -464,30 +471,37 @@ class ScenarioRunner:
 
     def _run_packet_level(self, spec, topology, generated) -> None:
         sim = topology.sim
-        # The whole schedule is known here, so it goes in as one stream: the
-        # heap holds the next arrival, not every packet of the run.  (The
-        # merged list is a temporary: nothing keeps it alive during the run.)
-        sim.kernel.push_stream(self._packet_arrivals(generated, sim.now),
-                               topology.switch.receive, Packet)
+        # One merged stream: the heap holds the next arrival, and each
+        # workload's schedule is read only as far as the run has reached.
+        sim.kernel.push_streams(self._packet_sources(generated, sim.now),
+                                topology.switch.receive, Packet)
         sim.run(until=spec.duration * spec.run_slack)
 
     @staticmethod
-    def _packet_arrivals(generated, now: float) -> List[Tuple[float, int, int]]:
-        """Every workload's ``(time, size, port)`` arrivals, in workload-list
-        order, validated before anything is scheduled."""
-        arrivals: List[Tuple[float, int, int]] = []
+    def _packet_sources(generated, now: float) -> List[Collection]:
+        """Every workload's ``(time, size, port)`` arrivals, one source per
+        workload in workload-list order, validated before anything is
+        scheduled."""
+        sources = []
         for workload, produced in generated:
-            if any(isinstance(a, FlowSpec) for a in produced):
+            if isinstance(produced, PacketSchedule):
+                # Time-ordered by construction: nothing is generated to
+                # find the earliest arrival.
+                earliest = produced.start
+            elif any(isinstance(a, FlowSpec) for a in produced):
                 raise ValueError(
                     f"workload {workload.kind!r} produced transport flows; "
                     "it needs a network-level topology")
-            arrivals.extend(produced)
-        # The validation ``sim.at`` would do (``push_stream`` rejects NaN).
-        for time, _size, _port in arrivals:
-            if time < now:
+            else:
+                earliest = min((a[0] for a in produced), default=now)
+            # The validation ``sim.at`` would do (``push_streams`` rejects
+            # NaN).
+            if earliest < now:
                 raise ValueError(
-                    f"cannot schedule into the past: time={time} (now={now})")
-        return arrivals
+                    f"cannot schedule into the past: time={earliest} "
+                    f"(now={now})")
+            sources.append(produced)
+        return sources
 
 
 def run_scenario(spec: ScenarioSpec,

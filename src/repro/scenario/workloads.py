@@ -7,8 +7,10 @@ A workload factory takes a :class:`~repro.scenario.spec.WorkloadSpec` and a
   ``all_to_all``, ``all_reduce``, ``burst``, ``permutation``, ``hotspot``,
   ``trace_replay``, ``fixed``) return a list of
   :class:`~repro.workloads.spec.FlowSpec` (injected as transport flows);
-* packet-level factories (``packet_stream`` / ``packet_burst``) return a list
-  of ``(time, size_bytes, port)`` arrivals applied straight to the switch.
+* packet-level factories (``packet_stream`` / ``packet_burst``) return a
+  :class:`~repro.workloads.burst.PacketSchedule`: ``(time, size_bytes, port)``
+  arrivals, generated as the run reaches them, applied straight to the
+  switch.
 
 Each workload draws from an independent random substream derived from the
 scenario seed and the workload's ``rng_label`` (defaulting to its kind), so
@@ -39,11 +41,12 @@ from repro.workloads import (
     permutation_flows,
     trace_replay_flows,
 )
-from repro.workloads.burst import burst_arrivals, constant_rate_arrivals
+from repro.workloads.burst import (
+    PacketSchedule,
+    burst_schedule,
+    constant_rate_schedule,
+)
 from repro.workloads.spec import FlowSpec
-
-#: Raw packet arrival: (time, size_bytes, ingress target port).
-PacketArrival = Tuple[float, int, int]
 
 _DISTRIBUTIONS = {
     "websearch": WEB_SEARCH_DISTRIBUTION,
@@ -379,11 +382,11 @@ def packet_stream_workload(
     duration: float = 0.0,
     start_time: float = 0.0,
     packet_bytes: int = 1500,
-) -> List[PacketArrival]:
+) -> PacketSchedule:
     """Back-to-back packets at ``rate_bps`` aimed at one egress ``port``."""
-    window = duration or ctx.duration
-    return [(t, size, port) for t, size in constant_rate_arrivals(
-        rate_bps, window, packet_bytes=packet_bytes, start_time=start_time)]
+    return constant_rate_schedule(rate_bps, duration or ctx.duration,
+                                  packet_bytes=packet_bytes,
+                                  start_time=start_time, port=port)
 
 
 def packet_burst_workload(
@@ -393,11 +396,11 @@ def packet_burst_workload(
     port: int,
     start_time: float = 0.0,
     packet_bytes: int = 1500,
-) -> List[PacketArrival]:
+) -> PacketSchedule:
     """A burst of ``burst_bytes`` sent back-to-back at ``rate_bps``."""
     del ctx
-    return [(t, size, port) for t, size in burst_arrivals(
-        burst_bytes, rate_bps, packet_bytes=packet_bytes, start_time=start_time)]
+    return burst_schedule(burst_bytes, rate_bps, packet_bytes=packet_bytes,
+                          start_time=start_time, port=port)
 
 
 register_workload("incast", incast_workload)

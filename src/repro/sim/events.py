@@ -14,28 +14,41 @@ wire each packet came in on.  Storing plain tuples (rather than comparable
 event objects) keeps every heap comparison in C, which matters because heap
 maintenance dominates the kernel's cost at scale.
 
-A *stream* (:meth:`EventQueue.push_stream`) is a schedule known in full
-before the run -- the packet arrivals of a bare-switch scenario -- held
-outside the heap.  Pushing N arrivals one by one makes every later
-``heappop`` sift through log2(N) levels although only the earliest arrival
-can be the next event; a stream keeps that one arrival in the heap, under a
-single *cursor* callable, and the cursor pushes arrival ``i + 1`` the moment
-it fires arrival ``i``.  The dispatch order is that of N ``push_callback``
-calls because each arrival still enters the heap under the sequence number
-it would have drawn then: the numbers are reserved up front, so they are
-smaller than any number issued during the run (an arrival precedes a
-same-instant event scheduled later, as before), they order two streams'
-same-instant arrivals by which stream was pushed first, and sorting by
-``(time, seq)`` is the heap's own comparator applied ahead of time.  Arrival
-``i + 1`` is in the heap before arrival ``i``'s work runs, hence before
-anything can pop.
+A *stream* (:meth:`EventQueue.push_streams`) is a schedule known before the
+run -- the packet arrivals of a bare-switch scenario, k time-ordered sources,
+one per workload -- held outside the heap.  Pushing N arrivals one by one
+makes every later ``heappop`` sift through log2(N) levels although only the
+earliest arrival can be the next event; a stream keeps that one arrival in
+the heap, under a single *cursor* callable, and the cursor pushes the next
+arrival the moment it fires one.  It finds that arrival by merging its
+sources on the fly, in a private heap of one entry per source that has
+started (sources not started yet wait in a sorted list, so the merge is only
+as deep as the sources that overlap in time), and reads each source only as
+far as the run has reached: memory is O(k), not O(N), when the sources are
+lazy schedules (:class:`repro.workloads.burst.PacketSchedule`).  The
+dispatch order is that of N ``push_callback`` calls, source after source,
+because each arrival still enters the heap under the sequence number it
+would have drawn then: the numbers are reserved up front, in source order,
+so they are smaller than any number issued during the run (an arrival
+precedes a same-instant event scheduled later, as before), they order
+same-instant arrivals of two sources by which source came first, and the
+merge compares ``(time, seq)``, the heap's own comparator.  The next arrival
+is in the heap before the current one's work runs, hence before anything can
+pop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import math
+from typing import (Any, Callable, Collection, Iterator, List, Optional,
+                    Sequence, Tuple)
+
+#: One arrival of a stream: ``(time, size, port)``.
+Arrival = Tuple[float, int, int]
+#: A stream arrival inside the merge: ``(time, seq, size, port, source)``.
+_Entry = Tuple[float, int, int, int, int]
 
 
 class Event:
@@ -71,8 +84,7 @@ class EventQueue:
 
     def __len__(self) -> int:
         # A stream's unfed arrivals are pending events like any other.
-        return len(self._heap) + sum(
-            len(stream.unfed) for stream in self._streams)
+        return len(self._heap) + sum(stream.left for stream in self._streams)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -105,38 +117,78 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (time, priority, next(self._counter), callback))
 
-    def push_stream(self, arrivals: Sequence[Tuple[float, int, int]],
+    def push_stream(self, arrivals: Collection[Arrival],
                     receive: Callable[[Any, int], Any],
                     make_packet: Callable[[int], Any]) -> None:
-        """Schedule ``receive(make_packet(size), port)`` at ``time`` for every
-        ``(time, size, port)`` of ``arrivals``.
+        """:meth:`push_streams` of the one source ``arrivals``."""
+        self.push_streams((arrivals,), receive, make_packet)
 
-        Equivalent to one :meth:`push_callback` per arrival, in ``arrivals``
-        order -- same sequence numbers, same dispatch order -- but only the
-        earliest unfired arrival occupies the heap (see the module
-        docstring), and its packet is built when it fires.  Like any
-        non-cancellable callback an arrival cannot be withdrawn on its own;
-        :meth:`clear` drops the rest.
+    def push_streams(self, sources: Sequence[Collection[Arrival]],
+                     receive: Callable[[Any, int], Any],
+                     make_packet: Callable[[int], Any]) -> None:
+        """Schedule ``receive(make_packet(size), port)`` at ``time`` for every
+        ``(time, size, port)`` of every source.
+
+        Equivalent to one :meth:`push_callback` per arrival, source after
+        source in ``sources`` order -- same sequence numbers, same dispatch
+        order -- but one cursor entry in the heap stands for all of them, it
+        reads each source only as far as the run has reached, and each
+        packet is built when it fires (see the module docstring).  A source
+        is a sized iterable of arrivals.  A ``list`` is checked for NaN
+        times and, when out of time order, sorted once, stably -- the only
+        copy this method takes; any other source (a lazy
+        :class:`~repro.workloads.burst.PacketSchedule`) must iterate in time
+        order.  The stream's own memory is O(len(sources)), whatever the
+        number of arrivals.  Like any non-cancellable callback an arrival
+        cannot be withdrawn on its own; :meth:`clear` drops the rest.
 
         Raises:
-            ValueError: if any ``time`` is NaN; nothing is scheduled then.
+            ValueError: if a list holds a NaN time; nothing is scheduled then.
         """
-        for arrival in arrivals:
-            if arrival[0] != arrival[0]:  # fast NaN check without math.isnan
-                raise ValueError("cannot schedule an event at time NaN")
-        if not arrivals:
-            return
+        in_order = [True] * len(sources)
+        for index, source in enumerate(sources):
+            if not isinstance(source, list):
+                continue
+            previous = -math.inf
+            for arrival in source:
+                time = arrival[0]
+                if time != time:  # fast NaN check without math.isnan
+                    raise ValueError("cannot schedule an event at time NaN")
+                if time < previous:
+                    in_order[index] = False
+                previous = time
         counter = self._counter
-        # (time, seq) is the heap's comparator and seq is unique, so this is
-        # the order the heap would have produced, ties included.  Descending,
-        # the earliest unfed arrival is a ``list.pop()`` away.
-        unfed = sorted(((time, next(counter), size, port)
-                        for time, size, port in arrivals), reverse=True)
-        time, seq, size, port = unfed.pop()
-        cursor = _StreamCursor(self._heap, unfed, receive, make_packet,
-                               size, port)
+        readers: List[Iterator[_Entry]] = []
+        heads: List[_Entry] = []
+        left = 0
+        for source, ordered in zip(sources, in_order):
+            count = len(source)
+            if not count:
+                continue
+            # Reserve the source's ``count`` numbers, as ``count`` pushes
+            # would draw them; arrival i of the source gets ``first + i``.
+            first = next(counter)
+            if count > 1:
+                next(itertools.islice(counter, count - 2, None))
+            entries = _entries(source, first, len(readers))
+            if not ordered:
+                # (time, seq) is the heap's comparator and seq is unique, so
+                # this is the order the heap would have produced, ties
+                # included.
+                entries = iter(sorted(entries))
+            readers.append(entries)
+            heads.append(next(entries))
+            left += count
+        if not heads:
+            return
+        # Sources wait outside the merge until their first arrival is next:
+        # descending, the earliest to start is a ``list.pop()`` away.
+        heads.sort(reverse=True)
+        first_entry = heads.pop()
+        cursor = _StreamCursor(self._heap, [first_entry], heads, readers,
+                               receive, make_packet, left - 1)
         self._streams.append(cursor)
-        heapq.heappush(self._heap, (time, 0, seq, cursor))
+        heapq.heappush(self._heap, (first_entry[0], 0, first_entry[1], cursor))
 
     def pop_entry(self) -> Optional[Tuple[float, int, int, Any]]:
         """Pop the earliest live entry ``(time, priority, seq, event_or_cb)``.
@@ -186,36 +238,57 @@ class EventQueue:
         self._streams.clear()
 
 
+def _entries(source: Collection[Arrival], first: int,
+             key: int) -> Iterator[_Entry]:
+    """The merge entries of ``source``: arrival i numbered ``first + i``."""
+    for seq, (time, size, port) in enumerate(source, first):
+        yield time, seq, size, port, key
+
+
 class _StreamCursor:
-    """The one heap-resident callable of a :meth:`EventQueue.push_stream`.
+    """The one heap-resident callable of a :meth:`EventQueue.push_streams`.
+
+    ``merge`` is a heap of one ``(time, seq, size, port, source)`` entry per
+    started source -- its next arrival -- whose least entry is the arrival
+    in the event heap; ``waiting`` holds the first entries of the sources
+    not started yet, in descending order.  The merge stays as small as the
+    number of sources whose arrivals overlap in time.
 
     Attributes:
-        unfed: arrivals not yet in the heap, as ``(time, seq, size, port)``
-            in *descending* order; the arrival whose entry is in the heap is
-            not among them (it waits in ``_size`` / ``_port``).
+        left: arrivals not yet in the event heap.
     """
 
-    __slots__ = ("_heap", "unfed", "_receive", "_make_packet", "_size", "_port")
+    __slots__ = ("_heap", "_merge", "_waiting", "_readers", "_receive",
+                 "_make_packet", "left")
 
     def __init__(self, heap: List[Tuple[float, int, int, Any]],
-                 unfed: List[Tuple[float, int, int, int]],
+                 merge: List[_Entry], waiting: List[_Entry],
+                 readers: List[Iterator[_Entry]],
                  receive: Callable[[Any, int], Any],
-                 make_packet: Callable[[int], Any],
-                 size: int, port: int) -> None:
+                 make_packet: Callable[[int], Any], left: int) -> None:
         self._heap = heap
-        self.unfed = unfed
+        self._merge = merge
+        self._waiting = waiting
+        self._readers = readers
         self._receive = receive
         self._make_packet = make_packet
-        self._size = size
-        self._port = port
+        self.left = left
 
     def __call__(self) -> None:
-        size = self._size
-        port = self._port
-        unfed = self.unfed
-        if unfed:
+        merge = self._merge
+        _time, _seq, size, port, source = merge[0]
+        following = next(self._readers[source], None)
+        if following is None:
+            heapq.heappop(merge)
+        else:
+            heapq.heapreplace(merge, following)
+        waiting = self._waiting
+        if waiting and (not merge or waiting[-1] < merge[0]):
+            heapq.heappush(merge, waiting.pop())
+        if merge:
             # Feed before firing: whatever this arrival's work sees of the
             # queue, or raises, the next arrival is already in its place.
-            time, seq, self._size, self._port = unfed.pop()
-            heapq.heappush(self._heap, (time, 0, seq, self))
+            head = merge[0]
+            self.left -= 1
+            heapq.heappush(self._heap, (head[0], 0, head[1], self))
         self._receive(self._make_packet(size), port)

@@ -43,6 +43,8 @@ class Harness:
     """One simulator loaded with a scenario, either way of scheduling it."""
 
     def __init__(self, streamed, groups, before, after, stop_on):
+        """``streamed``: False for one callback per arrival, True for one
+        stream per group, ``"merged"`` for one stream of all groups."""
         self.sim = Simulator()
         self.log = []
         self.stop_on = {size_of(index) for index in stop_on}
@@ -50,17 +52,22 @@ class Harness:
         for time in before:  # ordinary events scheduled ahead of the arrivals
             sim.at(time, partial(self.note, "before", time))
         count = 0
+        merged = []
         for arrivals in groups:
             sized = []
             for time, port in arrivals:
                 sized.append((time, size_of(count), port))
                 count += 1
-            if streamed:
+            if streamed == "merged":
+                merged.append(sized)
+            elif streamed:
                 sim.kernel.push_stream(sized, self.receive, make_packet)
             else:
                 for time, size, port in sized:
                     sim.kernel.push_callback(
                         time, partial(self.receive, make_packet(size), port))
+        if merged:  # every group one source of a single stream
+            sim.kernel.push_streams(merged, self.receive, make_packet)
         for time in after:  # ...and behind them
             sim.at(time, partial(self.note, "after", time))
 
@@ -118,6 +125,54 @@ def test_stream_fires_like_one_callback_per_arrival(groups, before, after,
         len(before) + len(after) + sum(1 for arrivals in groups if arrivals))
     assert streamed.play(plan) == pushed.play(plan)
     assert streamed.sim.pending_events == 0
+
+
+@given(groups=st.lists(group, min_size=1, max_size=4),
+       before=st.lists(instants, max_size=3),
+       after=st.lists(instants, max_size=3),
+       stop_on=st.sets(st.integers(min_value=0, max_value=11), max_size=2),
+       plan=pauses)
+@settings(max_examples=300, deadline=None)
+def test_one_stream_of_all_groups_fires_like_one_callback_per_arrival(
+        groups, before, after, stop_on, plan):
+    merged = Harness("merged", groups, before, after, stop_on)
+    pushed = Harness(False, groups, before, after, stop_on)
+    # One heap entry for every group together.
+    assert len(merged.sim.kernel._heap) <= len(before) + len(after) + 1
+    assert merged.sim.pending_events == pushed.sim.pending_events
+    assert merged.play(plan) == pushed.play(plan)
+    assert merged.sim.pending_events == 0
+
+
+def test_merge_reads_lazy_sources_only_as_far_as_the_run():
+    read = []
+
+    class Source:
+        """A time-ordered source that logs how far it has been read."""
+
+        def __init__(self, name, times):
+            self.name, self.times = name, times
+
+        def __len__(self):
+            return len(self.times)
+
+        def __iter__(self):
+            for index, time in enumerate(self.times):
+                read.append((self.name, index))
+                yield time, index, 0
+
+    sim = Simulator()
+    fired = []
+    sim.kernel.push_streams(
+        [Source("a", [0.0, 1.0, 2.0, 3.0]), Source("b", [2.0, 2.0, 5.0])],
+        lambda packet, port: fired.append(sim.now), make_packet)
+    # Each source's head is read; "b" waits outside the merge until 2.0.
+    assert read == [("a", 0), ("b", 0)] and sim.pending_events == 7
+    sim.run(until=1.0)
+    assert read == [("a", 0), ("b", 0), ("a", 1), ("a", 2)]
+    sim.run()
+    assert fired == [0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 5.0]
+    assert sim.pending_events == 0
 
 
 @given(groups=st.lists(group, min_size=1, max_size=2), cut=instants)

@@ -35,6 +35,20 @@ def test_validate_cli_reports_failures(tmp_path):
         validate_spec_file(str(bad))
 
 
+def test_validate_rejects_a_packet_schedule_that_never_ends(tmp_path):
+    # JSON parses 1e400 to inf.  A stream at that rate used to pass
+    # validation, then loop until memory ran out once the run generated it.
+    doc = tmp_path / "inf-rate.json"
+    doc.write_text(
+        '{"name": "inf-rate", "scheme": {"name": "dt"}, '
+        '"topology": {"kind": "raw_switch", "params": {"num_ports": 2, '
+        '"port_rate_bps": 1e10, "buffer_bytes": 100000}}, '
+        '"workloads": [{"kind": "packet_stream", '
+        '"params": {"rate_bps": 1e400, "port": 0}}], "duration": 0.001}')
+    with pytest.raises(ValueError, match="rate_bps must be positive and finite"):
+        validate_spec_file(str(doc))
+
+
 def test_validate_resolves_fabric_endpoints_and_tiers(tmp_path):
     # Fabric contents are resolved against the actual topology: a renamed
     # switch or tier in a document fails validation, not the eventual run.

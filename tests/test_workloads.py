@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import SeededRNG
 from repro.workloads import (
@@ -24,6 +26,7 @@ from repro.workloads import (
     random_derangement,
     trace_replay_flows,
 )
+from repro.workloads.burst import burst_schedule, constant_rate_schedule
 
 
 class TestFlowSpec:
@@ -389,3 +392,68 @@ class TestBurstArrivals:
             constant_rate_arrivals(10e9, 0)
         with pytest.raises(ValueError):
             burst_arrivals(0, 10e9)
+        # Each of these used to loop until memory ran out.  JSON parses
+        # 1e400 to inf, so a spec can ask for an infinite rate.
+        inf = float("inf")
+        for call, name in [
+                (lambda: constant_rate_arrivals(10e9, inf), "duration"),
+                (lambda: constant_rate_arrivals(inf, 1e-3), "rate_bps"),
+                (lambda: constant_rate_arrivals(json.loads("1e400"), 1e-3),
+                 "rate_bps"),
+                (lambda: burst_arrivals(10_000, inf), "rate_bps"),
+                (lambda: burst_arrivals(10_000, 10e9, packet_bytes=0),
+                 "packet_bytes"),
+                (lambda: constant_rate_arrivals(10e9, 1e-3, packet_bytes=0),
+                 "packet_bytes"),
+                (lambda: constant_rate_arrivals(0, 1e-3), "rate_bps"),
+                (lambda: burst_arrivals(10_000, -1e9), "rate_bps"),
+                (lambda: burst_arrivals(inf, 10e9), "burst_bytes"),
+                (lambda: constant_rate_arrivals(10e9, float("nan")),
+                 "duration"),
+                (lambda: constant_rate_arrivals(10e9, 1e-3, start_time=inf),
+                 "start_time"),
+                (lambda: burst_arrivals(10_000, 10e9, start_time=float("nan")),
+                 "start_time")]:
+            with pytest.raises(ValueError, match=name):
+                call()
+
+    @given(rate=st.floats(min_value=1e8, max_value=4e11),
+           duration=st.floats(min_value=1e-7, max_value=1e-4),
+           start=st.floats(min_value=0.0, max_value=1e-3),
+           packet_bytes=st.integers(min_value=64, max_value=9000),
+           port=st.integers(min_value=0, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_schedule_matches_the_accumulating_loop(
+            self, rate, duration, start, packet_bytes, port):
+        # The loop every recorded schedule was built with, frozen here:
+        # one gap added at a time, so float accumulation is identical.
+        gap = packet_bytes * 8 / rate
+        expected, t = [], start
+        while t < start + duration:
+            expected.append((t, packet_bytes))
+            t += gap
+        schedule = constant_rate_schedule(rate, duration, packet_bytes,
+                                          start_time=start, port=port)
+        assert len(schedule) == len(expected)
+        assert list(schedule) == [(t, size, port) for t, size in expected]
+        assert list(schedule) == list(schedule)  # re-iterable
+        assert constant_rate_arrivals(rate, duration, packet_bytes,
+                                      start_time=start) == expected
+
+    @given(burst_bytes=st.integers(min_value=1, max_value=200_000),
+           packet_bytes=st.integers(min_value=64, max_value=9000),
+           start=st.floats(min_value=0.0, max_value=1e-3))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_burst_matches_the_accumulating_loop(
+            self, burst_bytes, packet_bytes, start):
+        gap = packet_bytes * 8 / 100e9
+        expected, t, remaining = [], start, burst_bytes
+        while remaining > 0:
+            size = min(packet_bytes, remaining)
+            expected.append((t, size, 5))
+            remaining -= size
+            t += gap
+        schedule = burst_schedule(burst_bytes, 100e9, packet_bytes,
+                                  start_time=start, port=5)
+        assert len(schedule) == len(expected)
+        assert list(schedule) == expected
