@@ -5,7 +5,7 @@ Usage::
     python -m repro.campaign run sweep.json --jobs 4 --store results/
     python -m repro.campaign run sweep.json --jobs 4 --store results/ --resume
     python -m repro.campaign run sweep.json --farm subprocess:4 --store results/
-    python -m repro.campaign run sweep.json --farm ssh-hosts:hosts.json --live
+    python -m repro.campaign run sweep.json --farm subprocess:4 --live
     python -m repro.campaign status --store results/
     python -m repro.campaign report --store results/ --metric avg_qct_ms --baseline dt
     python -m repro.campaign report --store results/ --format csv
@@ -172,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render an in-place progress board (one row per "
                             "experiment) instead of per-run progress lines")
     p_run.add_argument("--farm", default=None, metavar="SPEC",
-                       help="execute on a run farm instead of the local "
-                            "pool: 'local', 'subprocess[:N]' or "
-                            "'ssh-hosts:HOSTS.json'")
+                       help="execute on a run farm of worker subprocesses "
+                            "instead of the local pool: 'subprocess[:N]'")
     _store_arg(p_run)
     p_run.set_defaults(func=cmd_run)
 

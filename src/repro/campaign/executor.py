@@ -127,8 +127,8 @@ class CampaignExecutor:
 
     * ``jobs == 1`` and no farm -- inline, serial;
     * ``jobs > 1`` -- a local :class:`~concurrent.futures.ProcessPoolExecutor`;
-    * ``farm`` -- a :class:`repro.farm.RunFarm` (inline / subprocess pool /
-      ssh hosts) with retry-on-worker-loss; ``jobs`` is ignored.
+    * ``farm`` -- a :class:`repro.farm.RunFarm` (worker subprocesses) with
+      retry-on-worker-loss; ``jobs`` is ignored.
 
     All three persist outcomes into the store *as they complete* (streaming
     persistence), so ``python -m repro.campaign report`` and the analysis

@@ -69,10 +69,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Sequence, Union
 
-
-def canonical_json(data: object) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+from repro.scenario.spec import _check_keys, canonical_json
 
 
 def _require_list(value: object, name: str) -> list:
@@ -163,7 +160,10 @@ class GridSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "GridSpec":
+    def from_dict(cls, data: Mapping[str, object],
+                  section: str = "grid") -> "GridSpec":
+        _check_keys(section, data,
+                    ("type", "experiments", "scales", "seeds", "params"))
         experiments = _require_list(data.get("experiments"), "experiments")
         if not experiments:
             raise ValueError("grid spec needs a non-empty 'experiments' list")
@@ -272,7 +272,9 @@ class ScenarioGridSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioGridSpec":
+    def from_dict(cls, data: Mapping[str, object],
+                  section: str = "grid") -> "ScenarioGridSpec":
+        _check_keys(section, data, ("type", "scenario", "axes", "seeds"))
         scenario = data.get("scenario")
         if not isinstance(scenario, Mapping):
             raise ValueError("scenario grid needs a 'scenario' document (object)")
@@ -291,13 +293,15 @@ class ScenarioGridSpec:
 AnyGridSpec = Union[GridSpec, ScenarioGridSpec]
 
 
-def grid_from_dict(data: Mapping[str, object]) -> AnyGridSpec:
-    """Dispatch on the optional ``"type"`` field (default ``"grid"``)."""
+def grid_from_dict(data: Mapping[str, object],
+                   section: str = "grid") -> AnyGridSpec:
+    """Dispatch on the optional ``"type"`` field (default ``"grid"``);
+    ``section`` names the grid in errors (``grids[0]``)."""
     grid_type = str(data.get("type", "grid"))
     if grid_type == "grid":
-        return GridSpec.from_dict(data)
+        return GridSpec.from_dict(data, section)
     if grid_type == "scenario":
-        return ScenarioGridSpec.from_dict(data)
+        return ScenarioGridSpec.from_dict(data, section)
     raise ValueError(f"unknown grid type {grid_type!r} (expected 'grid' or 'scenario')")
 
 
@@ -321,9 +325,11 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SweepSpec":
+        _check_keys("sweep", data, ("name", "grids"))
         return cls(
             name=str(data.get("name", "campaign")),
-            grids=[grid_from_dict(g) for g in data.get("grids", [])],
+            grids=[grid_from_dict(g, f"grids[{i}]")
+                   for i, g in enumerate(data.get("grids", []))],
         )
 
     @classmethod

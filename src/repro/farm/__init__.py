@@ -1,10 +1,7 @@
-"""Run farms: dispatch campaign runs across local workers and ssh hosts."""
+"""Run farms: dispatch campaign runs across local worker subprocesses."""
 
 from repro.farm.farm import (
-    HostSpec,
-    LocalFarm,
     RunFarm,
-    SshHostsFarm,
     SubprocessFarm,
     WorkerSlot,
     make_farm,
@@ -19,11 +16,8 @@ from repro.farm.protocol import (
 )
 
 __all__ = [
-    "HostSpec",
-    "LocalFarm",
     "PROTOCOL_VERSION",
     "RunFarm",
-    "SshHostsFarm",
     "SubprocessFarm",
     "WorkerLossError",
     "WorkerSlot",

@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``worker`` -- answer JSON request lines from stdin, one response line
-  each, until EOF (the remote end of every subprocess / ssh-hosts slot);
+  each, until EOF (the far end of every subprocess slot);
 * ``check FARMSPEC`` -- ping every slot of a farm and report reachability,
-  e.g. ``python -m repro.farm check ssh-hosts:hosts.json``.
+  e.g. ``python -m repro.farm check subprocess:2``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     check = sub.add_parser("check", help="ping every slot of a farm")
     check.add_argument(
-        "farm", help="farm spec: local, subprocess[:N] or ssh-hosts:HOSTS.json")
+        "farm", help="farm spec: subprocess[:N]")
 
     args = parser.parse_args(argv)
 

@@ -1,27 +1,21 @@
-"""Run farms: dispatch campaign runs across workers and machines.
+"""Run farms: dispatch campaign runs across worker processes.
 
 A :class:`RunFarm` owns a fixed set of :class:`WorkerSlot`\\ s and turns a
 list of ``(index, RunSpec)`` jobs into ``(index, RunOutcome)`` results in
 completion order, which the :class:`~repro.campaign.executor.CampaignExecutor`
 streams into its :class:`~repro.campaign.store.ResultStore` as they arrive.
-Three backends (the FireSim run-farm shape: one abstraction, pluggable
-provisioning):
+The one backend, :class:`SubprocessFarm` (``--farm subprocess[:N]``), backs
+each of N slots with one ``python -m repro.farm worker`` subprocess on this
+machine; the serial executor path (``jobs=1``, no farm) is the in-process
+determinism oracle every farm store is compared against.
 
-* ``local`` -- one inline slot in this process; byte-identical results to
-  the serial executor path, useful as the determinism oracle;
-* ``subprocess`` -- N slots, each backed by one ``python -m repro.farm
-  worker`` subprocess on this machine;
-* ``ssh-hosts`` -- slots on remote hosts reached via stdlib ``subprocess``
-  + ``ssh``, described by a JSON hosts file (the externally-provisioned
-  farm: the hosts already exist, the farm only dispatches).
-
-The two remote backends differ only in the ``(argv, env)`` that starts a
-slot's worker.  A slot spawns its :class:`WorkerProcess` on its first
-request, opens it with a ping/pong handshake, then writes one JSON line and
-reads one per request (:mod:`repro.farm.protocol`), and closes it -- stdin
-EOF, a short grace, then kill -- when its dispatch loop (or ``check``) ends:
-a slot costs one interpreter start (one ssh connection) per dispatch, and
-no worker outlives the call that spawned it.
+A slot's ``(argv, env)`` starts its worker.  A slot spawns its
+:class:`WorkerProcess` on its first request, opens it with a ping/pong
+handshake, then writes one JSON line and reads one per request
+(:mod:`repro.farm.protocol`), and closes it -- stdin EOF, a short grace,
+then kill -- when its dispatch loop (or ``check``) ends: a slot costs one
+interpreter start per dispatch, and no worker outlives the call that
+spawned it.
 
 A worker loss (EOF, non-zero exit, garbage line, no answer within
 ``timeout_s``, failed handshake) is distinct from a run failure: the dead
@@ -37,7 +31,6 @@ import collections
 import json
 import os
 import queue
-import shlex
 import subprocess
 import sys
 import threading
@@ -58,7 +51,6 @@ from typing import (
 from repro.campaign.executor import (
     RunOutcome,
     STATUS_FAILED,
-    execute_run,
     outcome_from_payload,
 )
 from repro.campaign.spec import RunSpec
@@ -166,7 +158,7 @@ class WorkerSlot:
     elapsed: float = 0.0
     busy: bool = False
     current: str = ""
-    #: ``(argv, env)`` that starts this slot's worker; ``None`` = inline slot.
+    #: ``(argv, env)`` that starts this slot's worker.
     command: Optional[Tuple[List[str], Optional[Dict[str, str]]]] = None
     #: Worker processes started for this slot (one per dispatch when healthy).
     spawned: int = 0
@@ -398,43 +390,6 @@ class RunFarm:
                 f"malformed outcome payload: {exc}") from exc
 
 
-class LocalFarm(RunFarm):
-    """One inline slot in this process -- the degenerate (oracle) farm."""
-
-    kind = "local"
-
-    def __init__(self) -> None:
-        super().__init__([WorkerSlot(name="local/0", host="inline")])
-
-    def dispatch(self, jobs: Iterable[Tuple[int, RunSpec]],
-                 fail_fast: bool = False
-                 ) -> Iterator[Tuple[int, RunOutcome]]:
-        # Inline and serial: exactly the executor's jobs=1 code path, so
-        # results (and the persisted store) are byte-identical to it.
-        slot = self.slots[0]
-        for index, spec in jobs:
-            slot.busy, slot.current = True, spec.label()
-            self._notify()
-            outcome = execute_run(spec)
-            slot.busy, slot.current = False, ""
-            if outcome.status == STATUS_FAILED:
-                slot.runs_failed += 1
-            else:
-                slot.runs_ok += 1
-            slot.elapsed += outcome.elapsed
-            self._notify()
-            yield index, outcome
-            if fail_fast and not outcome.ok:
-                break
-
-    def run_payload(self, slot: WorkerSlot,
-                    request: Dict[str, object]) -> Dict[str, object]:
-        # Only `check` lands here; runs go through the inline dispatch.
-        if request.get("ping"):
-            return {"protocol": request["protocol"], "pong": True}
-        raise NotImplementedError("LocalFarm executes runs inline")
-
-
 def _subprocess_env(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
     """The spawn environment: inherit, then guarantee ``repro`` is importable."""
     import repro
@@ -470,105 +425,13 @@ class SubprocessFarm(RunFarm):
             max_attempts=max_attempts, backoff_s=backoff_s, timeout_s=timeout_s)
 
 
-@dataclass
-class HostSpec:
-    """One entry of an ``ssh-hosts`` farm's JSON hosts file."""
-
-    host: str
-    slots: int = 1
-    python: List[str] = field(default_factory=lambda: ["python3"])
-    ssh: List[str] = field(default_factory=lambda: ["ssh", "-o", "BatchMode=yes"])
-    workdir: str = ""
-    env: Dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HostSpec":
-        host = str(data.get("host", "")).strip()
-        if not host:
-            raise ValueError(f"host entry needs a non-empty 'host': {data!r}")
-        slots = int(data.get("slots", 1))
-        if slots < 1:
-            raise ValueError(f"host {host}: slots must be >= 1, got {slots}")
-        python = data.get("python", ["python3"])
-        if isinstance(python, str):
-            python = [python]
-        ssh = data.get("ssh", ["ssh", "-o", "BatchMode=yes"])
-        if isinstance(ssh, str):
-            ssh = [ssh]
-        return cls(
-            host=host,
-            slots=slots,
-            python=[str(t) for t in python],
-            ssh=[str(t) for t in ssh],
-            workdir=str(data.get("workdir", "")),
-            env={str(k): str(v) for k, v in dict(data.get("env", {})).items()},
-        )
-
-    def remote_command(self) -> str:
-        """The shell command ssh runs on the remote side, fully quoted."""
-        worker = [*self.python, "-m", "repro.farm", "worker"]
-        parts: List[str] = []
-        if self.workdir:
-            parts.append(f"cd {shlex.quote(self.workdir)} &&")
-        if self.env:
-            parts.append("env " + " ".join(
-                f"{key}={shlex.quote(value)}"
-                for key, value in sorted(self.env.items())))
-        parts.append(" ".join(shlex.quote(token) for token in worker))
-        return " ".join(parts)
-
-    def argv(self) -> List[str]:
-        return [*self.ssh, self.host, self.remote_command()]
-
-
-class SshHostsFarm(RunFarm):
-    """Externally-provisioned hosts reached via stdlib subprocess + ssh."""
-
-    kind = "ssh-hosts"
-
-    def __init__(self, hosts: Sequence[HostSpec],
-                 timeout_s: Optional[float] = None,
-                 max_attempts: int = 3, backoff_s: float = 0.5) -> None:
-        if not hosts:
-            raise ValueError("ssh-hosts farm needs at least one host")
-        super().__init__(
-            [WorkerSlot(name=f"{host.host}/{i}", host=host.host,
-                        command=(host.argv(), None))
-             for host in hosts for i in range(host.slots)],
-            max_attempts=max_attempts, backoff_s=backoff_s, timeout_s=timeout_s)
-        self.hosts = list(hosts)
-
-    @classmethod
-    def from_file(cls, path: str | Path,
-                  timeout_s: Optional[float] = None) -> "SshHostsFarm":
-        """Load a hosts file: a JSON list of host entries, or
-        ``{"hosts": [...], "max_attempts": ..., "backoff_s": ...}``."""
-        data = json.loads(Path(path).read_text())
-        options: Dict[str, object] = {}
-        if isinstance(data, dict):
-            options = data
-            data = data.get("hosts")
-        if not isinstance(data, list) or not data:
-            raise ValueError(
-                f"hosts file {path} must contain a non-empty host list")
-        return cls(
-            [HostSpec.from_dict(entry) for entry in data],
-            timeout_s=timeout_s,
-            max_attempts=int(options.get("max_attempts", 3)),
-            backoff_s=float(options.get("backoff_s", 0.5)),
-        )
-
-
 def make_farm(spec: str, jobs: int = 1) -> RunFarm:
     """Build a farm from a CLI ``--farm`` string.
 
-    Forms: ``local``, ``subprocess`` (slot count from ``jobs`` when > 1,
-    else the machine's CPU count), ``subprocess:N``, and
-    ``ssh-hosts:HOSTS.json`` (alias ``ssh:``).
+    Forms: ``subprocess`` (slot count from ``jobs`` when > 1, else the
+    machine's CPU count) and ``subprocess:N``.
     """
     spec = spec.strip()
-    if spec == "local":
-        return LocalFarm()
     if spec == "subprocess" or spec.startswith("subprocess:"):
         _, _, count = spec.partition(":")
         if count:
@@ -578,9 +441,5 @@ def make_farm(spec: str, jobs: int = 1) -> RunFarm:
         else:
             workers = os.cpu_count() or 2
         return SubprocessFarm(workers=workers)
-    for prefix in ("ssh-hosts:", "ssh:"):
-        if spec.startswith(prefix):
-            return SshHostsFarm.from_file(spec[len(prefix):])
     raise ValueError(
-        f"unknown farm spec {spec!r}; expected 'local', 'subprocess[:N]' "
-        "or 'ssh-hosts:HOSTS.json'")
+        f"unknown farm spec {spec!r}; expected 'subprocess[:N]'")

@@ -3,11 +3,11 @@
 A farm worker is one ``python -m repro.farm worker`` process that serves
 requests until its stdin closes: one JSON request per line in, one JSON
 response per line out, in order.  The driver keeps one worker per slot per
-dispatch, so interpreter start, ``import repro`` and the ssh handshake are
-paid once per slot, not per run (``execute_run`` resets the workload ids, so
-back-to-back runs in one interpreter stay byte-identical).  Everything is
-plain JSON -- no pickling -- so the same worker runs under a local
-subprocess, through ``ssh`` on a remote host, or inside a container.
+dispatch, so interpreter start and ``import repro`` are paid once per slot,
+not per run (``execute_run`` resets the workload ids, so back-to-back runs
+in one interpreter stay byte-identical).  Everything is plain JSON -- no
+pickling -- so any command that starts this worker with a pipe to its stdio
+can serve a slot.
 
 Requests (blank lines are ignored) and their responses::
 

@@ -9,23 +9,14 @@ delegates to -- bound per switch at attach time by
 * ``ecmp`` -- the default passthrough: the node keeps its direct hash path,
   zero per-packet cost, byte-identical to pre-LB behaviour;
 * ``flowlet`` -- gap-timeout flowlet tables (re-pick at idle gaps, no
-  reordering inside a burst);
-* ``drill`` -- DRILL-style per-packet least-local-backlog among ``d``
-  deterministic samples plus a one-entry memory;
-* ``spray`` -- per-packet round-robin over the surviving candidates.
+  reordering inside a burst).
 
 Scenario documents select a policy through the canonically-hashed-but-
 default-omitted ``lb`` section (``{"lb": {"name": "flowlet", "kwargs":
 {"gap": 5e-05}}}``); campaigns sweep it with the ``lb.name`` dotted axis.
 """
 
-from repro.lb.base import (
-    DrillBalancer,
-    EcmpPassthrough,
-    FlowletBalancer,
-    LoadBalancer,
-    SprayBalancer,
-)
+from repro.lb.base import EcmpPassthrough, FlowletBalancer, LoadBalancer
 from repro.lb.registry import (
     available_load_balancers,
     make_load_balancer,
@@ -34,11 +25,9 @@ from repro.lb.registry import (
 )
 
 __all__ = [
-    "DrillBalancer",
     "EcmpPassthrough",
     "FlowletBalancer",
     "LoadBalancer",
-    "SprayBalancer",
     "available_load_balancers",
     "make_load_balancer",
     "register_load_balancer",

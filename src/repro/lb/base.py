@@ -11,8 +11,8 @@ Policies read only state the switch already maintains -- the routing table's
 surviving candidate list and the egress ports' ``backlog_bytes()`` -- and
 every "random" choice derives from the deterministic :func:`~
 repro.netsim.routing._mix` hash over per-switch counters, never from dict
-order or :mod:`random`, so flowlet/drill/spray runs are byte-identical
-across processes (the determinism battery pins this).
+order or :mod:`random`, so flowlet runs are byte-identical across processes
+(the determinism battery pins this).
 
 Shared bookkeeping (``decisions``, ``reroutes``, per-port packet counts)
 lives on the base class so the telemetry bus can probe any policy uniformly.
@@ -153,66 +153,3 @@ class FlowletBalancer(LoadBalancer):
         self.flowlets += 1
         self._table[key] = [port, now]
         return self._record(key, port)
-
-
-class DrillBalancer(LoadBalancer):
-    """DRILL-style per-packet choice: least-backlogged of ``d`` samples.
-
-    Every packet samples ``d`` deterministic pseudo-random candidates (the
-    :func:`~repro.netsim.routing._mix` hash over a per-switch decision
-    counter -- stable across processes), adds the previously best port for
-    this destination (DRILL's one-entry memory), and sends the packet to
-    the sample with the smallest local backlog, breaking backlog ties by
-    the sampling hash (a fixed port-id tie-break would herd the fabric
-    onto one uplink whenever queues are empty).  Per-packet balancing can
-    reorder flows; the transport's cumulative-ACK reassembly absorbs it at
-    the cost of occasional duplicate ACKs, which is the realistic penalty.
-    """
-
-    name = "drill"
-
-    def __init__(self, d: int = 2) -> None:
-        super().__init__()
-        if int(d) < 1:
-            raise ValueError(f"drill sample count d must be >= 1, got {d!r}")
-        self.d = int(d)
-        self._n = 0
-        #: Per-destination memory of the previous best port.
-        self._memory: Dict[int, int] = {}
-
-    def choose(self, packet: Packet, candidates: Sequence[int]) -> int:
-        self._n += 1
-        count = len(candidates)
-        sample: List[int] = []
-        remembered = self._memory.get(packet.dst)
-        if remembered is not None and remembered in candidates:
-            sample.append(remembered)
-        for i in range(self.d):
-            port = candidates[_mix(self._n, self._salt, i) % count]
-            if port not in sample:
-                sample.append(port)
-        port = min(sample, key=lambda p: (
-            self._backlog(p), _mix(self._n, self._salt, p)))
-        self._memory[packet.dst] = port
-        return self._record((packet.flow_id, packet.dst), port)
-
-
-class SprayBalancer(LoadBalancer):
-    """Per-packet round-robin spraying over the surviving candidates.
-
-    The simplest oblivious baseline: a per-switch counter cycles through
-    the candidate list, so consecutive packets fan out maximally.  Great
-    link utilization, worst-case reordering -- the bracket the adaptive
-    policies are judged against.
-    """
-
-    name = "spray"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._n = 0
-
-    def choose(self, packet: Packet, candidates: Sequence[int]) -> int:
-        port = candidates[self._n % len(candidates)]
-        self._n += 1
-        return self._record((packet.flow_id, packet.dst), port)

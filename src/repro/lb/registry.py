@@ -2,26 +2,19 @@
 
 The fifth scenario registry, shaped exactly like the scheme registry
 (:mod:`repro.core.registry`): registrations carry default keyword arguments
-(the literature's parameter choices -- flowlet gap ~ one fabric RTT, DRILL's
-``d=2`` samples), name collisions raise unless ``override=True``, and
-:func:`make_load_balancer` merges call-site kwargs over the defaults.
+(the literature's parameter choice -- flowlet gap ~ one fabric RTT), name
+collisions raise unless ``override=True``, and :func:`make_load_balancer`
+merges call-site kwargs over the defaults.
 
 Factories return a **fresh instance per call**: the runner binds one policy
-object per switch, so flowlet tables and spray counters are never shared
-across switches.
+object per switch, so flowlet tables are never shared across switches.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.lb.base import (
-    DrillBalancer,
-    EcmpPassthrough,
-    FlowletBalancer,
-    LoadBalancer,
-    SprayBalancer,
-)
+from repro.lb.base import EcmpPassthrough, FlowletBalancer, LoadBalancer
 
 _FACTORIES: Dict[str, Callable[..., LoadBalancer]] = {}
 _DEFAULTS: Dict[str, Dict[str, object]] = {}
@@ -94,5 +87,3 @@ register_load_balancer("ecmp", EcmpPassthrough)
 # window-paced burst stay together, short enough to re-balance between
 # bursts.
 register_load_balancer("flowlet", FlowletBalancer, defaults={"gap": 100e-6})
-register_load_balancer("drill", DrillBalancer, defaults={"d": 2})
-register_load_balancer("spray", SprayBalancer)

@@ -9,12 +9,12 @@ The scenario layer composes five registries behind one JSON-expressible
   ``leaf_spine``, ``fat_tree``, ``dumbbell``, ``raw_switch``, pluggable);
 * **workloads** -- :mod:`repro.scenario.workloads` (``incast``, ``poisson``,
   ``websearch``, ``all_to_all``, ``all_reduce``, ``burst``, ``permutation``,
-  ``hotspot``, ``trace_replay``, ``fixed``, packet-level streams/bursts);
+  ``hotspot``, ``fixed``, packet-level streams/bursts);
 * **transport configs** -- :mod:`repro.scenario.transports` (named
   TransportConfig profiles + per-workload protocol selection);
 * **load balancers** -- :mod:`repro.lb` (``ecmp`` passthrough default,
-  ``flowlet``, ``drill``, ``spray``), selected by the default-omitted
-  ``lb`` spec section and bound per switch at attach time.
+  ``flowlet``), selected by the default-omitted ``lb`` spec section and
+  bound per switch at attach time.
 
 :class:`~repro.scenario.runner.ScenarioRunner` executes a spec and returns a
 typed :class:`~repro.scenario.runner.ScenarioResult`.  The figure harnesses

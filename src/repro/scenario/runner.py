@@ -47,6 +47,7 @@ from repro.sim.engine import Simulator
 from repro.sim.kernel import make_kernel
 from repro.sim.rng import SeededRNG
 from repro.switchsim.packet import Packet
+from repro.switchsim.scheduler import make_scheduler
 from repro.workloads.burst import PacketSchedule
 from repro.workloads.spec import FlowSpec
 
@@ -205,7 +206,7 @@ class ScenarioResult:
             doc["fabric_events"] = self.timeline.to_dict()
         if self.flow_stats is not None:
             # Full per-flow identity (not just timing): the document doubles
-            # as a flow trace, replayable via the ``trace_replay`` workload.
+            # as a flow trace, replayable as a ``fixed`` workload's flows.
             doc["flows"] = self.flow_records()
             # The ideal-FCT context (repro.metrics.flows.ideal_fct inputs):
             # with it, any reader of the stored document can recompute
@@ -429,6 +430,8 @@ class ScenarioRunner:
                     "under the conservative lookahead.  Static "
                     "fabric.failures/degraded are supported")
         spec.resolved_topology_params()  # fabric/topology collision check
+        if "scheduler" in spec.topology.params:  # a name typo raises here
+            make_scheduler(str(spec.topology.params["scheduler"]))
         # Protocol names resolve eagerly too (raises KeyError on typos).
         make_transport(spec.transport.protocol)
         for workload in spec.workloads:

@@ -78,6 +78,7 @@ class SchemeSpec:
     def from_dict(cls, data: Union[str, Mapping[str, object]]) -> "SchemeSpec":
         if isinstance(data, str):  # shorthand: "occamy"
             return cls(name=data)
+        _check_keys("scheme", data, ("name", "kwargs"))
         return cls(name=str(data["name"]), kwargs=dict(data.get("kwargs", {})))
 
 
@@ -95,6 +96,7 @@ class TopologySpec:
     def from_dict(cls, data: Union[str, Mapping[str, object]]) -> "TopologySpec":
         if isinstance(data, str):
             return cls(kind=data)
+        _check_keys("topology", data, ("kind", "params"))
         return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
 
 
@@ -129,7 +131,10 @@ class WorkloadSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "WorkloadSpec":
+    def from_dict(cls, data: Mapping[str, object],
+                  section: str = "workload") -> "WorkloadSpec":
+        """``section`` names this entry in errors (``workloads[1]``)."""
+        _check_keys(section, data, ("kind", "params", "transport", "rng_label"))
         return cls(
             kind=str(data["kind"]),
             params=dict(data.get("params", {})),
@@ -352,11 +357,10 @@ class LoadBalancerSpec:
 
     Attributes:
         name: policy registry name (see :mod:`repro.lb`): ``ecmp`` (the
-            default static flow hash), ``flowlet``, ``drill``, ``spray``,
-            or any plugin registration.
+            default static flow hash), ``flowlet``, or any plugin
+            registration.
         kwargs: policy constructor overrides (e.g. ``{"gap": 5e-05}`` for
-            flowlet, ``{"d": 3}`` for drill); registered defaults apply
-            underneath.
+            flowlet); registered defaults apply underneath.
 
     The default (``ecmp`` with no kwargs) is *omitted* from
     :meth:`ScenarioSpec.to_dict` -- the same backward-compat trick as
@@ -582,6 +586,7 @@ class TransportSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "TransportSpec":
+        _check_keys("transport", data, ("protocol", "profile", "config"))
         return cls(
             protocol=str(data.get("protocol", "dctcp")),
             profile=(None if data.get("profile") is None
@@ -675,6 +680,10 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
+        _check_keys("scenario", data, (
+            "name", "scheme", "topology", "workloads", "transport", "fabric",
+            "lb", "telemetry", "engine", "duration", "run_slack", "seed",
+            "alpha_overrides"))
         workloads = data.get("workloads", [])
         if not isinstance(workloads, (list, tuple)):
             raise ValueError(f"workloads must be a list, got {workloads!r}")
@@ -682,7 +691,8 @@ class ScenarioSpec:
             name=str(data.get("name", "scenario")),
             scheme=SchemeSpec.from_dict(data["scheme"]),
             topology=TopologySpec.from_dict(data["topology"]),
-            workloads=[WorkloadSpec.from_dict(w) for w in workloads],
+            workloads=[WorkloadSpec.from_dict(w, f"workloads[{i}]")
+                       for i, w in enumerate(workloads)],
             transport=TransportSpec.from_dict(data.get("transport", {})),
             fabric=FabricSpec.from_dict(data.get("fabric")),
             lb=LoadBalancerSpec.from_dict(data.get("lb")),

@@ -5,7 +5,7 @@ A workload factory takes a :class:`~repro.scenario.spec.WorkloadSpec` and a
 
 * network-level factories (``incast``, ``poisson``/``websearch``,
   ``all_to_all``, ``all_reduce``, ``burst``, ``permutation``, ``hotspot``,
-  ``trace_replay``, ``fixed``) return a list of
+  ``fixed``) return a list of
   :class:`~repro.workloads.spec.FlowSpec` (injected as transport flows);
 * packet-level factories (``packet_stream`` / ``packet_burst``) return a
   :class:`~repro.workloads.burst.PacketSchedule`: ``(time, size_bytes, port)``
@@ -37,9 +37,7 @@ from repro.workloads import (
     all_reduce_flows,
     all_to_all_flows,
     flows_per_second_for_load,
-    load_flow_trace,
     permutation_flows,
-    trace_replay_flows,
 )
 from repro.workloads.burst import (
     PacketSchedule,
@@ -321,31 +319,6 @@ def hotspot_workload(
     return generator.generate(ctx.duration, start_time=start_time)
 
 
-def trace_replay_workload(
-    ctx: WorkloadContext,
-    path: str,
-    time_scale: float = 1.0,
-    size_scale: float = 1.0,
-    time_offset: float = 0.0,
-    default_priority: int = 0,
-) -> List[FlowSpec]:
-    """Replay a recorded CSV/JSON flow trace as transport flows.
-
-    ``path`` is resolved against the current working directory (scenario
-    documents carry no directory context); use absolute paths in specs meant
-    to run from elsewhere.  Host ids in the trace must exist in the
-    topology -- the runner rejects unknown hosts at injection time.
-    """
-    del ctx  # trace flows are fully explicit; no rng, hosts from the file
-    return trace_replay_flows(
-        load_flow_trace(path),
-        time_scale=time_scale,
-        size_scale=size_scale,
-        time_offset=time_offset,
-        default_priority=default_priority,
-    )
-
-
 def fixed_workload(ctx: WorkloadContext, flows: Sequence[dict]) -> List[FlowSpec]:
     """Explicitly listed flows (src/dst/size_bytes/start_time[/priority...]).
 
@@ -411,7 +384,6 @@ register_workload("all_reduce", all_reduce_workload)
 register_workload("burst", burst_workload)
 register_workload("permutation", permutation_workload)
 register_workload("hotspot", hotspot_workload)
-register_workload("trace_replay", trace_replay_workload)
 register_workload("fixed", fixed_workload)
 register_workload("packet_stream", packet_stream_workload)
 register_workload("packet_burst", packet_burst_workload)

@@ -8,7 +8,7 @@ The model follows the architecture of Section 2.1 of the paper:
   descriptors (:mod:`repro.switchsim.queue`);
 * an **admission** module consulting a buffer-management scheme from
   :mod:`repro.core`;
-* per-port **schedulers** (FIFO, DRR, WRR, strict priority);
+* per-port **schedulers** (FIFO, DRR, strict priority);
 * a **memory-bandwidth** token bucket and, for preemptive schemes, the
   expulsion engine that consumes only redundant bandwidth;
 * detailed drop/occupancy/utilization **statistics**.
@@ -21,7 +21,6 @@ from repro.switchsim.scheduler import (
     DeficitRoundRobinScheduler,
     FifoScheduler,
     StrictPriorityScheduler,
-    WeightedRoundRobinScheduler,
     make_scheduler,
 )
 from repro.switchsim.port import EgressPort
@@ -43,6 +42,5 @@ __all__ = [
     "SwitchConfig",
     "SwitchQueue",
     "SwitchStats",
-    "WeightedRoundRobinScheduler",
     "make_scheduler",
 ]

@@ -30,7 +30,7 @@ class SwitchQueue:
         port_id: the egress port this queue belongs to.
         class_index: index of the queue within its port (traffic class).
         priority: scheduling priority; lower value = higher priority.
-        weight: scheduling weight for WRR/DRR.
+        weight: scheduling weight for DRR.
         length_bytes: bytes currently queued (maintained by push/pop; a plain
             slot because admission and the expulsion scan read it per packet).
         alpha_override: optional per-queue DT/ABM alpha (commodity chips allow

@@ -1,4 +1,4 @@
-"""Egress schedulers: FIFO, strict priority, weighted round robin and DRR.
+"""Egress schedulers: FIFO, strict priority and deficit round robin.
 
 A scheduler selects which of a port's queues transmits next.  All schedulers
 implement :meth:`Scheduler.select`, which returns the chosen queue (without
@@ -7,7 +7,7 @@ dequeuing) or ``None`` when every queue is empty.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.switchsim.queue import SwitchQueue
 
@@ -47,48 +47,6 @@ class StrictPriorityScheduler(Scheduler):
             if best is None or queue.priority < best.priority:
                 best = queue
         return best
-
-
-class WeightedRoundRobinScheduler(Scheduler):
-    """Packet-based weighted round robin.
-
-    Each round, queue *i* may send up to ``weight_i`` packets.  Simple and
-    cheap; byte-accurate fairness is provided by the DRR scheduler below.
-    """
-
-    name = "wrr"
-
-    def __init__(self) -> None:
-        self._credits: dict[int, float] = {}
-        self._order: List[int] = []
-        self._pointer = 0
-
-    def select(self, queues: Sequence[SwitchQueue]) -> Optional[SwitchQueue]:
-        active = [q for q in queues if q.is_active]
-        if not active:
-            return None
-        # Refresh the service order lazily (queues rarely change).
-        ids = [q.queue_id for q in queues]
-        if ids != self._order:
-            self._order = ids
-            self._pointer = 0
-            self._credits = {q.queue_id: q.weight for q in queues}
-        n = len(queues)
-        for _ in range(2 * n):
-            queue = queues[self._pointer % n]
-            self._pointer += 1
-            if not queue.is_active:
-                continue
-            if self._credits.get(queue.queue_id, 0) >= 1:
-                self._credits[queue.queue_id] -= 1
-                return queue
-            # Out of credits: replenish when every active queue is exhausted.
-            if all(
-                self._credits.get(q.queue_id, 0) < 1 for q in active
-            ):
-                for q in queues:
-                    self._credits[q.queue_id] = q.weight
-        return active[0]
 
 
 class DeficitRoundRobinScheduler(Scheduler):
@@ -149,8 +107,7 @@ def make_scheduler(name: str, quantum_bytes: int = 1500) -> Scheduler:
         return FifoScheduler()
     if name in ("strict", "sp", "strict_priority"):
         return StrictPriorityScheduler()
-    if name == "wrr":
-        return WeightedRoundRobinScheduler()
     if name == "drr":
         return DeficitRoundRobinScheduler(quantum_bytes=quantum_bytes)
-    raise ValueError(f"unknown scheduler {name!r}")
+    raise ValueError(
+        f"unknown scheduler {name!r}; available: drr, fifo, strict")

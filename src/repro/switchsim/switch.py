@@ -38,7 +38,7 @@ class SwitchConfig:
         port_rate_bps: line rate of every port, in bits per second.
         buffer_bytes: total shared buffer capacity.
         cell_bytes: cell size of the packet buffer (the paper assumes 200 B).
-        scheduler: per-port scheduler: ``fifo``, ``drr``, ``wrr`` or ``strict``.
+        scheduler: per-port scheduler: ``fifo``, ``drr`` or ``strict``.
         drr_quantum_bytes: DRR quantum.
         ecn_threshold_bytes: default per-queue ECN marking threshold
             (``None`` disables marking unless a queue overrides it).

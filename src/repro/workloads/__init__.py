@@ -18,7 +18,6 @@ from repro.workloads.collective import all_reduce_flows, all_to_all_flows, doubl
 from repro.workloads.burst import burst_arrivals, constant_rate_arrivals
 from repro.workloads.hotspot import HotspotFlowGenerator
 from repro.workloads.permutation import permutation_flows, random_derangement
-from repro.workloads.trace import load_flow_trace, trace_replay_flows
 
 
 def reset_workload_ids() -> None:
@@ -40,11 +39,9 @@ __all__ = [
     "constant_rate_arrivals",
     "double_binary_tree",
     "flows_per_second_for_load",
-    "load_flow_trace",
     "permutation_flows",
     "random_derangement",
     "reset_flow_ids",
     "reset_query_ids",
     "reset_workload_ids",
-    "trace_replay_flows",
 ]

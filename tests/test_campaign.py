@@ -172,6 +172,21 @@ class TestSweepSpec:
                 {"experiments": ["fig13"], "params": {"background_load": 0.5}}
             )
 
+    @pytest.mark.parametrize("document, message", [
+        # A typo used to expand with no axes / the default seeds.
+        ({"grids": [{"type": "scenario", "scenario": {}, "axis": {}}]},
+         r"grids\[0\]\.axis"),
+        ({"grids": [{"experiments": ["table1"]},
+                    {"experiments": ["table1"], "seed": [3]}]},
+         r"grids\[1\]\.seed"),
+        ({"grids": [{"type": "scenario", "scenario": {}, "seed": [3]}]},
+         r"grids\[0\]\.seed"),
+        ({"name": "s", "grid": []}, r"sweep\.grid"),
+    ], ids=["scenario-axis", "grid-seed", "scenario-seed", "sweep-grid"])
+    def test_key_typos_are_rejected_with_dotted_names(self, document, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec.from_dict(document)
+
 
 def make_entry(experiment="fig13", seed=0, scheme="occamy", value=1.0, status="ok"):
     result = ExperimentResult(experiment)

@@ -7,11 +7,14 @@ with every embedded scenario validated -- so example drift (renamed schemes,
 removed workloads, stale fabric endpoints) fails the test suite.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.scenario.experiment import validate_spec_file
+from repro.scenario.experiment import main, validate_spec_file
+from repro.scenario.runner import ScenarioRunner
+from repro.scenario.spec import ScenarioSpec
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_SPECS = sorted(EXAMPLES_DIR.glob("*.json"))
@@ -68,3 +71,38 @@ def test_validate_resolves_fabric_endpoints_and_tiers(tmp_path):
     doc.write_text(json.dumps(base))
     with pytest.raises(ValueError, match="unknown link tier"):
         validate_spec_file(str(doc))
+
+
+_STALE_BASE = {
+    "name": "stale", "scheme": {"name": "dt"},
+    "topology": {"kind": "dumbbell", "params": {"num_pairs": 2}},
+    "workloads": [{"kind": "fixed", "params": {"flows": [
+        {"src": 0, "dst": 2, "size_bytes": 3000}]}}],
+    "duration": 0.001,
+}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"lb": {"name": "drill"}},
+     "unknown load balancer 'drill'; available: ecmp, flowlet"),
+    ({"lb": "spray"},
+     "unknown load balancer 'spray'; available: ecmp, flowlet"),
+    ({"topology": {"kind": "dumbbell",
+                   "params": {"num_pairs": 2, "scheduler": "wrr"}}},
+     "unknown scheduler 'wrr'; available: drr, fifo, strict"),
+    ({"workloads": [{"kind": "trace_replay", "params": {"path": "f.csv"}}]},
+     r"unknown workload 'trace_replay'; available: .*fixed"),
+], ids=["drill", "spray", "wrr", "trace_replay"])
+def test_removed_feature_names_fail_validation(tmp_path, capsys, patch,
+                                               message):
+    # A document naming a removed policy, scheduler or workload fails
+    # `validate` with the surviving names, not a run that dies later.
+    import json
+
+    document = {**_STALE_BASE, **patch}
+    with pytest.raises((KeyError, ValueError), match=message):
+        ScenarioRunner().validate(ScenarioSpec.from_dict(document))
+    doc = tmp_path / "stale.json"
+    doc.write_text(json.dumps(document))
+    assert main(["validate", str(doc)]) == 1
+    assert re.search(message, capsys.readouterr().out)

@@ -278,15 +278,14 @@ class TestMidRunRepair:
 
     def test_works_under_every_lb_policy(self):
         # Rerouting on fail + re-inclusion on repair is policy-independent:
-        # flowlet tables drop dead cached ports, spray/drill see the
-        # refreshed candidate list, and every run stays loss-consistent.
-        for policy in ("flowlet", "drill", "spray"):
-            result = _run(_fail_repair_spec(lb=policy))
-            by_action = {r["action"]: r for r in result.timeline.applied}
-            assert by_action["fail"]["packets_carried_at_fail"] == \
-                by_action["repair"]["packets_carried_at_repair"], policy
-            (recovery,) = result.timeline.recovery_times()
-            assert recovery is not None, policy
+        # flowlet tables drop dead cached ports, and the run stays
+        # loss-consistent.
+        result = _run(_fail_repair_spec(lb="flowlet"))
+        by_action = {r["action"]: r for r in result.timeline.applied}
+        assert by_action["fail"]["packets_carried_at_fail"] == \
+            by_action["repair"]["packets_carried_at_repair"]
+        (recovery,) = result.timeline.recovery_times()
+        assert recovery is not None
 
 
 # ----------------------------------------------------------------------
@@ -341,9 +340,9 @@ def test_campaign_axis_sweeps_fabric_events():
     with open(EXAMPLES_DIR / "campaign_lb_recovery.json") as handle:
         sweep = SweepSpec.from_dict(json.load(handle))
     runs = sweep.expand()
-    assert len(runs) == 32  # 2 seeds x 2 schemes x 4 lbs x 2 timelines
+    assert len(runs) == 16  # 2 seeds x 2 schemes x 2 lbs x 2 timelines
     documents = [run.params["scenario"] for run in runs]
     with_events = [doc for doc in documents if doc["fabric"]["events"]]
     assert len(with_events) == len(documents) // 2
     lbs = {json.dumps(doc.get("lb"), sort_keys=True) for doc in documents}
-    assert len(lbs) == 4  # one document shape per swept lb.name value
+    assert len(lbs) == 2  # one document shape per swept lb.name value

@@ -1,10 +1,9 @@
 """Farm tests: worker protocol, dispatch/retry, backends, determinism.
 
 The determinism battery is the load-bearing part: a campaign executed
-through ``RunFarm("local")`` and through an ssh-hosts farm pointed at
-localhost (via a fake ``ssh`` shim) must persist stores that are
-per-entry byte-identical -- modulo ``created_unix``/``elapsed`` -- to the
-plain ``--jobs N`` pool path.
+serially in-process, through the ``--jobs N`` pool and through a
+subprocess farm must persist stores that are per-entry byte-identical --
+modulo ``created_unix``/``elapsed``.
 """
 
 import io
@@ -25,10 +24,7 @@ from repro.campaign.executor import STATUS_FAILED, STATUS_OK, RunOutcome
 from repro.farm import farm as farm_module
 from repro.farm.farm import RunFarm, WorkerSlot
 from repro.farm import (
-    HostSpec,
-    LocalFarm,
     PROTOCOL_VERSION,
-    SshHostsFarm,
     SubprocessFarm,
     WorkerLossError,
     make_farm,
@@ -210,58 +206,22 @@ class TestWorkerProtocol:
 # Farm construction
 # ----------------------------------------------------------------------
 class TestMakeFarm:
-    def test_local(self):
-        farm = make_farm("local")
-        assert isinstance(farm, LocalFarm)
-        assert len(farm.slots) == 1
-
     def test_subprocess_with_count(self):
         assert len(make_farm("subprocess:3").slots) == 3
 
     def test_subprocess_defaults_to_jobs(self):
         assert len(make_farm("subprocess", jobs=4).slots) == 4
 
-    def test_ssh_hosts_from_file(self, tmp_path):
-        hosts = tmp_path / "hosts.json"
-        hosts.write_text(json.dumps([
-            {"host": "nodeA", "slots": 2},
-            {"host": "nodeB"},
-        ]))
-        farm = make_farm(f"ssh-hosts:{hosts}")
-        assert isinstance(farm, SshHostsFarm)
-        assert [slot.name for slot in farm.slots] == [
-            "nodeA/0", "nodeA/1", "nodeB/0"]
-
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown farm spec"):
             make_farm("carrier-pigeon")
 
-    def test_hosts_file_options(self, tmp_path):
-        hosts = tmp_path / "hosts.json"
-        hosts.write_text(json.dumps({
-            "hosts": [{"host": "n1", "workdir": "/opt/my repo",
-                       "env": {"PYTHONPATH": "/opt/my repo/src"}}],
-            "max_attempts": 5,
-            "backoff_s": 0.1,
-        }))
-        farm = SshHostsFarm.from_file(hosts)
-        assert farm.max_attempts == 5
-        assert farm.backoff_s == 0.1
-        command = farm.hosts[0].remote_command()
-        # Paths with spaces must be quoted in the remote command string.
-        assert "cd '/opt/my repo'" in command
-        assert "PYTHONPATH='/opt/my repo/src'" in command
-        assert command.endswith("python3 -m repro.farm worker")
-
-    def test_hosts_file_rejects_empty_and_bad_entries(self, tmp_path):
-        empty = tmp_path / "empty.json"
-        empty.write_text("[]")
-        with pytest.raises(ValueError, match="non-empty host list"):
-            SshHostsFarm.from_file(empty)
-        with pytest.raises(ValueError, match="non-empty 'host'"):
-            HostSpec.from_dict({"slots": 2})
-        with pytest.raises(ValueError, match="slots must be >= 1"):
-            HostSpec.from_dict({"host": "n1", "slots": 0})
+    @pytest.mark.parametrize("spec", ["local", "ssh-hosts:h.json", "ssh:h.json"])
+    def test_removed_backends_are_unknown_specs(self, spec):
+        # A stale command line fails before any dispatch, naming the one form.
+        with pytest.raises(ValueError,
+                           match=r"unknown farm spec .*'subprocess\[:N\]'"):
+            make_farm(spec)
 
 
 # ----------------------------------------------------------------------
@@ -423,18 +383,17 @@ class TestDispatch:
         assert "halted before retry: worker died" in errors[1]
 
     def test_health_rows_shape(self):
-        farm = LocalFarm()
+        farm = SubprocessFarm(workers=1)
         CampaignExecutor(farm=farm).run([RunSpec("table1")])
         (row,) = farm.health_rows()
-        assert row["worker"] == "local/0"
+        assert row["worker"] == "proc/0"
         assert row["ok"] == 1
         assert row["failed"] == 0
         assert row["state"] == "idle"
         assert row["lost"] == 0
         assert row["elapsed"] >= 0  # rounded to ms; sub-ms runs read 0.0
 
-    def test_check_local_and_subprocess(self):
-        assert all(ok for _, ok, _ in LocalFarm().check())
+    def test_check_subprocess(self):
         rows = SubprocessFarm(workers=1).check()
         assert [(name, ok) for name, ok, _ in rows] == [("proc/0", True)]
 
@@ -531,16 +490,16 @@ class TestPersistentWorkers:
     def test_worker_killed_on_third_run_is_one_loss_one_respawn(self, tmp_path):
         farm = _wrapper_farm(tmp_path, _DIES_ON_THIRD_RUN.format(
             flag=str(tmp_path / "killed-once")))
-        farm_store, local_store = tmp_path / "farm", tmp_path / "local"
+        farm_store, serial_store = tmp_path / "farm", tmp_path / "serial"
         outcomes = CampaignExecutor(
             store=ResultStore(farm_store), farm=farm).run(self._specs())
-        CampaignExecutor(store=ResultStore(local_store),
-                         farm=LocalFarm()).run(self._specs())
+        CampaignExecutor(store=ResultStore(serial_store),
+                         jobs=1).run(self._specs())
         assert [outcome.status for outcome in outcomes] == ["ok"] * 5
         (slot,) = farm.slots
         assert (slot.losses, slot.retries, slot.spawned) == (1, 1, 2)
         assert _entries_modulo_timing(farm_store) == _entries_modulo_timing(
-            local_store)
+            serial_store)
         assert len(_entries_modulo_timing(farm_store)) == 5
 
     def test_results_do_not_depend_on_dispatch_order(self, tmp_path):
@@ -618,52 +577,36 @@ class TestTornStoreEntry:
 
 
 # ----------------------------------------------------------------------
-# Determinism battery: local farm == pool == ssh-hosts-to-localhost
+# Determinism battery: serial == pool == subprocess farm
 # ----------------------------------------------------------------------
-def _fake_ssh(tmp_path: Path) -> Path:
-    """An ``ssh`` stand-in: drop the host argument, run the command locally.
-
-    Exercises the real ssh-hosts code path -- argv construction, remote
-    command quoting, the JSON-over-stdio protocol -- without needing sshd.
-    """
-    shim = tmp_path / "fake_ssh.py"
-    shim.write_text(
-        "import os, sys\n"
-        "os.execvp('sh', ['sh', '-c', sys.argv[-1]])\n")
-    return shim
-
-
 @pytest.mark.slow
 class TestDeterminismBattery:
     def _specs(self):
         return [_scenario_run(0), _scenario_run(1), RunSpec("table1")]
 
-    def test_local_farm_matches_jobs_pool_store(self, tmp_path):
-        """The acceptance criterion: RunFarm('local') and ``--jobs 2``
+    def _serial_entries(self, store_root: Path):
+        outcomes = CampaignExecutor(store=ResultStore(store_root),
+                                    jobs=1).run(self._specs())
+        assert all(o.ok for o in outcomes)
+        return _entries_modulo_timing(store_root)
+
+    def test_serial_store_matches_jobs_pool_store(self, tmp_path):
+        """The acceptance criterion: the serial path and ``--jobs 2``
         persist per-entry byte-identical stores (modulo wall-clock)."""
-        farm_store, pool_store = tmp_path / "farm", tmp_path / "pool"
-        farm_outcomes = CampaignExecutor(
-            store=ResultStore(farm_store), farm=LocalFarm()).run(self._specs())
+        pool_store = tmp_path / "pool"
         pool_outcomes = CampaignExecutor(
             store=ResultStore(pool_store), jobs=2).run(self._specs())
-        assert all(o.ok for o in farm_outcomes + pool_outcomes)
-        farm_entries = _entries_modulo_timing(farm_store)
-        pool_entries = _entries_modulo_timing(pool_store)
-        assert farm_entries == pool_entries
-        assert len(farm_entries) == len(self._specs())
+        assert all(o.ok for o in pool_outcomes)
+        serial_entries = self._serial_entries(tmp_path / "serial")
+        assert serial_entries == _entries_modulo_timing(pool_store)
+        assert len(serial_entries) == len(self._specs())
 
-    def test_ssh_hosts_to_localhost_matches_local_farm(self, tmp_path):
-        local_store, ssh_store = tmp_path / "local", tmp_path / "ssh"
-        CampaignExecutor(store=ResultStore(local_store),
-                         farm=LocalFarm()).run(self._specs())
-        hosts = [HostSpec(host="localhost", slots=2,
-                          python=[sys.executable],
-                          ssh=[sys.executable, str(_fake_ssh(tmp_path))],
-                          env={"PYTHONPATH": str(SRC_DIR)})]
-        CampaignExecutor(store=ResultStore(ssh_store),
-                         farm=SshHostsFarm(hosts)).run(self._specs())
-        assert _entries_modulo_timing(local_store) == _entries_modulo_timing(
-            ssh_store)
+    def test_subprocess_farm_matches_serial_store(self, tmp_path):
+        farm_store = tmp_path / "farm"
+        CampaignExecutor(store=ResultStore(farm_store),
+                         farm=SubprocessFarm(workers=2)).run(self._specs())
+        assert self._serial_entries(tmp_path / "serial") == (
+            _entries_modulo_timing(farm_store))
 
 
 # ----------------------------------------------------------------------
@@ -709,5 +652,5 @@ class TestFarmCli:
     def test_farm_check_cli(self, capsys):
         from repro.farm.__main__ import main as farm_main
 
-        assert farm_main(["check", "local"]) == 0
+        assert farm_main(["check", "subprocess:1"]) == 0
         assert "all 1 slots reachable" in capsys.readouterr().out

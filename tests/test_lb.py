@@ -1,13 +1,13 @@
 """Tests for the adaptive load-balancing subsystem (``repro.lb``).
 
 Covers the policy mechanics against a stub switch (flowlet gap caching,
-DRILL sampling, spray round-robin, the ecmp passthrough contract), the
-attach-time binding on :class:`SwitchNode` (explicit ``lb: ecmp`` must be
-byte-identical to omitting the section), the determinism battery for the
-delegating policies (in-process / serial vs ``--jobs 2`` / two fresh
-interpreters with randomized hash seeds), the lb telemetry probes, and the
-headline comparison: on the degraded fat-tree example, flowlet and drill
-each beat static ECMP hashing on p99 FCT slowdown.
+the ecmp passthrough contract), the attach-time binding on
+:class:`SwitchNode` (explicit ``lb: ecmp`` must be byte-identical to omitting
+the section), the determinism battery for the delegating policy
+(in-process / serial vs ``--jobs 2`` / two fresh interpreters with
+randomized hash seeds), the lb telemetry probes, and the headline
+comparison: on the degraded fat-tree example, flowlet beats static ECMP
+hashing on p99 FCT slowdown.
 """
 
 import json
@@ -20,13 +20,7 @@ import pytest
 
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import RunSpec
-from repro.lb import (
-    DrillBalancer,
-    EcmpPassthrough,
-    FlowletBalancer,
-    SprayBalancer,
-    make_load_balancer,
-)
+from repro.lb import EcmpPassthrough, FlowletBalancer, make_load_balancer
 from repro.metrics import percentile
 from repro.scenario import LoadBalancerSpec, ScenarioSpec, run_scenario
 from repro.scenario.runner import ScenarioRunner
@@ -121,37 +115,6 @@ class TestFlowlet:
             FlowletBalancer(gap=0.0)
 
 
-class TestDrill:
-    def test_prefers_lower_backlog(self):
-        lb = _bound(DrillBalancer(d=3))  # d >= candidates: sees every port
-        lb.node.switch.port(4).backlog = 9000
-        lb.node.switch.port(5).backlog = 9000
-        for _ in range(10):
-            assert lb.choose(_packet(), [4, 5, 6]) == 6
-
-    def test_identical_instances_agree(self):
-        # The sampling hash runs on per-switch counters + the CRC32 name
-        # salt: two fresh instances on the same switch make the same calls.
-        a = _bound(DrillBalancer())
-        b = _bound(DrillBalancer())
-        picks_a = [a.choose(_packet(flow_id=i), [4, 5, 6]) for i in range(50)]
-        picks_b = [b.choose(_packet(flow_id=i), [4, 5, 6]) for i in range(50)]
-        assert picks_a == picks_b
-
-    def test_d_must_be_at_least_one(self):
-        with pytest.raises(ValueError, match="d must be >= 1"):
-            DrillBalancer(d=0)
-
-
-class TestSpray:
-    def test_round_robin_cycles_candidates(self):
-        lb = _bound(SprayBalancer())
-        picks = [lb.choose(_packet(), [4, 5, 6]) for _ in range(6)]
-        assert picks == [4, 5, 6, 4, 5, 6]
-        assert lb.port_packets == {4: 2, 5: 2, 6: 2}
-        assert lb.decisions == 6
-
-
 class TestEcmpPassthrough:
     def test_never_chooses(self):
         lb = _bound(EcmpPassthrough())
@@ -161,7 +124,6 @@ class TestEcmpPassthrough:
     def test_registry_default_kwargs_applied(self):
         assert make_load_balancer("flowlet").gap == pytest.approx(100e-6)
         assert make_load_balancer("flowlet", gap=5e-6).gap == pytest.approx(5e-6)
-        assert make_load_balancer("drill").d == 2
         assert make_load_balancer("ecmp").passthrough is True
 
 
@@ -253,12 +215,12 @@ print(json.dumps(run_scenario(spec).to_dict(), sort_keys=True))
 """
 
 
-@pytest.mark.parametrize("policy", ["flowlet", "drill", "spray"])
+@pytest.mark.parametrize("policy", ["flowlet"])
 def test_lb_byte_identical_in_process(policy):
     assert _run_to_json(policy) == _run_to_json(policy)
 
 
-@pytest.mark.parametrize("policy", ["flowlet", "drill", "spray"])
+@pytest.mark.parametrize("policy", ["flowlet"])
 def test_lb_serial_vs_parallel_campaign_identical(policy):
     document = _short_spec(policy).to_dict()
     specs = [
@@ -277,7 +239,7 @@ def test_lb_serial_vs_parallel_campaign_identical(policy):
     assert serial_docs == parallel_docs
 
 
-@pytest.mark.parametrize("policy", ["flowlet", "drill", "spray"])
+@pytest.mark.parametrize("policy", ["flowlet"])
 def test_lb_two_fresh_processes_byte_identical(policy):
     def run_child() -> str:
         proc = subprocess.run(
@@ -322,17 +284,16 @@ def test_lb_counters_surface_through_telemetry_bus():
 # ----------------------------------------------------------------------
 # The headline: adaptive policies beat static hashing under asymmetry
 # ----------------------------------------------------------------------
-def test_flowlet_and_drill_beat_ecmp_p99_slowdown_on_degraded_fattree():
+def test_flowlet_beats_ecmp_p99_slowdown_on_degraded_fattree():
     """On the degraded fat-tree example (one failed agg<->core link, one
     half-rate edge<->agg uplink), congestion-aware uplink choice must beat
     static flow hashing at the tail: seeded full-length runs, p99 FCT
-    slowdown strictly lower for flowlet and drill than for ecmp."""
+    slowdown strictly lower for flowlet than for ecmp."""
     p99 = {}
-    for policy in ("ecmp", "flowlet", "drill"):
+    for policy in ("ecmp", "flowlet"):
         spec = ScenarioSpec.from_file(DEGRADED_EXAMPLE)
         spec.lb = LoadBalancerSpec(policy)
         reset_workload_ids()
         result = run_scenario(spec)
         p99[policy] = percentile(result.flow_stats.fct_slowdowns(), 99)
     assert p99["flowlet"] < p99["ecmp"], p99
-    assert p99["drill"] < p99["ecmp"], p99

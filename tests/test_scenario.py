@@ -131,7 +131,7 @@ class TestScenarioRegistries:
     def test_scenario_zoo_entries_registered(self):
         # The zoo additions must be visible to sweeps and the CLI for free.
         assert "fat_tree" in available_topologies()
-        for kind in ("permutation", "hotspot", "trace_replay"):
+        for kind in ("permutation", "hotspot"):
             assert kind in available_workloads()
 
     def test_load_balancer_registry_is_fifth(self):
@@ -144,8 +144,7 @@ class TestScenarioRegistries:
             unregister_load_balancer,
         )
 
-        assert available_load_balancers() == [
-            "drill", "ecmp", "flowlet", "spray"]
+        assert available_load_balancers() == ["ecmp", "flowlet"]
         register_load_balancer("lb_probe", lambda: None)
         try:
             with pytest.raises(ValueError, match="already registered"):
@@ -206,6 +205,15 @@ class TestScenarioSpec:
         ("telemetry", {"capacity": 2.7}, "telemetry.capacity"),
         ("engine", {"shards": 2.9}, "engine.shards"),
         ("engine", {"shards": True}, "engine.shards"),
+        # The sections without a default-omitted form check their keys too.
+        ("durration", 1.0, "scenario.durration"),
+        ("scheme", {"name": "dt", "kwarg": {"alpha": 2.0}}, "scheme.kwarg"),
+        ("topology", {"kind": "dumbbell", "param": {}}, "topology.param"),
+        ("transport", {"protcol": "cubic"}, "transport.protcol"),
+        ("workloads", [{"kind": "burst"}, {"kind": "burst", "parmas": {}}],
+         r"workloads\[1\]\.parmas"),
+        ("workloads", [{"kind": "burst", "param": {}}],
+         r"workloads\[0\]\.param"),
     ])
     def test_section_typos_and_lossy_values_are_rejected(
             self, section, value, message):

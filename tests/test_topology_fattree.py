@@ -1,7 +1,5 @@
 """Tests for the k-ary fat-tree topology and multi-stage ECMP routing."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.registry import make_buffer_manager
@@ -16,9 +14,6 @@ from repro.scenario import (
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leaf_spine import LeafSpineTopology
 from repro.workloads import reset_workload_ids
-
-
-EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
 
 def _dt_factory():
@@ -152,13 +147,6 @@ class TestFatTreeEndToEnd:
         assert len(stats.flows) == result.topology.num_hosts
         assert stats.completion_fraction() == 1.0
         assert result.summary_row()["topology"] == "fat_tree"
-
-    def test_trace_replay_scenario_runs_from_example(self):
-        reset_workload_ids()
-        spec = ScenarioSpec.from_file(EXAMPLES_DIR / "scenario_trace_replay.json")
-        result = run_scenario(spec)
-        assert result.flow_stats.completion_fraction() == 1.0
-        assert len(result.flow_stats.flows) == 16
 
 
 class TestLeafSpineOversubscription:

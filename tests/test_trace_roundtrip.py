@@ -1,14 +1,13 @@
-"""Round-trip: campaign flow records -> trace file -> trace_replay scenario.
+"""Round-trip: a result document's flow records -> a ``fixed`` workload.
 
-The ROADMAP's regression-workload loop: run a scenario (the shape the
-campaign store executes), dump its per-flow records -- both the CSV trace
-format and the ``ScenarioResult.to_dict()`` JSON document itself -- and
-replay them through the ``trace_replay`` workload.  The replayed scenario
-must reproduce the original flow population exactly: same flow count, same
-per-flow sizes/sources/destinations/start times, same total bytes.
+The regression-workload loop: run a scenario (the shape the campaign store
+executes), write its ``ScenarioResult.to_dict()`` JSON document, and replay
+the document's ``flows`` section as the flow list of a ``fixed`` workload.
+The replayed scenario must reproduce the original flow population exactly:
+same flow count, same per-flow sizes/sources/destinations/start times, same
+total bytes.
 """
 
-import csv
 import json
 
 import pytest
@@ -43,6 +42,7 @@ def source_result():
 
 
 def _replay_spec(trace_path):
+    flows = json.loads(trace_path.read_text())["flows"]
     return ScenarioSpec.from_dict({
         "name": "roundtrip-replay",
         "scheme": {"name": "dt"},
@@ -50,7 +50,7 @@ def _replay_spec(trace_path):
                      "params": {"num_hosts": 6,
                                 "ecn_threshold_bytes": 30000}},
         "workloads": [
-            {"kind": "trace_replay", "params": {"path": str(trace_path)}}
+            {"kind": "fixed", "params": {"flows": flows}}
         ],
         "duration": 0.004,
     })
@@ -77,26 +77,6 @@ class TestTraceRoundTrip:
         assert _flow_identity(replay) == _flow_identity(original)
         assert (sum(f.size_bytes for f in replay)
                 == sum(f.size_bytes for f in original))
-
-    def test_csv_trace_round_trip(self, source_result, tmp_path):
-        trace = tmp_path / "flows.csv"
-        records = sorted(source_result.flow_stats.flows.values(),
-                         key=lambda r: r.flow_id)
-        with trace.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["src", "dst", "size_bytes", "start_time",
-                             "priority"])
-            for record in records:
-                writer.writerow([record.src, record.dst, record.size_bytes,
-                                 repr(record.start_time), record.priority])
-        reset_workload_ids()
-        replayed = run_scenario(_replay_spec(trace))
-        replay = replayed.topology.network.injected_flows
-        assert len(replay) == len(records)
-        assert (sum(f.size_bytes for f in replay)
-                == sum(r.size_bytes for r in records))
-        # Replay completes: the fabric can actually carry the trace again.
-        assert replayed.flow_stats.completion_fraction() == 1.0
 
     def test_campaign_store_payload_round_trips(self, tmp_path):
         # The full loop through the campaign executor: run the scenario as a

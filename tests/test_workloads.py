@@ -21,10 +21,8 @@ from repro.workloads import (
     constant_rate_arrivals,
     double_binary_tree,
     flows_per_second_for_load,
-    load_flow_trace,
     permutation_flows,
     random_derangement,
-    trace_replay_flows,
 )
 from repro.workloads.burst import burst_schedule, constant_rate_schedule
 
@@ -301,79 +299,6 @@ class TestHotspotGenerator:
             HotspotFlowGenerator([0, 1], [1], 100, SeededRNG(0),
                                  size_distribution=WEB_SEARCH_DISTRIBUTION,
                                  flow_size_bytes=100)
-
-
-class TestTraceReplay:
-    def _write_csv(self, path):
-        path.write_text(
-            "src,dst,size_bytes,start_time,priority\n"
-            "0,1,1000,0.001,0\n"
-            "1,0,2000,0.002,1\n"
-        )
-
-    def test_csv_round_trip(self, tmp_path):
-        trace = tmp_path / "flows.csv"
-        self._write_csv(trace)
-        flows = trace_replay_flows(load_flow_trace(trace))
-        assert [(f.src, f.dst, f.size_bytes, f.priority) for f in flows] == \
-               [(0, 1, 1000, 0), (1, 0, 2000, 1)]
-        assert flows[0].start_time == pytest.approx(0.001)
-
-    def test_json_round_trip_and_flows_wrapper(self, tmp_path):
-        records = [{"src": 0, "dst": 1, "size_bytes": 500, "start_time": 0.0}]
-        plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps(records))
-        wrapped = tmp_path / "wrapped.json"
-        wrapped.write_text(json.dumps({"flows": records}))
-        for path in (plain, wrapped):
-            flows = trace_replay_flows(load_flow_trace(path))
-            assert [(f.src, f.dst, f.size_bytes) for f in flows] == [(0, 1, 500)]
-
-    def test_explicit_priority_zero_beats_the_default(self, tmp_path):
-        # Regression: ``record.get("priority") or default`` dropped an
-        # explicit JSON priority of 0 (falsy) while keeping the CSV string
-        # "0", making the two formats replay the same trace differently.
-        records = [{"src": 0, "dst": 1, "size_bytes": 500, "start_time": 0.0,
-                    "priority": 0}]
-        trace = tmp_path / "prio.json"
-        trace.write_text(json.dumps(records))
-        flows = trace_replay_flows(load_flow_trace(trace), default_priority=1)
-        assert flows[0].priority == 0
-        # An absent priority still falls back to the default.
-        del records[0]["priority"]
-        trace.write_text(json.dumps(records))
-        flows = trace_replay_flows(load_flow_trace(trace), default_priority=1)
-        assert flows[0].priority == 1
-
-    def test_time_and_size_rescaling(self, tmp_path):
-        trace = tmp_path / "flows.csv"
-        self._write_csv(trace)
-        flows = trace_replay_flows(load_flow_trace(trace), time_scale=0.5,
-                                   size_scale=2.0, time_offset=0.01)
-        assert flows[0].start_time == pytest.approx(0.01 + 0.0005)
-        assert flows[0].size_bytes == 2000
-        with pytest.raises(ValueError):
-            trace_replay_flows([], time_scale=0)
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_flow_trace(tmp_path / "missing.csv")
-        bad = tmp_path / "bad.txt"
-        bad.write_text("nope")
-        with pytest.raises(ValueError, match="unsupported trace format"):
-            load_flow_trace(bad)
-        empty = tmp_path / "empty.csv"
-        empty.write_text("src,dst,size_bytes,start_time\n")
-        with pytest.raises(ValueError, match="no records"):
-            load_flow_trace(empty)
-        partial = tmp_path / "partial.csv"
-        partial.write_text("src,dst,size_bytes,start_time\n0,1,,0.0\n")
-        with pytest.raises(ValueError, match="size_bytes"):
-            load_flow_trace(partial)
-        scalar = tmp_path / "scalar.json"
-        scalar.write_text("3")
-        with pytest.raises(ValueError, match="list of records"):
-            load_flow_trace(scalar)
 
 
 class TestBurstArrivals:

@@ -13,6 +13,9 @@ line counts; exits 1 if any remain.  Stdlib only.  Blind spots: the traced
 test of ``bench/test_bench_smoke.py`` replaces an outer profiler (so the bench
 code runs through its sessions, never under pytest), and cProfile sees one
 thread of one process (so :data:`ALLOW` names the worker entry points).
+For the test-free census -- the defs that only their own tests enter --
+swap the ``-m pytest ...`` line of :data:`RUNS` for ``-m
+repro.experiments.runner all --scale bench`` and run it again.
 """
 
 import ast
@@ -33,7 +36,7 @@ STUBS = ("...", "raise NotImplementedError", "raise NotImplementedError()")
 ALLOW = [
     r"^repro\.sim\.shard:(_worker_entry|_ShardWorker|_CutRecorder|_leak_guard)",  # shard process
     r"^repro\.netsim\.network:Network\.transport_config$",  # read by shard processes only
-    r"^repro\.farm\.farm:(RunFarm\.(_slot_loop|_run_once)|WorkerProcess\._pump_)",  # farm threads
+    r"^repro\.farm\.farm:(RunFarm\.(_slot_loop|_run_once|_notify)|WorkerProcess\._pump_)",  # farm threads
     r"^repro\.telemetry\.dashboard:CampaignBoard\.update_workers$",  # farm slot threads
     r"^repro\.campaign\.executor:_execute_run_payload$",  # pool worker process
     r"^repro\.telemetry\.plot:write_figure$",  # needs matplotlib
