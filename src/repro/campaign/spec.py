@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Sequence, Union
 
-from repro.scenario.spec import _check_keys, canonical_json
+from repro.scenario.spec import _check_keys, _int_field, canonical_json
 
 
 def _require_list(value: object, name: str) -> list:
@@ -81,6 +81,13 @@ def _require_list(value: object, name: str) -> list:
     if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {value!r}")
     return list(value)
+
+
+def _seeds(value: object, section: str) -> List[int]:
+    """A grid's ``seeds`` list, every entry an integer (no silent
+    truncation: ``[1.9, true]`` is not two runs of seed 1)."""
+    return [_int_field(f"{section}.seeds[{index}]", seed)
+            for index, seed in enumerate(_require_list(value, "seeds"))]
 
 
 @dataclass
@@ -170,7 +177,7 @@ class GridSpec:
         return cls(
             experiments=[str(e) for e in experiments],
             scales=[str(s) for s in _require_list(data.get("scales", ["small"]), "scales")],
-            seeds=[int(s) for s in _require_list(data.get("seeds", [0]), "seeds")],
+            seeds=_seeds(data.get("seeds", [0]), section),
             params={
                 str(k): list(_require_list(v, f"params[{k!r}]"))
                 for k, v in data.get("params", {}).items()
@@ -245,8 +252,9 @@ class ScenarioGridSpec:
     seeds: List[int] = field(default_factory=lambda: [0])
 
     @classmethod
-    def default_seeds(cls, scenario: Mapping[str, object]) -> List[int]:
-        return [int(scenario.get("seed", 0))]
+    def default_seeds(cls, scenario: Mapping[str, object],
+                      section: str = "grid") -> List[int]:
+        return [_int_field(f"{section}.scenario.seed", scenario.get("seed", 0))]
 
     def expand(self) -> Iterator[RunSpec]:
         axis_paths = sorted(self.axes)
@@ -285,8 +293,8 @@ class ScenarioGridSpec:
                 str(k): list(_require_list(v, f"axes[{k!r}]"))
                 for k, v in data.get("axes", {}).items()
             },
-            seeds=(cls.default_seeds(scenario) if seeds is None
-                   else [int(s) for s in _require_list(seeds, "seeds")]),
+            seeds=(cls.default_seeds(scenario, section) if seeds is None
+                   else _seeds(seeds, section)),
         )
 
 

@@ -95,12 +95,3 @@ class Occamy(DynamicThreshold):
             f"bw_fraction={self.expulsion_bandwidth_fraction})"
         )
 
-
-class OccamyLongestDrop(Occamy):
-    """Figure 21 ablation: Occamy that always expels from the longest queue."""
-
-    name = "occamy_longest"
-
-    def __init__(self, alpha: float = 8.0, **kwargs) -> None:
-        kwargs.setdefault("victim_policy", "longest")
-        super().__init__(alpha=alpha, **kwargs)

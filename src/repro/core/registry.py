@@ -1,102 +1,42 @@
-"""A registry mapping scheme names to buffer-manager factories.
+"""Scheme names -> buffer-manager factories.
 
 Experiments, scenarios and the CLI refer to schemes by name (``"dt"``,
-``"occamy"``, ``"abm"``, ``"pushout"``, ...); the registry turns those names
-plus keyword arguments into configured
+``"occamy"``, ``"abm"``, ``"pushout"``, ...); this :class:`~repro.registry.
+Registry` -- the one registry class every named factory goes through --
+turns those names plus keyword arguments into configured
 :class:`~repro.core.base.BufferManager` instances.
 
 Every registration may carry *default keyword arguments* -- the paper's
 parameter choices live here (DT alpha=1, ABM alpha=2, Occamy alpha=8), so
 ``make_buffer_manager("occamy")`` is the single source of truth for a
 paper-configured scheme.  Call-site kwargs override the registered defaults.
+A variant that only changes defaults is a registration, not a subclass:
+``occamy_longest`` is :class:`~repro.core.occamy.Occamy` with the Fig. 21
+longest-queue victim policy.
 
-Registering a name twice is an error unless ``override=True`` is passed:
-silent overwrites used to let a plugin shadow a built-in scheme without
-anyone noticing.
+Registering a name twice is an error unless ``override=True`` is passed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable
 
 from repro.core.abm import ABM
 from repro.core.base import BufferManager
 from repro.core.dt import DynamicThreshold
-from repro.core.occamy import Occamy, OccamyLongestDrop
+from repro.core.occamy import Occamy
 from repro.core.pushout import Pushout
 from repro.core.static import CompletePartitioning, CompleteSharing, StaticThreshold
+from repro.registry import Registry
 
-_FACTORIES: Dict[str, Callable[..., BufferManager]] = {}
-_DEFAULTS: Dict[str, Dict[str, object]] = {}
+SCHEMES: Registry[Callable[..., BufferManager]] = Registry(
+    "buffer management scheme")
 
-
-def register_scheme(
-    name: str,
-    factory: Callable[..., BufferManager],
-    defaults: Optional[Mapping[str, object]] = None,
-    override: bool = False,
-) -> None:
-    """Register ``factory`` under ``name``.
-
-    Args:
-        name: scheme name (non-empty).
-        factory: callable (usually the scheme class) accepting the scheme's
-            keyword arguments.
-        defaults: default keyword arguments applied by
-            :func:`make_buffer_manager`; call-site kwargs take precedence.
-        override: allow replacing an existing registration.  Without it a
-            name collision raises :class:`ValueError`.
-    """
-    if not name:
-        raise ValueError("scheme name must be non-empty")
-    if name in _FACTORIES and not override:
-        raise ValueError(
-            f"scheme {name!r} is already registered; "
-            "pass override=True to replace it"
-        )
-    _FACTORIES[name] = factory
-    _DEFAULTS[name] = dict(defaults or {})
-
-
-def unregister_scheme(name: str) -> None:
-    """Remove a registration (mainly for tests and plugin teardown)."""
-    _FACTORIES.pop(name, None)
-    _DEFAULTS.pop(name, None)
-
-
-def available_schemes() -> List[str]:
-    """Names of all registered schemes, sorted."""
-    return sorted(_FACTORIES)
-
-
-def scheme_defaults(name: str) -> Dict[str, object]:
-    """The registered default kwargs of scheme ``name`` (a copy)."""
-    if name not in _DEFAULTS:
-        raise KeyError(
-            f"unknown buffer management scheme {name!r}; "
-            f"available: {', '.join(available_schemes())}"
-        )
-    return dict(_DEFAULTS[name])
-
-
-def make_buffer_manager(name: str, **kwargs) -> BufferManager:
-    """Instantiate the scheme registered under ``name``.
-
-    The registered default kwargs are applied first; explicit ``kwargs``
-    override them.
-
-    Raises:
-        KeyError: if no scheme with that name is registered.
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown buffer management scheme {name!r}; "
-            f"available: {', '.join(available_schemes())}"
-        ) from None
-    merged = {**_DEFAULTS[name], **kwargs}
-    return factory(**merged)
+register_scheme = SCHEMES.register
+unregister_scheme = SCHEMES.unregister
+available_schemes = SCHEMES.names
+scheme_defaults = SCHEMES.defaults
+make_buffer_manager = SCHEMES.make
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +46,8 @@ register_scheme("dt", DynamicThreshold, defaults={"alpha": 1.0})
 register_scheme("abm", ABM, defaults={"alpha": 2.0})
 register_scheme("pushout", Pushout)
 register_scheme("occamy", Occamy, defaults={"alpha": 8.0})
-register_scheme("occamy_longest", OccamyLongestDrop, defaults={"alpha": 8.0})
+register_scheme("occamy_longest", Occamy,
+                defaults={"alpha": 8.0, "victim_policy": "longest"})
 register_scheme("complete_sharing", CompleteSharing)
 register_scheme("complete_partitioning", CompletePartitioning)
 register_scheme("static_threshold", StaticThreshold)

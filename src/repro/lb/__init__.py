@@ -1,4 +1,5 @@
-"""Adaptive load balancing: the fifth scenario registry.
+"""Adaptive load balancing: the fifth scenario registry (a
+:class:`~repro.registry.Registry` like the other four).
 
 ECMP's static flow hash is exactly wrong on an asymmetric fabric: a failed
 or degraded uplink keeps its hash share of the flows until the end of the

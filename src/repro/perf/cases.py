@@ -34,15 +34,16 @@ path of the simulation core:
   bare switch with queue tracing on (the pure switch-pipeline path, no
   transport).
 
-Like the scheme/topology/workload registries, third-party cases can be added
-with :func:`register_case`.
+Cases live in a :class:`~repro.registry.Registry` like every other named
+factory; third-party cases can be added with :func:`register_case`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
+from repro.registry import Registry
 from repro.scenario.builders import (
     fat_tree_scenario,
     leaf_spine_scenario,
@@ -78,33 +79,21 @@ class PerfCase:
     description: str = ""
 
 
-_CASES: Dict[str, PerfCase] = {}
+CASES: Registry[PerfCase] = Registry("perf case")
 
 
 def register_case(case: PerfCase) -> None:
     """Add a case to the registry; an id is registered at most once."""
-    if case.case_id in _CASES:
-        raise ValueError(f"perf case {case.case_id!r} is already registered")
-    _CASES[case.case_id] = case
+    CASES.register(case.case_id, case)
 
 
-def unregister_case(case_id: str) -> None:
-    del _CASES[case_id]
-
-
-def get_case(case_id: str) -> PerfCase:
-    try:
-        return _CASES[case_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown perf case {case_id!r}; "
-            f"available: {', '.join(sorted(_CASES))}"
-        ) from None
+unregister_case = CASES.unregister
+get_case = CASES.get
 
 
 def available_cases() -> List[PerfCase]:
     """All registered cases, sorted by id."""
-    return sorted(_CASES.values(), key=lambda c: c.case_id)
+    return [CASES.get(case_id) for case_id in CASES.names()]
 
 
 def case_with_engine(case: PerfCase, kernel: Optional[str] = None,

@@ -1,12 +1,15 @@
 """Declarative scenarios: scheme x topology x workload x transport x lb.
 
 The scenario layer composes five registries behind one JSON-expressible
-:class:`~repro.scenario.spec.ScenarioSpec`:
+:class:`~repro.scenario.spec.ScenarioSpec`, each an instance of the one
+:class:`~repro.registry.Registry` class (factories plus default kwargs,
+collision protection, kwargs bound against the factory at ``validate``):
 
-* **schemes** -- :mod:`repro.core.registry` (promoted: default kwargs with
-  the paper's parameter choices, collision protection);
+* **schemes** -- :mod:`repro.core.registry` (default kwargs with the
+  paper's parameter choices);
 * **topologies** -- :mod:`repro.scenario.topologies` (``single_switch``,
-  ``leaf_spine``, ``fat_tree``, ``dumbbell``, ``raw_switch``, pluggable);
+  ``leaf_spine``, ``fat_tree``, ``dumbbell``, ``raw_switch``, pluggable;
+  builders are called with ``manager_factory=`` by keyword);
 * **workloads** -- :mod:`repro.scenario.workloads` (``incast``, ``poisson``,
   ``websearch``, ``all_to_all``, ``all_reduce``, ``burst``, ``permutation``,
   ``hotspot``, ``fixed``, packet-level streams/bursts);

@@ -25,24 +25,20 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, List, Optional,
                     Sequence, Tuple)
 
-from repro.core.registry import available_schemes, make_buffer_manager
-from repro.lb import available_load_balancers, make_load_balancer
+from repro.core.registry import SCHEMES, make_buffer_manager
+from repro.lb.registry import LOAD_BALANCERS, make_load_balancer
 from repro.metrics.flows import FlowStats
 from repro.metrics.percentiles import mean, percentile
 from repro.netsim.transport.factory import make_transport
 from repro.scenario.spec import ScenarioSpec, WorkloadSpec
 from repro.scenario.topologies import (
     LEVEL_SWITCH,
-    available_topologies,
+    TOPOLOGIES,
     make_topology,
     topology_level,
 )
-from repro.scenario.transports import make_transport_config
-from repro.scenario.workloads import (
-    WorkloadContext,
-    available_workloads,
-    make_workload,
-)
+from repro.scenario.transports import TRANSPORT_PROFILES, make_transport_config
+from repro.scenario.workloads import WORKLOADS, WorkloadContext, make_workload
 from repro.sim.engine import Simulator
 from repro.sim.kernel import make_kernel
 from repro.sim.rng import SeededRNG
@@ -380,31 +376,24 @@ class ScenarioRunner:
 
     # -- validation ----------------------------------------------------
     def validate(self, spec: ScenarioSpec) -> None:
-        """Fail fast with a precise message instead of mid-simulation."""
-        if spec.scheme.name not in available_schemes():
-            raise KeyError(
-                f"unknown scheme {spec.scheme.name!r}; "
-                f"available: {', '.join(available_schemes())}")
-        if spec.topology.kind not in available_topologies():
-            raise KeyError(
-                f"unknown topology {spec.topology.kind!r}; "
-                f"available: {', '.join(available_topologies())}")
-        for workload in spec.workloads:
-            if workload.kind not in available_workloads():
-                raise KeyError(
-                    f"unknown workload {workload.kind!r}; "
-                    f"available: {', '.join(available_workloads())}")
+        """Fail fast with a precise message instead of mid-simulation.
+
+        Every named section resolves through its registry, and the kwargs
+        behind the name bind against the factory's signature, so a typo
+        fails here, naming its dotted key, not as a ``TypeError`` mid-run.
+        """
+        SCHEMES.check(spec.scheme.name, spec.scheme.kwargs, "scheme.kwargs")
+        for index, workload in enumerate(spec.workloads):
+            WORKLOADS.check(workload.kind, workload.params,
+                            f"workloads[{index}].params")
         if spec.duration <= 0:
             raise ValueError("scenario duration must be positive")
         if spec.run_slack <= 0:
             raise ValueError("run_slack must be positive")
         spec.fabric.validate()
         spec.lb.validate()
-        if spec.lb.name not in available_load_balancers():
-            raise KeyError(
-                f"unknown load balancer {spec.lb.name!r}; "
-                f"available: {', '.join(available_load_balancers())}")
-        # Policy kwargs resolve eagerly (typos raise here, not mid-run).
+        LOAD_BALANCERS.check(spec.lb.name, spec.lb.kwargs, "lb.kwargs")
+        # Policy values resolve eagerly too (a bad flowlet gap raises here).
         make_load_balancer(spec.lb.name, **spec.lb.kwargs)
         if topology_level(spec.topology.kind) == LEVEL_SWITCH:
             if not spec.lb.is_default():
@@ -429,9 +418,16 @@ class ScenarioRunner:
                     "yet: mid-run failures would change cut-link state "
                     "under the conservative lookahead.  Static "
                     "fabric.failures/degraded are supported")
-        spec.resolved_topology_params()  # fabric/topology collision check
+        # Merging the fabric section checks for fabric/topology collisions.
+        TOPOLOGIES.check(spec.topology.kind, spec.resolved_topology_params(),
+                         "topology.params")
         if "scheduler" in spec.topology.params:  # a name typo raises here
             make_scheduler(str(spec.topology.params["scheduler"]))
+        try:
+            TRANSPORT_PROFILES.check(spec.transport.profile or "default",
+                                     spec.transport.config, "transport.config")
+        except KeyError as err:
+            raise KeyError(f"transport.profile: {err.args[0]}") from None
         # Protocol names resolve eagerly too (raises KeyError on typos).
         make_transport(spec.transport.protocol)
         for workload in spec.workloads:

@@ -700,7 +700,7 @@ class ScenarioSpec:
             engine=EngineSpec.from_dict(data.get("engine")),
             duration=float(data.get("duration", 0.02)),
             run_slack=float(data.get("run_slack", 10.0)),
-            seed=int(data.get("seed", 0)),
+            seed=_int_field("scenario.seed", data.get("seed", 0)),
             alpha_overrides={
                 int(k): float(v)
                 for k, v in data.get("alpha_overrides", {}).items()

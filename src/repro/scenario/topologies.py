@@ -9,17 +9,20 @@ Every entry couples a builder callable with its *level*:
   network; workloads produce raw ``(time, size_bytes, port)`` arrivals applied
   straight to the switch ingress (the P4-prototype figures).
 
-Builders take ``(manager_factory, **params)`` where ``manager_factory`` is a
-zero-argument callable producing a fresh buffer manager per switch and
-``params`` come verbatim from :class:`~repro.scenario.spec.TopologySpec`.
+Builders are entries of one :class:`~repro.registry.Registry` (the registry
+class every named factory goes through) and are called as
+``builder(manager_factory=..., **params)``: ``manager_factory`` -- by
+keyword -- is a zero-argument callable producing a fresh buffer manager per
+switch and ``params`` come verbatim from
+:class:`~repro.scenario.spec.TopologySpec`.  The built-ins are the topology
+classes themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict
 
-from repro.scenario.registry import Registry
+from repro.registry import Registry
 from repro.topology.dumbbell import DumbbellTopology
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leaf_spine import LeafSpineTopology
@@ -29,14 +32,8 @@ from repro.topology.single_switch import SingleSwitchTopology
 LEVEL_NETWORK = "network"
 LEVEL_SWITCH = "switch"
 
-
-@dataclass
-class TopologyEntry:
-    builder: Callable[..., object]
-    level: str = LEVEL_NETWORK
-
-
-_TOPOLOGIES: Registry[TopologyEntry] = Registry("topology")
+TOPOLOGIES: Registry[Callable[..., object]] = Registry("topology")
+_LEVELS: Dict[str, str] = {}
 
 
 def register_topology(
@@ -48,25 +45,30 @@ def register_topology(
     """Register a topology builder under ``name``."""
     if level not in (LEVEL_NETWORK, LEVEL_SWITCH):
         raise ValueError(f"level must be 'network' or 'switch', got {level!r}")
-    _TOPOLOGIES.register(name, TopologyEntry(builder=builder, level=level),
-                         override=override)
+    TOPOLOGIES.register(name, builder, override=override)
+    _LEVELS[name] = level
 
 
 def unregister_topology(name: str) -> None:
-    _TOPOLOGIES.unregister(name)
+    TOPOLOGIES.unregister(name)
+    _LEVELS.pop(name, None)
 
 
-def available_topologies() -> List[str]:
-    return _TOPOLOGIES.names()
+available_topologies = TOPOLOGIES.names
 
 
 def topology_level(name: str) -> str:
     """The level (``network`` or ``switch``) of topology ``name``."""
-    return _TOPOLOGIES.get(name).level
+    TOPOLOGIES.get(name)  # an unknown name raises the registry's KeyError
+    return _LEVELS[name]
 
 
-def make_topology(name: str, manager_factory: Callable[[], object], **params):
+def make_topology(name: str, manager_factory: Callable[[], object], /,
+                  **params):
     """Build the topology registered under ``name``.
+
+    ``name`` is positional-only, so a builder parameter of the same name
+    (``raw_switch``'s switch name) passes through ``params``.
 
     Network-level topologies get their link-arrival event priorities
     assigned here (see ``Network.assign_event_priorities``): every process
@@ -74,8 +76,7 @@ def make_topology(name: str, manager_factory: Callable[[], object], **params):
     keeps equal-timestamp arrival ordering identical between the
     single-process oracle and the sharded engine's workers.
     """
-    entry = _TOPOLOGIES.get(name)
-    topology = entry.builder(manager_factory, **params)
+    topology = TOPOLOGIES.make(name, manager_factory=manager_factory, **params)
     network = getattr(topology, "network", None)
     if network is not None and hasattr(network, "assign_event_priorities"):
         network.assign_event_priorities()
@@ -85,28 +86,8 @@ def make_topology(name: str, manager_factory: Callable[[], object], **params):
 # ----------------------------------------------------------------------
 # Built-in topologies
 # ----------------------------------------------------------------------
-def _single_switch(manager_factory, **params) -> SingleSwitchTopology:
-    return SingleSwitchTopology(manager_factory=manager_factory, **params)
-
-
-def _leaf_spine(manager_factory, **params) -> LeafSpineTopology:
-    return LeafSpineTopology(manager_factory=manager_factory, **params)
-
-
-def _dumbbell(manager_factory, **params) -> DumbbellTopology:
-    return DumbbellTopology(manager_factory=manager_factory, **params)
-
-
-def _fat_tree(manager_factory, **params) -> FatTreeTopology:
-    return FatTreeTopology(manager_factory=manager_factory, **params)
-
-
-def _raw_switch(manager_factory, **params) -> RawSwitchTopology:
-    return RawSwitchTopology(manager_factory=manager_factory, **params)
-
-
-register_topology("single_switch", _single_switch, level=LEVEL_NETWORK)
-register_topology("leaf_spine", _leaf_spine, level=LEVEL_NETWORK)
-register_topology("fat_tree", _fat_tree, level=LEVEL_NETWORK)
-register_topology("dumbbell", _dumbbell, level=LEVEL_NETWORK)
-register_topology("raw_switch", _raw_switch, level=LEVEL_SWITCH)
+register_topology("single_switch", SingleSwitchTopology, level=LEVEL_NETWORK)
+register_topology("leaf_spine", LeafSpineTopology, level=LEVEL_NETWORK)
+register_topology("fat_tree", FatTreeTopology, level=LEVEL_NETWORK)
+register_topology("dumbbell", DumbbellTopology, level=LEVEL_NETWORK)
+register_topology("raw_switch", RawSwitchTopology, level=LEVEL_SWITCH)

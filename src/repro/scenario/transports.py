@@ -2,21 +2,24 @@
 
 A *profile* is a reusable set of :class:`~repro.netsim.transport.base.
 TransportConfig` keyword arguments (e.g. the paper's ns-3 simulations use a
-5 ms minimum RTO, the DPDK testbed 2 ms).  A scenario's
-:class:`~repro.scenario.spec.TransportSpec` names a profile and may override
-individual fields on top of it.  The transport *protocol* (dctcp / cubic /
-reno) is resolved separately through :mod:`repro.netsim.transport.factory`.
+5 ms minimum RTO, the DPDK testbed 2 ms): a registration of
+``TransportConfig`` itself with those kwargs as its registry defaults.  A
+scenario's :class:`~repro.scenario.spec.TransportSpec` names a profile
+(``default`` when it names none) and may override individual fields on top
+of it.  The transport *protocol* (dctcp / cubic / reno) is resolved
+separately through :mod:`repro.netsim.transport.factory`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Callable, Mapping
 
 from repro.netsim.transport.base import TransportConfig
-from repro.scenario.registry import Registry
+from repro.registry import Registry
 from repro.scenario.spec import TransportSpec
 
-_PROFILES: Registry[Dict[str, object]] = Registry("transport profile")
+TRANSPORT_PROFILES: Registry[Callable[..., TransportConfig]] = Registry(
+    "transport profile")
 
 
 def register_transport_profile(name: str, config: Mapping[str, object],
@@ -24,24 +27,17 @@ def register_transport_profile(name: str, config: Mapping[str, object],
     """Register TransportConfig kwargs under ``name``."""
     # Validate eagerly so a bad profile fails at registration, not mid-run.
     TransportConfig(**dict(config))
-    _PROFILES.register(name, dict(config), override=override)
+    TRANSPORT_PROFILES.register(name, TransportConfig, defaults=config,
+                                override=override)
 
 
-def unregister_transport_profile(name: str) -> None:
-    _PROFILES.unregister(name)
-
-
-def available_transport_profiles() -> List[str]:
-    return _PROFILES.names()
+unregister_transport_profile = TRANSPORT_PROFILES.unregister
+available_transport_profiles = TRANSPORT_PROFILES.names
 
 
 def make_transport_config(spec: TransportSpec) -> TransportConfig:
     """Resolve a TransportSpec into a concrete TransportConfig."""
-    base: Dict[str, object] = {}
-    if spec.profile is not None:
-        base.update(_PROFILES.get(spec.profile))
-    base.update(spec.config)
-    return TransportConfig(**base)
+    return TRANSPORT_PROFILES.make(spec.profile or "default", **spec.config)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.scenario.registry import Registry
+from repro.registry import Registry
 from repro.sim.rng import SeededRNG
 from repro.workloads import (
     DATA_MINING_DISTRIBUTION,
@@ -75,26 +75,16 @@ class WorkloadContext:
 
 WorkloadFactory = Callable[..., Sequence]
 
-_WORKLOADS: Registry[WorkloadFactory] = Registry("workload")
+WORKLOADS: Registry[WorkloadFactory] = Registry("workload")
 
-
-def register_workload(name: str, factory: WorkloadFactory,
-                      override: bool = False) -> None:
-    """Register a workload factory under ``name``."""
-    _WORKLOADS.register(name, factory, override=override)
-
-
-def unregister_workload(name: str) -> None:
-    _WORKLOADS.unregister(name)
-
-
-def available_workloads() -> List[str]:
-    return _WORKLOADS.names()
+register_workload = WORKLOADS.register
+unregister_workload = WORKLOADS.unregister
+available_workloads = WORKLOADS.names
 
 
 def make_workload(kind: str, params: dict, ctx: WorkloadContext) -> Sequence:
     """Generate the traffic of one workload."""
-    return _WORKLOADS.get(kind)(ctx, **params)
+    return WORKLOADS.make(kind, ctx, **params)
 
 
 # ----------------------------------------------------------------------
@@ -200,12 +190,6 @@ def poisson_workload(
         priority=priority,
     )
     return generator.generate(ctx.duration, start_time=start_time)
-
-
-def websearch_workload(ctx: WorkloadContext, **params) -> List[FlowSpec]:
-    """Alias for ``poisson`` with the web-search size distribution."""
-    params.setdefault("distribution", "websearch")
-    return poisson_workload(ctx, **params)
 
 
 def all_to_all_workload(
@@ -378,7 +362,8 @@ def packet_burst_workload(
 
 register_workload("incast", incast_workload)
 register_workload("poisson", poisson_workload)
-register_workload("websearch", websearch_workload)
+register_workload("websearch", poisson_workload,
+                  defaults={"distribution": "websearch"})
 register_workload("all_to_all", all_to_all_workload)
 register_workload("all_reduce", all_reduce_workload)
 register_workload("burst", burst_workload)

@@ -32,8 +32,9 @@ pinned benchmark documents and frozen spec hashes still carry
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Type
+from typing import Optional, Type
 
+from repro.registry import Registry
 from repro.sim.events import Event, EventQueue
 
 
@@ -119,32 +120,11 @@ class HeapKernel(SimKernel):
         return executed
 
 
-_KERNELS: Dict[str, Type[SimKernel]] = {}
+KERNELS: Registry[Type[SimKernel]] = Registry("kernel")
 
-
-def register_kernel(name: str, factory: Type[SimKernel],
-                    override: bool = False) -> None:
-    """Register a kernel class under ``name`` (``override`` replaces)."""
-    if name in _KERNELS and not override:
-        raise ValueError(f"kernel {name!r} is already registered")
-    _KERNELS[name] = factory
-
-
-def make_kernel(name: str) -> SimKernel:
-    """Instantiate a registered kernel by name."""
-    try:
-        factory = _KERNELS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown kernel {name!r}; "
-            f"available: {', '.join(available_kernels())}") from None
-    return factory()
-
-
-def available_kernels() -> List[str]:
-    """Registered kernel names, sorted."""
-    return sorted(_KERNELS)
-
+register_kernel = KERNELS.register
+make_kernel = KERNELS.make
+available_kernels = KERNELS.names
 
 register_kernel("heap", HeapKernel)
 # Compatibility alias (see the module docstring): selects nothing.

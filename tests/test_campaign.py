@@ -182,7 +182,16 @@ class TestSweepSpec:
         ({"grids": [{"type": "scenario", "scenario": {}, "seed": [3]}]},
          r"grids\[0\]\.seed"),
         ({"name": "s", "grid": []}, r"sweep\.grid"),
-    ], ids=["scenario-axis", "grid-seed", "scenario-seed", "sweep-grid"])
+        # Lossy seeds: [1.9, true] used to expand to one run of seed 1.
+        ({"grids": [{"experiments": ["table1"], "seeds": [1.9, True]}]},
+         r"grids\[0\]\.seeds\[0\]"),
+        ({"grids": [{"type": "scenario", "scenario": {}, "seeds": [1, True]}]},
+         r"grids\[0\]\.seeds\[1\]"),
+        ({"grids": [{"type": "scenario", "scenario": {"seed": 2.5}}]},
+         r"grids\[0\]\.scenario\.seed"),
+    ], ids=["scenario-axis", "grid-seed", "scenario-seed", "sweep-grid",
+            "grid-lossy-seeds", "scenario-lossy-seeds",
+            "scenario-lossy-default-seed"])
     def test_key_typos_are_rejected_with_dotted_names(self, document, message):
         with pytest.raises(ValueError, match=message):
             SweepSpec.from_dict(document)

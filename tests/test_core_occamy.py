@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import BufferManager, DynamicThreshold, Occamy
 from repro.core.expulsion import RoundRobinPointer, TokenBucket
-from repro.core.occamy import OccamyLongestDrop
+from repro.core.registry import make_buffer_manager
 from repro.perf.cases import get_case
 from repro.scenario import leaf_spine_scenario, run_scenario
 from repro.scenario.scales import get_scale
@@ -45,7 +45,7 @@ class TestOccamyConfig:
             Occamy(max_drops_per_run=0)
 
     def test_longest_drop_variant(self):
-        variant = OccamyLongestDrop()
+        variant = make_buffer_manager("occamy_longest")
         assert variant.victim_policy == "longest"
         assert variant.alpha == 8.0
 
@@ -159,7 +159,7 @@ class TestOccamyExpulsionEndToEnd:
         assert switch.expulsion_engine is None
 
     def test_occamy_switch_has_engine_with_policy(self):
-        occ = OccamyLongestDrop(alpha=8.0)
+        occ = make_buffer_manager("occamy_longest", alpha=8.0)
         switch, _ = make_switch(occ)
         assert switch.expulsion_engine is not None
         assert switch.expulsion_engine.victim_policy == "longest"

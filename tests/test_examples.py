@@ -92,11 +92,33 @@ _STALE_BASE = {
      "unknown scheduler 'wrr'; available: drr, fifo, strict"),
     ({"workloads": [{"kind": "trace_replay", "params": {"path": "f.csv"}}]},
      r"unknown workload 'trace_replay'; available: .*fixed"),
-], ids=["drill", "spray", "wrr", "trace_replay"])
+    # A kwarg typo behind a valid name names its dotted key and what the
+    # factory takes, instead of a TypeError from the run.
+    ({"topology": {"kind": "dumbbell", "params": {"num_pair": 2}}},
+     r"topology\.params\.num_pair: dumbbell takes num_pairs, "),
+    ({"scheme": {"name": "occamy", "kwargs": {"alpah": 4.0}}},
+     r"scheme\.kwargs\.alpah: occamy takes alpha, victim_policy, "),
+    ({"scheme": {"name": "occamy_longest", "kwargs": {"alpah": 4.0}}},
+     r"scheme\.kwargs\.alpah: occamy_longest takes alpha, victim_policy, "),
+    ({"workloads": [{"kind": "burst", "params": {"burst_byte": 3000}}]},
+     r"workloads\[0\]\.params\.burst_byte: burst takes .*burst_bytes"),
+    ({"workloads": [{"kind": "websearch", "params": {"lod": 0.3}}]},
+     r"workloads\[0\]\.params\.lod: websearch takes .*load, "),
+    ({"transport": {"config": {"min_rot": 1e-3}}},
+     r"transport\.config\.min_rot: default takes .*min_rto"),
+    ({"transport": {"profile": "papersim"}},
+     r"transport\.profile: unknown transport profile 'papersim'; "
+     r"available: default, paper_sim, testbed"),
+    ({"lb": {"name": "flowlet", "kwargs": {"gapp": 1e-4}}},
+     r"lb\.kwargs\.gapp: flowlet takes gap"),
+], ids=["drill", "spray", "wrr", "trace_replay", "num_pair", "alpah",
+        "longest-alpah", "burst_byte", "websearch-lod", "min_rot",
+        "papersim", "gapp"])
 def test_removed_feature_names_fail_validation(tmp_path, capsys, patch,
                                                message):
-    # A document naming a removed policy, scheduler or workload fails
-    # `validate` with the surviving names, not a run that dies later.
+    # A document naming a removed policy, scheduler or workload, or a kwarg
+    # its factory does not take, fails `validate` with the surviving names,
+    # not a run that dies later.
     import json
 
     document = {**_STALE_BASE, **patch}

@@ -305,12 +305,12 @@ class _CountingKernel(HeapKernel):
 
 @pytest.fixture
 def counting_kernel():
-    from repro.sim.kernel import _KERNELS
+    from repro.sim.kernel import KERNELS
 
     _CountingKernel.loops = 0
     register_kernel(_CountingKernel.name, _CountingKernel)
     yield _CountingKernel
-    del _KERNELS[_CountingKernel.name]
+    KERNELS.unregister(_CountingKernel.name)
 
 
 def test_differential_small_case_is_identical(counting_kernel):

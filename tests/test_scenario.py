@@ -154,6 +154,24 @@ class TestScenarioRegistries:
         with pytest.raises(KeyError, match="bogus"):
             make_load_balancer("bogus")
 
+    def test_no_factory_takes_arbitrary_kwargs(self):
+        # Registry.check binds a section's kwargs against the factory's
+        # signature; a ``**kwargs`` parameter would accept any typo, so a
+        # variant that only sets defaults is a registration, not a wrapper.
+        import inspect
+
+        from repro.core.registry import SCHEMES
+        from repro.lb.registry import LOAD_BALANCERS
+        from repro.scenario.topologies import TOPOLOGIES
+        from repro.scenario.workloads import WORKLOADS
+
+        for registry in (SCHEMES, TOPOLOGIES, WORKLOADS, LOAD_BALANCERS):
+            for name in registry.names():
+                parameters = inspect.signature(
+                    registry.get(name)).parameters.values()
+                assert all(p.kind is not p.VAR_KEYWORD for p in parameters), (
+                    f"{registry.kind} {name!r} takes **kwargs")
+
     def test_runner_validates_names(self):
         spec = _dumbbell_burst_spec()
         bad = ScenarioSpec.from_dict(
@@ -214,6 +232,9 @@ class TestScenarioSpec:
          r"workloads\[1\]\.parmas"),
         ("workloads", [{"kind": "burst", "param": {}}],
          r"workloads\[0\]\.param"),
+        # int(1.5) and int(True) are both seed 1.
+        ("seed", 1.5, "scenario.seed"),
+        ("seed", True, "scenario.seed"),
     ])
     def test_section_typos_and_lossy_values_are_rejected(
             self, section, value, message):
@@ -230,6 +251,18 @@ class TestScenarioSpec:
 # Runner on combinations no figure covers
 # ----------------------------------------------------------------------
 class TestScenarioRunner:
+    def test_builder_param_named_name_reaches_the_builder(self):
+        # raw_switch takes a ``name``; it used to collide with
+        # make_topology's own ``name`` and die in the run.
+        spec = ScenarioSpec.from_dict({
+            "name": "named", "scheme": {"name": "dt"},
+            "topology": {"kind": "raw_switch",
+                         "params": {"num_ports": 2, "name": "sw"}},
+            "workloads": [{"kind": "packet_burst", "params": {
+                "burst_bytes": 3000, "rate_bps": 1e10, "port": 0}}],
+            "duration": 1e-4})
+        assert run_scenario(spec).switch.name == "sw"
+
     def test_dumbbell_burst_runs(self):
         reset_workload_ids()
         result = run_scenario(_dumbbell_burst_spec())
