@@ -63,31 +63,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
-from repro.scenario.spec import _check_keys, _int_field, canonical_json
-
-
-def _require_list(value: object, name: str) -> list:
-    """Reject strings/scalars where a JSON list is required.
-
-    Guards against e.g. ``"experiments": "fig13"`` silently fanning out into
-    one run per character.
-    """
-    if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return list(value)
-
-
-def _seeds(value: object, section: str) -> List[int]:
-    """A grid's ``seeds`` list, every entry an integer (no silent
-    truncation: ``[1.9, true]`` is not two runs of seed 1)."""
-    return [_int_field(f"{section}.seeds[{index}]", seed)
-            for index, seed in enumerate(_require_list(value, "seeds"))]
+from repro.scenario.spec import canonical_json
+from repro.schema import OMIT_DEFAULT, Section, parse
 
 
 @dataclass
@@ -134,9 +115,10 @@ class RunSpec:
 
 
 @dataclass
-class GridSpec:
+class GridSpec(Section, section="grid"):
     """A cartesian product of runs over experiments, scales, seeds and params."""
 
+    type: str = field(default="grid", init=False)
     experiments: List[str]
     scales: List[str] = field(default_factory=lambda: ["small"])
     seeds: List[int] = field(default_factory=lambda: [0])
@@ -157,32 +139,9 @@ class GridSpec:
                             params=dict(zip(param_names, combo, strict=True)),
                         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "type": "grid",
-            "experiments": list(self.experiments),
-            "scales": list(self.scales),
-            "seeds": list(self.seeds),
-            "params": {k: list(v) for k, v in self.params.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object],
-                  section: str = "grid") -> "GridSpec":
-        _check_keys(section, data,
-                    ("type", "experiments", "scales", "seeds", "params"))
-        experiments = _require_list(data.get("experiments"), "experiments")
-        if not experiments:
-            raise ValueError("grid spec needs a non-empty 'experiments' list")
-        return cls(
-            experiments=[str(e) for e in experiments],
-            scales=[str(s) for s in _require_list(data.get("scales", ["small"]), "scales")],
-            seeds=_seeds(data.get("seeds", [0]), section),
-            params={
-                str(k): list(_require_list(v, f"params[{k!r}]"))
-                for k, v in data.get("params", {}).items()
-            },
-        )
+    def validate(self, section: str = "grid") -> None:
+        if not self.experiments:
+            raise ValueError(f"{section}.experiments must be non-empty")
 
 
 _PATH_SEGMENT = re.compile(r"^(?P<key>[^\[\]]+)?(?P<indices>(\[\d+\])*)$")
@@ -235,31 +194,33 @@ def set_by_path(data: Dict[str, object], path: str, value: object) -> None:
 
 
 @dataclass
-class ScenarioGridSpec:
+class ScenarioGridSpec(Section, section="grid"):
     """A sweep over declarative scenarios: base document x axes x seeds.
 
     ``scenario`` is a :class:`~repro.scenario.spec.ScenarioSpec` dict; each
     ``axes`` entry maps a dotted path inside that document to the values to
     sweep.  Every combination expands to a ``RunSpec`` of the pseudo
     experiment ``"scenario"``.  An explicit ``seeds`` list overrides the
-    document's embedded seed; when omitted, the document's own seed (default
-    0) is the single seed, so both entry points agree on what one document
-    means.
+    document's embedded seed; without one (``None``), the document's own
+    seed (default 0) is the single seed, so both entry points agree on what
+    one document means.
     """
 
+    type: str = field(default="scenario", init=False)
     scenario: Dict[str, object]
     axes: Dict[str, List[object]] = field(default_factory=dict)
-    seeds: List[int] = field(default_factory=lambda: [0])
+    seeds: Optional[List[int]] = field(default=None, metadata=OMIT_DEFAULT)
 
-    @classmethod
-    def default_seeds(cls, scenario: Mapping[str, object],
-                      section: str = "grid") -> List[int]:
-        return [_int_field(f"{section}.scenario.seed", scenario.get("seed", 0))]
+    def validate(self, section: str = "grid") -> None:
+        if self.seeds is None:
+            parse(int, self.scenario.get("seed", 0), f"{section}.scenario.seed")
 
     def expand(self) -> Iterator[RunSpec]:
         axis_paths = sorted(self.axes)
         value_lists = [self.axes[path] for path in axis_paths]
-        for seed in self.seeds:
+        seeds = ([self.scenario.get("seed", 0)] if self.seeds is None
+                 else self.seeds)
+        for seed in seeds:
             for combo in itertools.product(*value_lists):
                 document = copy.deepcopy(self.scenario)
                 for path, value in zip(axis_paths, combo, strict=True):
@@ -271,32 +232,6 @@ class ScenarioGridSpec:
                     params={"scenario": document},
                 )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "type": "scenario",
-            "scenario": copy.deepcopy(self.scenario),
-            "axes": {k: list(v) for k, v in self.axes.items()},
-            "seeds": list(self.seeds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object],
-                  section: str = "grid") -> "ScenarioGridSpec":
-        _check_keys(section, data, ("type", "scenario", "axes", "seeds"))
-        scenario = data.get("scenario")
-        if not isinstance(scenario, Mapping):
-            raise ValueError("scenario grid needs a 'scenario' document (object)")
-        seeds = data.get("seeds")
-        return cls(
-            scenario=copy.deepcopy(dict(scenario)),
-            axes={
-                str(k): list(_require_list(v, f"axes[{k!r}]"))
-                for k, v in data.get("axes", {}).items()
-            },
-            seeds=(cls.default_seeds(scenario, section) if seeds is None
-                   else _seeds(seeds, section)),
-        )
-
 
 AnyGridSpec = Union[GridSpec, ScenarioGridSpec]
 
@@ -305,20 +240,21 @@ def grid_from_dict(data: Mapping[str, object],
                    section: str = "grid") -> AnyGridSpec:
     """Dispatch on the optional ``"type"`` field (default ``"grid"``);
     ``section`` names the grid in errors (``grids[0]``)."""
-    grid_type = str(data.get("type", "grid"))
-    if grid_type == "grid":
-        return GridSpec.from_dict(data, section)
-    if grid_type == "scenario":
-        return ScenarioGridSpec.from_dict(data, section)
-    raise ValueError(f"unknown grid type {grid_type!r} (expected 'grid' or 'scenario')")
+    grid = parse(AnyGridSpec, data, section)
+    grid.validate(section)
+    return grid
 
 
 @dataclass
-class SweepSpec:
+class SweepSpec(Section, section="sweep", document=True):
     """A named campaign: a list of grids expanded into concrete runs."""
 
-    name: str
+    name: str = field(metadata={"absent": "campaign"})
     grids: List[AnyGridSpec] = field(default_factory=list)
+
+    def validate(self) -> None:
+        for index, grid in enumerate(self.grids):
+            grid.validate(f"grids[{index}]")
 
     def expand(self) -> List[RunSpec]:
         """All runs of the campaign, deduplicated by config hash."""
@@ -327,26 +263,6 @@ class SweepSpec:
             for spec in grid.expand():
                 seen.setdefault(spec.config_hash(), spec)
         return list(seen.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "grids": [g.to_dict() for g in self.grids]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SweepSpec":
-        _check_keys("sweep", data, ("name", "grids"))
-        return cls(
-            name=str(data.get("name", "campaign")),
-            grids=[grid_from_dict(g, f"grids[{i}]")
-                   for i, g in enumerate(data.get("grids", []))],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_json(Path(path).read_text())
 
     @classmethod
     def single(cls, name: str, specs: Sequence[RunSpec]) -> "SweepSpec":

@@ -71,25 +71,37 @@ class Registry(Generic[T]):
         factory = self.get(name)
         return factory(*args, **{**self._defaults[name], **kwargs})
 
-    def check(self, name: str, kwargs: Mapping[str, object],
-              section: str) -> None:
-        """Raise if :meth:`make` could not pass ``kwargs`` to ``name``.
+    def check(self, name: str, kwargs: Mapping[str, object], section: str,
+              *args, **supplied) -> None:
+        """Raise unless :meth:`make` could call ``name`` with ``kwargs``.
 
         ``section`` is the dotted key of ``kwargs`` in the document being
-        checked (``scheme.kwargs``); the error names the offending key and
-        the parameters the factory takes.  Parameters the caller supplies
-        itself (a workload's context, a topology's manager factory) may be
-        missing: the binding is partial.
+        checked (``scheme.kwargs``).  ``args`` / ``supplied`` stand in for
+        the positional and keyword arguments the caller passes itself (a
+        workload's context, a topology's manager factory): a key of
+        ``kwargs`` that names one of them, a key no parameter takes and a
+        required parameter nobody passes each raise a ``ValueError`` naming
+        the key.
         """
         signature = inspect.signature(self.get(name))
         merged = {**self._defaults[name], **kwargs}
         try:
-            signature.bind_partial(**merged)
+            signature.bind(*args, **supplied, **merged)
+            return
         except TypeError:
-            # Only a keyword no parameter accepts by name fails a partial
-            # bind, so ``unknown`` is never empty here.
-            takes = [p.name for p in signature.parameters.values()
-                     if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
-            unknown = sorted(set(merged) - set(takes))
+            pass
+        parameters = list(signature.parameters.values())
+        reserved = [p.name for p in parameters[:len(args)]] + list(supplied)
+        for key in reserved:
+            if key in merged:
+                raise ValueError(f"{section}.{key}: supplied by the runner")
+        takes = [p.name for p in parameters
+                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+                 and p.name not in reserved]
+        unknown = sorted(set(merged) - set(takes))
+        if unknown:
             raise ValueError(f"{section}.{unknown[0]}: {name} takes "
-                             f"{', '.join(takes)}") from None
+                             f"{', '.join(takes)}")
+        missing = [p.name for p in parameters if p.name in takes
+                   and p.name not in merged and p.default is p.empty]
+        raise ValueError(f"{section}: {name} needs {', '.join(missing)}")

@@ -382,16 +382,12 @@ class ScenarioRunner:
         behind the name bind against the factory's signature, so a typo
         fails here, naming its dotted key, not as a ``TypeError`` mid-run.
         """
+        spec.validate()
         SCHEMES.check(spec.scheme.name, spec.scheme.kwargs, "scheme.kwargs")
         for index, workload in enumerate(spec.workloads):
+            # The runner passes each workload its context as ``ctx``.
             WORKLOADS.check(workload.kind, workload.params,
-                            f"workloads[{index}].params")
-        if spec.duration <= 0:
-            raise ValueError("scenario duration must be positive")
-        if spec.run_slack <= 0:
-            raise ValueError("run_slack must be positive")
-        spec.fabric.validate()
-        spec.lb.validate()
+                            f"workloads[{index}].params", None)
         LOAD_BALANCERS.check(spec.lb.name, spec.lb.kwargs, "lb.kwargs")
         # Policy values resolve eagerly too (a bad flowlet gap raises here).
         make_load_balancer(spec.lb.name, **spec.lb.kwargs)
@@ -404,8 +400,6 @@ class ScenarioRunner:
                 raise ValueError(
                     "fabric.events needs a network-level topology; "
                     f"{spec.topology.kind!r} has no links to fail or repair")
-        spec.telemetry.validate()
-        spec.engine.validate()
         if spec.engine.shards > 1:
             if topology_level(spec.topology.kind) == LEVEL_SWITCH:
                 raise ValueError(
@@ -420,7 +414,8 @@ class ScenarioRunner:
                     "fabric.failures/degraded are supported")
         # Merging the fabric section checks for fabric/topology collisions.
         TOPOLOGIES.check(spec.topology.kind, spec.resolved_topology_params(),
-                         "topology.params")
+                         "topology.params", manager_factory=None,
+                         simulator=None)
         if "scheduler" in spec.topology.params:  # a name typo raises here
             make_scheduler(str(spec.topology.params["scheduler"]))
         try:

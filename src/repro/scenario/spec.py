@@ -18,6 +18,33 @@ scenario is fully expressible as JSON::
       "seed": 0
     }
 
+The dataclass fields of each section are its schema; :mod:`repro.schema`
+derives ``from_dict``, ``to_dict`` and ``is_default`` from them, the same
+way for every section here and in :mod:`repro.campaign.spec`:
+
+* **Parse.**  A document key is a field name; any other key is an error.  A
+  value must have the field's annotation, strictly: ``true`` is not an
+  ``int`` and ``"10"`` is not a ``float`` (an int is a float), a nested
+  section is an object, a ``List`` is a JSON list.  A field with a default
+  may be left out; ``null`` reads as the default of a section (``"lb":
+  null``).  Errors start with the dotted key (``workloads[1].params``,
+  ``engine.shards``; the root's own keys read ``scenario.seed``).
+  ``from_dict`` then runs the section's ``validate()``: the value rules no
+  annotation states (the fabric timeline's state machine, the engine's
+  kernel lookup, the telemetry ranges).
+* **Serialize.**  ``to_dict`` writes every field in declaration order, the
+  omitted-when-default ones last, each value as its annotation (dict keys
+  as strings; ``fabric.events`` as ``validate()`` normalized them).
+* **Omit.**  A field with ``OMIT_DEFAULT`` metadata is left out of
+  ``to_dict`` while it equals its default (``is_default`` for a section).
+  ``fabric``, ``lb``, ``telemetry`` and ``engine`` are such sections, and
+  ``fabric.events``, ``engine.shards`` and ``engine.partition`` such
+  fields, so a document written before one existed keeps its bytes and its
+  config hash.
+* **Shorthand.**  The field with ``SHORTHAND`` metadata is what a bare
+  string document sets: ``"scheme": "dt"``, ``"topology": "dumbbell"``,
+  ``"lb": "flowlet"``, ``"engine": "pooled"``.
+
 Like :class:`repro.campaign.spec.RunSpec`, a scenario has a stable
 :meth:`~ScenarioSpec.config_hash` derived from the canonical JSON encoding of
 its fields, so identical scenarios hash identically across processes and
@@ -30,8 +57,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional
+
+from repro.schema import OMIT_DEFAULT, SHORTHAND, Section
 
 
 def canonical_json(data: object) -> str:
@@ -39,69 +67,24 @@ def canonical_json(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _check_keys(section: str, data: Mapping[str, object],
-                known: tuple) -> None:
-    """Reject keys of a spec section outside ``known``, so a typo cannot
-    silently fall back to a default."""
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {', '.join(f'{section}.{k}' for k in unknown)}; "
-            f"{section} takes {', '.join(known)}")
-
-
-def _bool_field(name: str, value: object) -> bool:
-    """``value`` if it is a real bool (``bool("false")`` is True)."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _int_field(name: str, value: object) -> int:
-    """``value`` if it is an int and not a bool (no silent truncation)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass
-class SchemeSpec:
+class SchemeSpec(Section, section="scheme"):
     """A buffer-management scheme by registry name plus constructor kwargs."""
 
-    name: str
+    name: str = field(metadata=SHORTHAND)
     kwargs: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "kwargs": dict(self.kwargs)}
-
-    @classmethod
-    def from_dict(cls, data: Union[str, Mapping[str, object]]) -> "SchemeSpec":
-        if isinstance(data, str):  # shorthand: "occamy"
-            return cls(name=data)
-        _check_keys("scheme", data, ("name", "kwargs"))
-        return cls(name=str(data["name"]), kwargs=dict(data.get("kwargs", {})))
-
 
 @dataclass
-class TopologySpec:
+class TopologySpec(Section, section="topology"):
     """A topology by registry kind plus builder parameters."""
 
-    kind: str
+    kind: str = field(metadata=SHORTHAND)
     params: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Union[str, Mapping[str, object]]) -> "TopologySpec":
-        if isinstance(data, str):
-            return cls(kind=data)
-        _check_keys("topology", data, ("kind", "params"))
-        return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
 
 
 @dataclass
-class WorkloadSpec:
+class WorkloadSpec(Section, section="workload"):
     """One traffic source: a workload registry kind plus parameters.
 
     Attributes:
@@ -121,28 +104,6 @@ class WorkloadSpec:
     params: Dict[str, object] = field(default_factory=dict)
     transport: Optional[str] = None
     rng_label: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "transport": self.transport,
-            "rng_label": self.rng_label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object],
-                  section: str = "workload") -> "WorkloadSpec":
-        """``section`` names this entry in errors (``workloads[1]``)."""
-        _check_keys(section, data, ("kind", "params", "transport", "rng_label"))
-        return cls(
-            kind=str(data["kind"]),
-            params=dict(data.get("params", {})),
-            transport=(None if data.get("transport") is None
-                       else str(data["transport"])),
-            rng_label=(None if data.get("rng_label") is None
-                       else str(data["rng_label"])),
-        )
 
 
 #: The actions a fabric-timeline event may carry.
@@ -209,7 +170,7 @@ def normalize_fabric_event(entry: object) -> Dict[str, object]:
 
 
 @dataclass
-class FabricSpec:
+class FabricSpec(Section, section="fabric"):
     """The fabric model of a scenario: per-tier rates, failures, degradation.
 
     Attributes:
@@ -233,21 +194,14 @@ class FabricSpec:
             that is failed at that point of the timeline (initial
             ``failures`` count), no double ``fail``.
 
-    The default (all empty) is exactly the symmetric single-rate fabric, and
-    a default fabric is *omitted* from :meth:`ScenarioSpec.to_dict`, so
-    pre-fabric scenario documents, config hashes and goldens are unchanged.
-    ``events`` participates in the canonical document (and hash) only when
-    non-empty, preserving every pre-timeline fabric hash too.
+    The default (all empty) is exactly the symmetric single-rate fabric.
     """
 
     tier_rates: Dict[str, float] = field(default_factory=dict)
     failures: List[List[object]] = field(default_factory=list)
     degraded: List[List[object]] = field(default_factory=list)
-    events: List[Dict[str, object]] = field(default_factory=list)
-
-    def is_default(self) -> bool:
-        return not (self.tier_rates or self.failures or self.degraded
-                    or self.events)
+    events: List[Dict[str, object]] = field(default_factory=list,
+                                            metadata=OMIT_DEFAULT)
 
     def validate(self) -> None:
         """Shape-check the declarative fields with precise messages."""
@@ -310,49 +264,13 @@ class FabricSpec:
 
     def topology_kwargs(self) -> Dict[str, object]:
         """The builder keyword arguments this fabric adds to a topology."""
-        kwargs: Dict[str, object] = {}
-        if self.tier_rates:
-            kwargs["tier_rates"] = {k: float(v)
-                                    for k, v in self.tier_rates.items()}
-        if self.failures:
-            kwargs["failures"] = [list(entry) for entry in self.failures]
-        if self.degraded:
-            kwargs["degraded"] = [list(entry) for entry in self.degraded]
-        return kwargs
-
-    def to_dict(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {
-            "tier_rates": {str(k): float(v)
-                           for k, v in sorted(self.tier_rates.items())},
-            "failures": [list(entry) for entry in self.failures],
-            "degraded": [list(entry) for entry in self.degraded],
-        }
-        # An empty timeline is omitted so pre-timeline fabric documents
-        # (and their config hashes) are byte-identical.
-        if self.events:
-            doc["events"] = [normalize_fabric_event(e) for e in self.events]
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping[str, object]]) -> "FabricSpec":
-        if data is None:
-            return cls()
-        _check_keys("fabric", data,
-                    ("tier_rates", "failures", "degraded", "events"))
-        spec = cls(
-            tier_rates={str(k): float(v)
-                        for k, v in dict(data.get("tier_rates", {})).items()},
-            failures=[list(entry) for entry in data.get("failures", [])],
-            degraded=[list(entry) for entry in data.get("degraded", [])],
-            events=[dict(entry) if isinstance(entry, Mapping) else entry
-                    for entry in data.get("events", [])],
-        )
-        spec.validate()
-        return spec
+        doc = self.to_dict()
+        return {key: doc[key] for key in ("tier_rates", "failures", "degraded")
+                if doc[key]}
 
 
 @dataclass
-class LoadBalancerSpec:
+class LoadBalancerSpec(Section, section="lb"):
     """The load-balancer section: an uplink-choice policy for every switch.
 
     Attributes:
@@ -361,41 +279,14 @@ class LoadBalancerSpec:
             registration.
         kwargs: policy constructor overrides (e.g. ``{"gap": 5e-05}`` for
             flowlet); registered defaults apply underneath.
-
-    The default (``ecmp`` with no kwargs) is *omitted* from
-    :meth:`ScenarioSpec.to_dict` -- the same backward-compat trick as
-    :class:`FabricSpec` -- so an explicit ``"lb": {"name": "ecmp"}`` and an
-    omitted section produce byte-identical canonical documents and config
-    hashes, both equal to the pre-LB ones.
     """
 
-    name: str = "ecmp"
+    name: str = field(default="ecmp", metadata=SHORTHAND)
     kwargs: Dict[str, object] = field(default_factory=dict)
-
-    def is_default(self) -> bool:
-        return self.name == "ecmp" and not self.kwargs
 
     def validate(self) -> None:
         if not self.name:
             raise ValueError("lb.name must be non-empty")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "kwargs": dict(self.kwargs)}
-
-    @classmethod
-    def from_dict(
-            cls,
-            data: Union[None, str, Mapping[str, object]],
-    ) -> "LoadBalancerSpec":
-        if data is None:
-            return cls()
-        if isinstance(data, str):  # shorthand: "flowlet"
-            return cls(name=data)
-        _check_keys("lb", data, ("name", "kwargs"))
-        spec = cls(name=str(data.get("name", "ecmp")),
-                   kwargs=dict(data.get("kwargs", {})))
-        spec.validate()
-        return spec
 
 
 #: Default ring capacity (samples kept per telemetry series).
@@ -403,7 +294,7 @@ TELEMETRY_DEFAULT_CAPACITY = 512
 
 
 @dataclass
-class TelemetrySpec:
+class TelemetrySpec(Section, section="telemetry"):
     """The telemetry section of a scenario: sampling-bus configuration.
 
     Attributes:
@@ -420,22 +311,12 @@ class TelemetrySpec:
         per_port: record per-port backlog series on every switch (the
             bulk of a fabric document); aggregate and per-switch series
             are always recorded.
-
-    The default (disabled) section is *omitted* from
-    :meth:`ScenarioSpec.to_dict`, the same backward-compat trick as
-    :class:`FabricSpec`: pre-telemetry documents, config hashes and
-    campaign caches are unchanged.
     """
 
     enabled: bool = False
     interval: Optional[float] = None
     capacity: int = TELEMETRY_DEFAULT_CAPACITY
     per_port: bool = True
-
-    def is_default(self) -> bool:
-        return (not self.enabled and self.interval is None
-                and self.capacity == TELEMETRY_DEFAULT_CAPACITY
-                and self.per_port)
 
     def validate(self) -> None:
         if self.interval is not None and not float(self.interval) > 0:
@@ -445,38 +326,9 @@ class TelemetrySpec:
             raise ValueError(
                 f"telemetry.capacity must be >= 2, got {self.capacity!r}")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "enabled": bool(self.enabled),
-            "interval": (None if self.interval is None
-                         else float(self.interval)),
-            "capacity": int(self.capacity),
-            "per_port": bool(self.per_port),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping[str, object]]) -> "TelemetrySpec":
-        if data is None:
-            return cls()
-        _check_keys("telemetry", data,
-                    ("enabled", "interval", "capacity", "per_port"))
-        spec = cls(
-            enabled=_bool_field("telemetry.enabled",
-                                data.get("enabled", False)),
-            interval=(None if data.get("interval") is None
-                      else float(data["interval"])),
-            capacity=_int_field(
-                "telemetry.capacity",
-                data.get("capacity", TELEMETRY_DEFAULT_CAPACITY)),
-            per_port=_bool_field("telemetry.per_port",
-                                 data.get("per_port", True)),
-        )
-        spec.validate()
-        return spec
-
 
 @dataclass
-class EngineSpec:
+class EngineSpec(Section, section="engine"):
     """The engine section of a scenario: which simulation kernel runs it.
 
     Attributes:
@@ -492,25 +344,15 @@ class EngineSpec:
             ``auto`` (topology-aware, the default), ``pods``, ``leaves``
             or ``contiguous``.
 
-    The default (``heap`` / 1 shard / ``auto``) is *omitted* from
-    :meth:`ScenarioSpec.to_dict` -- the same backward-compat trick as
-    :class:`FabricSpec` / :class:`LoadBalancerSpec` /
-    :class:`TelemetrySpec` -- and the ``shards`` / ``partition`` keys are
-    individually omitted when default, so an explicit
-    ``"engine": {"kernel": "pooled"}`` keeps its pre-sharding canonical
-    document and config hash.  A non-default engine *does* change the
-    hash: result documents are expected to be byte-identical across
-    engine configurations (that is the differential gate), but which
-    engine produced a stored artifact is part of its identity.
+    A non-default engine changes the config hash: result documents are
+    byte-identical across engine configurations (that is the differential
+    gate), but which engine produced a stored artifact is part of its
+    identity.
     """
 
-    kernel: str = "heap"
-    shards: int = 1
-    partition: str = "auto"
-
-    def is_default(self) -> bool:
-        return (self.kernel == "heap" and self.shards == 1
-                and self.partition == "auto")
+    kernel: str = field(default="heap", metadata=SHORTHAND)
+    shards: int = field(default=1, metadata=OMIT_DEFAULT)
+    partition: str = field(default="auto", metadata=OMIT_DEFAULT)
 
     def validate(self) -> None:
         # Imported lazily: the spec layer stays importable without pulling
@@ -533,35 +375,9 @@ class EngineSpec:
                 f"unknown engine.partition {self.partition!r}; "
                 f"available: {', '.join(PARTITION_STRATEGIES)}")
 
-    def to_dict(self) -> Dict[str, object]:
-        # shards/partition only appear when non-default, so pre-sharding
-        # engine documents (and their config hashes) are byte-stable.
-        doc: Dict[str, object] = {"kernel": self.kernel}
-        if self.shards != 1:
-            doc["shards"] = self.shards
-        if self.partition != "auto":
-            doc["partition"] = self.partition
-        return doc
-
-    @classmethod
-    def from_dict(
-            cls,
-            data: Union[None, str, Mapping[str, object]],
-    ) -> "EngineSpec":
-        if data is None:
-            return cls()
-        if isinstance(data, str):  # shorthand: "pooled"
-            return cls(kernel=data)
-        _check_keys("engine", data, ("kernel", "shards", "partition"))
-        return cls(
-            kernel=str(data.get("kernel", "heap")),
-            shards=_int_field("engine.shards", data.get("shards", 1)),
-            partition=str(data.get("partition", "auto")),
-        )
-
 
 @dataclass
-class TransportSpec:
+class TransportSpec(Section, section="transport"):
     """Transport configuration: default protocol + config profile/overrides.
 
     Attributes:
@@ -577,26 +393,9 @@ class TransportSpec:
     profile: Optional[str] = None
     config: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol,
-            "profile": self.profile,
-            "config": dict(self.config),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TransportSpec":
-        _check_keys("transport", data, ("protocol", "profile", "config"))
-        return cls(
-            protocol=str(data.get("protocol", "dctcp")),
-            profile=(None if data.get("profile") is None
-                     else str(data["profile"])),
-            config=dict(data.get("config", {})),
-        )
-
 
 @dataclass
-class ScenarioSpec:
+class ScenarioSpec(Section, section="scenario", document=True):
     """One fully-determined scenario: scheme x topology x workloads x transport.
 
     Attributes:
@@ -605,22 +404,17 @@ class ScenarioSpec:
             -- rename with intent.
         scheme / topology / workloads / transport: the four composed specs.
         fabric: the link-level fabric model (per-tier rates, failed and
-            degraded links); the default is the symmetric single-rate
-            fabric and is omitted from the canonical document, so existing
-            hashes are stable.  Campaign sweeps address it with dotted
-            axes such as ``fabric.tier_rates.core`` or
-            ``fabric.failures[0]``.
+            degraded links); the symmetric single-rate fabric by default.
+            Campaign sweeps address it with dotted axes such as
+            ``fabric.tier_rates.core`` or ``fabric.failures[0]``.
         lb: the load-balancer section (see :class:`LoadBalancerSpec`);
-            ``ecmp`` by default and omitted from the canonical document
-            when default, so existing hashes are stable.  Campaign sweeps
-            address it with ``lb.name`` / ``lb.kwargs.gap`` dotted axes.
+            ``ecmp`` by default.  Campaign sweeps address it with
+            ``lb.name`` / ``lb.kwargs.gap`` dotted axes.
         telemetry: the sampling-bus section (see :class:`TelemetrySpec`);
-            disabled by default and omitted from the canonical document
-            when default, so existing hashes are stable.
+            disabled by default.
         engine: the simulation-kernel section (see :class:`EngineSpec`);
-            ``heap`` by default and omitted from the canonical document
-            when default, so existing hashes are stable.  Campaign sweeps
-            address it with an ``engine.kernel`` dotted axis.
+            ``heap`` by default.  Campaign sweeps address it with an
+            ``engine.kernel`` dotted axis.
         duration: workload generation window in seconds; generators emit
             traffic within ``[0, duration)``.
         run_slack: the simulation runs until ``duration * run_slack`` so
@@ -632,80 +426,36 @@ class ScenarioSpec:
             experiments).
     """
 
-    name: str
+    name: str = field(metadata={"absent": "scenario"})
     scheme: SchemeSpec
     topology: TopologySpec
     workloads: List[WorkloadSpec] = field(default_factory=list)
     transport: TransportSpec = field(default_factory=TransportSpec)
-    fabric: FabricSpec = field(default_factory=FabricSpec)
-    lb: LoadBalancerSpec = field(default_factory=LoadBalancerSpec)
-    telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
-    engine: EngineSpec = field(default_factory=EngineSpec)
+    fabric: FabricSpec = field(default_factory=FabricSpec,
+                               metadata=OMIT_DEFAULT)
+    lb: LoadBalancerSpec = field(default_factory=LoadBalancerSpec,
+                                 metadata=OMIT_DEFAULT)
+    telemetry: TelemetrySpec = field(default_factory=TelemetrySpec,
+                                     metadata=OMIT_DEFAULT)
+    engine: EngineSpec = field(default_factory=EngineSpec,
+                               metadata=OMIT_DEFAULT)
     duration: float = 0.02
     run_slack: float = 10.0
     seed: int = 0
     alpha_overrides: Dict[int, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {
-            "name": self.name,
-            "scheme": self.scheme.to_dict(),
-            "topology": self.topology.to_dict(),
-            "workloads": [w.to_dict() for w in self.workloads],
-            "transport": self.transport.to_dict(),
-            "duration": self.duration,
-            "run_slack": self.run_slack,
-            "seed": self.seed,
-            # JSON objects have string keys; normalize so the canonical
-            # encoding (and thus the config hash) is representation-stable.
-            "alpha_overrides": {
-                str(k): float(v) for k, v in self.alpha_overrides.items()
-            },
-        }
-        # A default fabric is omitted: pre-fabric documents and config
-        # hashes stay byte-identical (and campaign --resume caches stay
-        # valid) for every symmetric scenario.
-        if not self.fabric.is_default():
-            doc["fabric"] = self.fabric.to_dict()
-        # Same trick for the load balancer: the ecmp default adds nothing.
-        if not self.lb.is_default():
-            doc["lb"] = self.lb.to_dict()
-        # Same trick for telemetry: the disabled default adds nothing.
-        if not self.telemetry.is_default():
-            doc["telemetry"] = self.telemetry.to_dict()
-        # Same trick for the engine: the heap default adds nothing.
-        if not self.engine.is_default():
-            doc["engine"] = self.engine.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
-        _check_keys("scenario", data, (
-            "name", "scheme", "topology", "workloads", "transport", "fabric",
-            "lb", "telemetry", "engine", "duration", "run_slack", "seed",
-            "alpha_overrides"))
-        workloads = data.get("workloads", [])
-        if not isinstance(workloads, (list, tuple)):
-            raise ValueError(f"workloads must be a list, got {workloads!r}")
-        return cls(
-            name=str(data.get("name", "scenario")),
-            scheme=SchemeSpec.from_dict(data["scheme"]),
-            topology=TopologySpec.from_dict(data["topology"]),
-            workloads=[WorkloadSpec.from_dict(w, f"workloads[{i}]")
-                       for i, w in enumerate(workloads)],
-            transport=TransportSpec.from_dict(data.get("transport", {})),
-            fabric=FabricSpec.from_dict(data.get("fabric")),
-            lb=LoadBalancerSpec.from_dict(data.get("lb")),
-            telemetry=TelemetrySpec.from_dict(data.get("telemetry")),
-            engine=EngineSpec.from_dict(data.get("engine")),
-            duration=float(data.get("duration", 0.02)),
-            run_slack=float(data.get("run_slack", 10.0)),
-            seed=_int_field("scenario.seed", data.get("seed", 0)),
-            alpha_overrides={
-                int(k): float(v)
-                for k, v in data.get("alpha_overrides", {}).items()
-            },
-        )
+    def validate(self) -> None:
+        """The value rules of every section, with precise messages."""
+        if not self.duration > 0:
+            raise ValueError(
+                f"scenario.duration must be positive, got {self.duration!r}")
+        if not self.run_slack > 0:
+            raise ValueError(
+                f"scenario.run_slack must be positive, got {self.run_slack!r}")
+        self.fabric.validate()
+        self.lb.validate()
+        self.telemetry.validate()
+        self.engine.validate()
 
     def resolved_topology_params(self) -> Dict[str, object]:
         """Topology builder params with the fabric section merged in.
@@ -725,14 +475,6 @@ class ScenarioSpec:
                 f"{', '.join(overlap)}; declare them once, in 'fabric'")
         params.update(fabric_kwargs)
         return params
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ScenarioSpec":
-        return cls.from_json(Path(path).read_text())
 
     def config_hash(self) -> str:
         """A 16-hex-digit digest stable across processes and sessions."""

@@ -189,9 +189,20 @@ class TestSweepSpec:
          r"grids\[0\]\.seeds\[1\]"),
         ({"grids": [{"type": "scenario", "scenario": {"seed": 2.5}}]},
          r"grids\[0\]\.scenario\.seed"),
+        # Shapes: a string used to iterate as grids or seeds, and a scalar
+        # axis died in list().
+        ({"grids": "x"}, r"^sweep\.grids must be a list"),
+        ({"grids": [{"experiments": ["table1"], "seeds": "12"}]},
+         r"^grids\[0\]\.seeds must be a list"),
+        ({"grids": [{"type": "scenario", "scenario": {},
+                     "axes": {"seed": 3}}]},
+         r"^grids\[0\]\.axes\.seed must be a list"),
+        ({"grids": [{"type": ["scenario"]}]},
+         r"^grids\[0\]\.type: unknown grid type \['scenario'\]"),
     ], ids=["scenario-axis", "grid-seed", "scenario-seed", "sweep-grid",
             "grid-lossy-seeds", "scenario-lossy-seeds",
-            "scenario-lossy-default-seed"])
+            "scenario-lossy-default-seed", "grids-string", "seeds-string",
+            "axis-scalar", "type-list"])
     def test_key_typos_are_rejected_with_dotted_names(self, document, message):
         with pytest.raises(ValueError, match=message):
             SweepSpec.from_dict(document)

@@ -111,9 +111,22 @@ _STALE_BASE = {
      r"available: default, paper_sim, testbed"),
     ({"lb": {"name": "flowlet", "kwargs": {"gapp": 1e-4}}},
      r"lb\.kwargs\.gapp: flowlet takes gap"),
+    # A required kwarg nobody passes, or one the runner passes itself,
+    # used to bind partially and die as a TypeError in the run.
+    ({"workloads": [{"kind": "incast",
+                     "params": {"query_size_bytes": 1000}}]},
+     r"workloads\[0\]\.params: incast needs fanout"),
+    ({"topology": "dumbbell"}, r"topology\.params: dumbbell needs num_pairs"),
+    ({"topology": {"kind": "dumbbell",
+                   "params": {"num_pairs": 2, "simulator": None}}},
+     r"topology\.params\.simulator: supplied by the runner"),
+    ({"topology": {"kind": "dumbbell",
+                   "params": {"num_pairs": 2, "manager_factory": "dt"}}},
+     r"topology\.params\.manager_factory: supplied by the runner"),
 ], ids=["drill", "spray", "wrr", "trace_replay", "num_pair", "alpah",
         "longest-alpah", "burst_byte", "websearch-lod", "min_rot",
-        "papersim", "gapp"])
+        "papersim", "gapp", "incast-fanout", "dumbbell-shorthand",
+        "reserved-simulator", "reserved-manager-factory"])
 def test_removed_feature_names_fail_validation(tmp_path, capsys, patch,
                                                message):
     # A document naming a removed policy, scheduler or workload, or a kwarg

@@ -218,15 +218,22 @@ def _run(spec) -> object:
 
 
 class TestMidRunRepair:
-    def test_failed_pair_carries_zero_packets_during_window(self):
-        result = _run(_fail_repair_spec())
+    @pytest.fixture(scope="class")
+    def fail_repair_result(self):
+        # One run of the default fail/repair timeline, shared read-only by
+        # the tests that only inspect it.
+        return _run(_fail_repair_spec())
+
+    def test_failed_pair_carries_zero_packets_during_window(
+            self, fail_repair_result):
+        result = fail_repair_result
         applied = result.timeline.applied
         by_action = {record["action"]: record for record in applied}
         assert by_action["fail"]["packets_carried_at_fail"] == \
             by_action["repair"]["packets_carried_at_repair"]
 
-    def test_repaired_members_carry_traffic_again(self):
-        result = _run(_fail_repair_spec())
+    def test_repaired_members_carry_traffic_again(self, fail_repair_result):
+        result = fail_repair_result
         network = result.topology.network
         forward, backward = network.link_pair("agg0_0", "core1")
         carried_at_repair = result.timeline.applied[-1][
@@ -238,15 +245,16 @@ class TestMidRunRepair:
         assert network.failed_links == []
         assert forward.link.failed is False and backward.link.failed is False
 
-    def test_exclusions_cleared_and_uplinks_reenabled_after_repair(self):
-        result = _run(_fail_repair_spec())
+    def test_exclusions_cleared_and_uplinks_reenabled_after_repair(
+            self, fail_repair_result):
+        result = fail_repair_result
         for node in result.topology.network.switch_nodes.values():
             table = node.routing
             assert not table._disabled
             assert not table._excluded
 
-    def test_recovery_time_is_finite_and_reported(self):
-        result = _run(_fail_repair_spec())
+    def test_recovery_time_is_finite_and_reported(self, fail_repair_result):
+        result = fail_repair_result
         document = result.to_dict()
         assert "fabric_events" in document
         section = document["fabric_events"]
@@ -262,11 +270,12 @@ class TestMidRunRepair:
         assert row["recovery_ms"] == pytest.approx(
             watch["recovery_time"] * 1e3)
 
-    def test_recovery_probes_do_not_perturb_event_counts(self):
+    def test_recovery_probes_do_not_perturb_event_counts(
+            self, fail_repair_result):
         # Two timelines that differ only in probe activity (a watch exists
         # only after a fail) must report event totals that reflect traffic
         # plus the applied events -- the read-only probes are subtracted.
-        result = _run(_fail_repair_spec())
+        result = fail_repair_result
         assert result.timeline.ticks > 0
         assert result.events_executed > 0
 

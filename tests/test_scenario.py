@@ -235,12 +235,36 @@ class TestScenarioSpec:
         # int(1.5) and int(True) are both seed 1.
         ("seed", 1.5, "scenario.seed"),
         ("seed", True, "scenario.seed"),
+        # A number field takes an int or a float, never a bool or a string.
+        ("duration", True, "scenario.duration must be a number"),
+        ("run_slack", "10", "scenario.run_slack must be a number"),
+        # A name field takes a string, not whatever str() makes of a value.
+        ("scheme", {"name": 5}, "scheme.name must be a string"),
+        ("workloads", [{"kind": "burst", "transport": 7}],
+         r"workloads\[0\]\.transport must be a string"),
+        ("alpha_overrides", {"a": 1.0},
+         "alpha_overrides.a must be an integer, got 'a'"),
+        ("lb", {"name": "flowlet", "kwargs": [1]},
+         "lb.kwargs must be an object"),
+        # A string where a list of objects belongs names the entry once,
+        # not once per character.
+        ("workloads", ["burst"],
+         r"^workloads\[0\] must be an object, got 'burst'$"),
+        ("telemetry", True, "telemetry must be an object"),
+        ("fabric", {"failures": "ab"}, "fabric.failures must be a list"),
     ])
     def test_section_typos_and_lossy_values_are_rejected(
             self, section, value, message):
         document = {**_dumbbell_burst_spec().to_dict(), section: value}
         with pytest.raises(ValueError, match=message):
             ScenarioSpec.from_dict(document)
+
+    def test_null_sections_read_as_their_defaults(self):
+        document = {**_dumbbell_burst_spec().to_dict(), "transport": None,
+                    "fabric": None, "lb": None, "telemetry": None,
+                    "engine": None}
+        assert ScenarioSpec.from_dict(document) == replace(
+            _dumbbell_burst_spec(), transport=TransportSpec())
 
     def test_scheme_shorthand(self):
         assert SchemeSpec.from_dict("dt") == SchemeSpec(name="dt")
