@@ -11,8 +11,8 @@ Usage::
     python -m repro.campaign report --store results/ --format csv
     python -m repro.campaign clean --store results/ --failed-only
 
-``run`` expands the JSON sweep spec into its run grid, executes it on a
-worker pool, and persists one JSON artifact per run (keyed by config hash)
+``run`` expands the JSON sweep spec into its run grid, executes it on
+``--jobs`` forked workers (or ``--farm``), and persists one JSON artifact per run (keyed by config hash)
 under ``<store>/runs/``.  With ``--resume``, runs whose hash is already
 stored successfully are served from the store instead of re-simulated.
 ``report`` rebuilds cross-scheme comparison tables purely from the store.
@@ -51,15 +51,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     store = ResultStore(args.store)
     farm = None
-    if args.farm is not None:
-        from repro.farm import make_farm
+    try:
+        if args.farm is not None:
+            from repro.farm import make_farm
 
-        try:
             farm = make_farm(args.farm, jobs=args.jobs)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    executor = CampaignExecutor(store=store, jobs=args.jobs, farm=farm)
+        executor = CampaignExecutor(store=store, jobs=args.jobs, farm=farm)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     backend = farm.describe() if farm is not None else f"jobs={args.jobs}"
     print(f"[campaign {spec.name}: {len(runs)} runs, {backend}, "
           f"store={store.root}]", flush=True)
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "experiment) instead of per-run progress lines")
     p_run.add_argument("--farm", default=None, metavar="SPEC",
                        help="execute on a run farm of worker subprocesses "
-                            "instead of the local pool: 'subprocess[:N]'")
+                            "instead of forked ones: 'subprocess[:N]'")
     _store_arg(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -1,12 +1,15 @@
-"""Parallel campaign execution over a worker-process pool.
+"""Campaign execution: inline, or across the run farm's worker processes.
 
 The executor turns a list of :class:`~repro.campaign.spec.RunSpec`s into
-:class:`RunOutcome`s.  Each run executes in isolation -- its own worker
-process when ``jobs > 1`` (via :class:`concurrent.futures.ProcessPoolExecutor`),
-inline when ``jobs == 1`` -- and a crashing run is captured as a ``failed``
-outcome instead of aborting the campaign.  Outcomes are returned in the order
-the specs were given, regardless of completion order, so parallel campaigns
-are reproducible run-for-run.
+:class:`RunOutcome`s.  Each run executes in isolation -- inline when
+``jobs == 1``, otherwise in a worker process of a
+:class:`~repro.farm.RunFarm`: ``jobs > 1`` forks N workers from the farm's
+dispatch loop, ``farm=`` names the farm outright -- and a crashing run is
+captured as a ``failed`` outcome instead of aborting the campaign.  Every
+parallel run shares that one loop and its one worker-loss model: a dead
+worker's run is retried on a fresh worker, then reported failed.  Outcomes
+are returned in the order the specs were given, regardless of completion
+order, so parallel campaigns are reproducible run-for-run.
 
 When a :class:`~repro.campaign.store.ResultStore` is attached, every outcome
 is persisted as it completes, and ``resume=True`` skips any spec whose config
@@ -16,7 +19,7 @@ instead of re-simulated).
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -92,7 +95,7 @@ def execute_run(spec: RunSpec) -> RunOutcome:
 
 
 def outcome_to_payload(outcome: RunOutcome) -> Dict[str, object]:
-    """The JSON-serializable form of an outcome (pool and farm wire format)."""
+    """The JSON-serializable form of an outcome (the farm's wire format)."""
     return {
         "spec": outcome.spec.to_dict(),
         "status": outcome.status,
@@ -115,22 +118,18 @@ def outcome_from_payload(data: Dict[str, object]) -> RunOutcome:
     )
 
 
-def _execute_run_payload(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker-process entry point: dict in, dict out (both picklable)."""
-    return outcome_to_payload(execute_run(RunSpec.from_dict(payload)))
-
-
 class CampaignExecutor:
     """Runs campaigns, optionally in parallel and against a result store.
 
-    Three execution backends, picked per construction:
+    Two ways to run, picked per construction:
 
-    * ``jobs == 1`` and no farm -- inline, serial;
-    * ``jobs > 1`` -- a local :class:`~concurrent.futures.ProcessPoolExecutor`;
-    * ``farm`` -- a :class:`repro.farm.RunFarm` (worker subprocesses) with
-      retry-on-worker-loss; ``jobs`` is ignored.
+    * ``jobs == 1`` and no farm -- inline, serial: the determinism oracle;
+    * a :class:`repro.farm.RunFarm` -- ``farm``, or, without one and with
+      ``jobs > 1``, :attr:`forks`: N worker processes forked from the
+      farm's dispatch loop (``jobs`` is ignored when ``farm`` is given).
+      A single pending run still executes inline with ``jobs > 1``.
 
-    All three persist outcomes into the store *as they complete* (streaming
+    Both persist outcomes into the store *as they complete* (streaming
     persistence), so ``python -m repro.campaign report`` and the analysis
     CLI work against a still-running campaign.
     """
@@ -142,6 +141,13 @@ class CampaignExecutor:
         self.store = store
         self.jobs = jobs
         self.farm = farm
+        #: The fork-slot farm ``jobs > 1`` runs on when no ``farm`` is given.
+        self.forks = None
+        if farm is None and jobs > 1:
+            # Imported here: the farm module imports this one.
+            from repro.farm.farm import RunFarm, fork_slots
+
+            self.forks = RunFarm(fork_slots(jobs))
 
     def run(
         self,
@@ -173,16 +179,9 @@ class CampaignExecutor:
             else:
                 pending.append(index)
 
-        if self.farm is not None and pending:
-            # Farm dispatch yields outcomes in completion order and handles
-            # fail_fast itself (stops dispensing, drains in-flight runs).
-            for index, outcome in self.farm.dispatch(
-                [(index, specs[index]) for index in pending],
-                fail_fast=fail_fast,
-            ):
-                completed += 1
-                self._record(outcomes, index, outcome, completed, total, progress)
-        elif self.jobs == 1 or len(pending) <= 1:
+        farm = self.farm if self.farm is not None else (
+            self.forks if len(pending) > 1 else None)
+        if farm is None:
             for index in pending:
                 outcome = execute_run(specs[index])
                 completed += 1
@@ -190,61 +189,20 @@ class CampaignExecutor:
                 if fail_fast and not outcome.ok:
                     break
         else:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(pending))
-            ) as pool:
-                futures = {
-                    pool.submit(_execute_run_payload, specs[index].to_dict()):
-                        (index, time.perf_counter())
-                    for index in pending
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    index, _ = futures[future]
-                    outcome = self._pool_outcome(future, futures, specs)
+            # The farm yields outcomes in completion order and handles
+            # fail_fast itself (stops dispensing, drains in-flight runs);
+            # closing it on any exit reaps its workers.
+            with contextlib.closing(farm.dispatch(
+                    [(index, specs[index]) for index in pending],
+                    fail_fast=fail_fast)) as dispatched:
+                for index, outcome in dispatched:
                     completed += 1
-                    self._record(outcomes, index, outcome, completed, total, progress)
-                    if fail_fast and not outcome.ok:
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        # Runs that were already in flight when the failure
-                        # surfaced have finished by now (shutdown waited).
-                        # Drain them into the store -- dropping them would
-                        # silently re-simulate finished-ok runs on --resume.
-                        for other, (other_index, _) in futures.items():
-                            if outcomes[other_index] is not None:
-                                continue
-                            if other.cancelled() or not other.done():
-                                continue
-                            drained = self._pool_outcome(other, futures, specs)
-                            completed += 1
-                            self._record(outcomes, other_index, drained,
-                                         completed, total, progress)
-                        break
+                    self._record(outcomes, index, outcome, completed, total,
+                                 progress)
 
         return [outcome for outcome in outcomes if outcome is not None]
 
     # -- helpers -------------------------------------------------------
-    @staticmethod
-    def _pool_outcome(future, futures, specs) -> RunOutcome:
-        """The outcome of one pool future, surviving worker death.
-
-        A worker that dies mid-run (OOM kill, segfault in a C extension)
-        raises from ``future.result()`` instead of returning a payload.
-        The outcome then carries the wall time since submission and the
-        pool-side exception's traceback, so ``status`` reports show when
-        and why the run was lost instead of ``elapsed=0.0`` and nothing.
-        """
-        index, submitted = futures[future]
-        try:
-            return outcome_from_payload(future.result())
-        except Exception as exc:  # worker died (e.g. OOM kill)
-            return RunOutcome(
-                spec=specs[index],
-                status=STATUS_FAILED,
-                elapsed=time.perf_counter() - submitted,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback_module.format_exc(),
-            )
-
     def _cached_outcome(self, spec: RunSpec) -> Optional[RunOutcome]:
         if self.store is None:
             return None

@@ -8,9 +8,9 @@ Usage::
 
 ``all`` runs every experiment at the requested scale and prints each table;
 it is the closest thing to "regenerate the paper's evaluation section".
-With ``--jobs N`` the experiments execute on the campaign worker pool
-(:mod:`repro.campaign`) instead of serially; results are identical
-run-for-run because every experiment still receives the same seed.
+With ``--jobs N`` the experiments execute on N forked campaign workers
+(:mod:`repro.campaign`; POSIX only) instead of serially; results are
+identical run-for-run because every experiment still receives the same seed.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def run_all(scale: str = "small", seed: int = 0,
     ) -> List[ExperimentResult]:
     """Run every (or the selected) experiment and return all results.
 
-    ``jobs > 1`` delegates to the campaign executor's worker pool; the
+    ``jobs > 1`` delegates to the campaign executor's forked workers; the
     results come back in the same order either way, and each experiment sees
     the same seed, so parallel and serial runs match row-for-row.  A failing
     experiment raises and stops further experiments (the single-shot runner
@@ -146,7 +146,7 @@ def main(argv: List[str] | None = None) -> int:
                         help="scenario scale (default: small)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for 'all' (default: 1 = serial)")
+                        help="forked workers for 'all' (default: 1 = serial)")
     parser.add_argument("--vary-seed", action="store_true",
                         help="give each experiment of 'all' seed + its index "
                              "instead of one shared seed")

@@ -1,10 +1,10 @@
-"""Run farms: dispatch campaign runs across local worker subprocesses."""
+"""Run farms: dispatch campaign runs across local worker processes."""
 
 from repro.farm.farm import (
     RunFarm,
-    SubprocessFarm,
     WorkerSlot,
     make_farm,
+    subprocess_slots,
 )
 from repro.farm.protocol import (
     PROTOCOL_VERSION,
@@ -18,12 +18,12 @@ from repro.farm.protocol import (
 __all__ = [
     "PROTOCOL_VERSION",
     "RunFarm",
-    "SubprocessFarm",
     "WorkerLossError",
     "WorkerSlot",
     "make_farm",
     "parse_response",
     "ping_request",
     "run_request",
+    "subprocess_slots",
     "worker_main",
 ]

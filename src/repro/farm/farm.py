@@ -1,28 +1,26 @@
 """Run farms: dispatch campaign runs across worker processes.
 
-A :class:`RunFarm` owns a fixed set of :class:`WorkerSlot`\\ s and turns a
-list of ``(index, RunSpec)`` jobs into ``(index, RunOutcome)`` results in
-completion order, which the :class:`~repro.campaign.executor.CampaignExecutor`
-streams into its :class:`~repro.campaign.store.ResultStore` as they arrive.
-The one backend, :class:`SubprocessFarm` (``--farm subprocess[:N]``), backs
-each of N slots with one ``python -m repro.farm worker`` subprocess on this
-machine; the serial executor path (``jobs=1``, no farm) is the in-process
-determinism oracle every farm store is compared against.
+A :class:`RunFarm` turns ``(index, RunSpec)`` jobs into ``(index,
+RunOutcome)`` results in completion order, which the
+:class:`~repro.campaign.executor.CampaignExecutor` streams into its store.
+Each :class:`WorkerSlot` says how its worker starts: :func:`subprocess_slots`
+(``--farm subprocess[:N]``) spawn ``python -m repro.farm worker``;
+:func:`fork_slots` (``CampaignExecutor(jobs=N)``) fork this process, so the
+worker inherits its imports.  The serial ``jobs=1`` path is the oracle.
 
-A slot's ``(argv, env)`` starts its worker.  A slot spawns its
-:class:`WorkerProcess` on its first request, opens it with a ping/pong
-handshake, then writes one JSON line and reads one per request
-(:mod:`repro.farm.protocol`), and closes it -- stdin EOF, a short grace,
-then kill -- when its dispatch loop (or ``check``) ends: a slot costs one
-interpreter start per dispatch, and no worker outlives the call that
-spawned it.
+:meth:`RunFarm.dispatch` is one ``selectors`` loop on the calling thread over
+every worker's stdout and stderr; a slot is idle, handshaking, running a
+request under a deadline, or backing off until a time.  The farm starts no
+thread, which is what makes forking from that loop safe.  A slot's worker
+starts on its first run, answers a ping, then one JSON line per run
+(:mod:`repro.farm.protocol`), and is closed -- stdin EOF, a short grace,
+SIGKILL, ``waitpid`` -- when the dispatch (or ``check``) ends.
 
-A worker loss (EOF, non-zero exit, garbage line, no answer within
-``timeout_s``, failed handshake) is distinct from a run failure: the dead
-process is reaped, the run is retried on a fresh worker with exponential
-backoff, preferentially landing on another slot because the losing slot
-sits out the backoff window; only after ``max_attempts`` losses, or when a
-fail-fast halt cancels the retry, does the run surface as a failed outcome.
+A worker loss (EOF, non-zero exit, garbage line, timeout, failed handshake)
+is not a run failure: the run re-enters the queue after an exponential
+backoff that the losing slot sits out, so a fresh worker on another slot
+tends to take it; after ``max_attempts`` losses, or when a fail-fast halt
+cancels the retry, it is a failed outcome.  POSIX only.
 """
 
 from __future__ import annotations
@@ -30,124 +28,179 @@ from __future__ import annotations
 import collections
 import json
 import os
-import queue
-import subprocess
+import selectors
+import signal
 import sys
-import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from repro.campaign.executor import (
-    RunOutcome,
-    STATUS_FAILED,
-    outcome_from_payload,
-)
+from repro.campaign.executor import RunOutcome, STATUS_FAILED, outcome_from_payload
 from repro.campaign.spec import RunSpec
-from repro.farm.protocol import (
-    WorkerLossError,
-    parse_response,
-    ping_request,
-    run_request,
-)
+from repro.farm.protocol import (WorkerLossError, parse_response, ping_request,
+                                 run_request, worker_main)
 
-#: Called with the farm's health rows whenever any slot changes state.
-WorkerCallback = Callable[[List[Dict[str, object]]], None]
 #: A queued run: (index, spec, attempt, outcome to report if it never runs --
 #: set on a retry, ``None`` on a first attempt).
 _Job = Tuple[int, RunSpec, int, Optional[RunOutcome]]
 
-#: Seconds a freshly spawned worker has to answer the opening ping.
+#: Seconds a freshly started worker has to answer the opening ping.
 HANDSHAKE_TIMEOUT_S = 30.0
 #: Seconds a worker has to exit after stdin EOF before it is killed.
 CLOSE_GRACE_S = 2.0
+_NO_PONG = " (no pong -- older checkout on the host?)"
+
+
+def _serve_forked(stdin_fd: int, stdout_fd: int, stderr_fd: int) -> None:
+    """The forked child: serve the protocol on fds 0-2, leave by ``os._exit``.
+
+    Every other inherited fd is closed: a sibling worker's stdin left open
+    here would keep that worker from ever seeing the EOF that closes it.
+    The child never returns into the parent's stack, flushes the parent's
+    buffered streams or runs its ``atexit`` hooks.
+    """
+    code = 1
+    try:
+        for fd, target in ((stdin_fd, 0), (stdout_fd, 1), (stderr_fd, 2)):
+            os.dup2(fd, target)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdin = open(0, encoding="utf-8", errors="replace", closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", buffering=1, closefd=False)
+        code = worker_main()
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _readable(fds: Iterable[int], timeout_s: Optional[float]) -> List[int]:
+    """Those of ``fds`` readable (or at EOF) within ``timeout_s`` seconds."""
+    with selectors.DefaultSelector() as selector:
+        for fd in fds:
+            selector.register(fd, selectors.EVENT_READ)
+        return [key.fd for key, _ in selector.select(timeout_s)]
 
 
 class WorkerProcess:
-    """One live ``repro.farm worker``: a request line in, a response line out.
+    """One live worker: request lines to its stdin, response lines from its
+    stdout, the end of its stderr kept for the loss message.  The owner
+    :meth:`read`\\ s whichever pipe is readable: a chatty worker never blocks."""
 
-    Daemon threads drain both pipes from the spawn on -- stdout into a line
-    queue (so a read can time out), stderr into a bounded tail kept for the
-    loss message -- so a chatty worker never blocks on a full pipe.  Every
-    failure is a :class:`WorkerLossError`; the owner's :meth:`close` reaps.
-    """
-
-    def __init__(self, argv: Sequence[str], env: Optional[Dict[str, str]]) -> None:
+    def __init__(self, command: Optional[Tuple[List[str], Dict[str, str]]]) -> None:
+        self.name = "fork" if command is None else command[0][0]
+        child_in, self.stdin = os.pipe()
+        self.stdout, child_out = os.pipe()
+        self.stderr, child_err = os.pipe()
+        child_fds = (child_in, child_out, child_err)
         try:
-            self.proc = subprocess.Popen(
-                list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True, errors="replace", env=env)
+            if command is None:
+                self.pid = os.fork()
+                if self.pid == 0:
+                    _serve_forked(*child_fds)
+            else:
+                self.pid = os.posix_spawnp(
+                    command[0][0], command[0], command[1],
+                    file_actions=[(os.POSIX_SPAWN_DUP2, fd, target)
+                                  for target, fd in enumerate(child_fds)])
         except OSError as exc:
-            raise WorkerLossError(f"cannot launch worker {argv!r}: {exc}") from exc
-        self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._stderr_tail: "collections.deque[str]" = collections.deque(maxlen=3)
-        self._pumps = [threading.Thread(target=pump, daemon=True)
-                       for pump in (self._pump_stdout, self._pump_stderr)]
-        for thread in self._pumps:
-            thread.start()
+            for fd in (self.stdin, self.stdout, self.stderr):
+                os.close(fd)
+            raise WorkerLossError(
+                f"cannot launch worker {self.name!r}: {exc}") from exc
+        finally:
+            for fd in child_fds:
+                os.close(fd)
+        #: Read ends not yet at EOF.
+        self.open = {self.stdout, self.stderr}
+        self.returncode: Optional[int] = None
+        self._out = bytearray()
+        self._err = b""
 
-    def _pump_stdout(self) -> None:
-        with self.proc.stdout as stream:
-            for line in stream:
-                self._lines.put(line)
-        self._lines.put(None)
-
-    def _pump_stderr(self) -> None:
-        with self.proc.stderr as stream:
-            for line in stream:
-                if line.strip():
-                    self._stderr_tail.append(line.strip()[-300:])
-
-    def request(self, payload: Dict[str, object], timeout_s: Optional[float],
-                timeout_hint: str = "") -> Dict[str, object]:
-        """Write one request line, read one response line within ``timeout_s``."""
+    def send(self, payload: Dict[str, object]) -> None:
         try:
-            self.proc.stdin.write(json.dumps(payload, sort_keys=True) + "\n")
-            self.proc.stdin.flush()
+            os.write(self.stdin, (json.dumps(payload) + "\n").encode())
         except OSError:
-            pass  # already dead: the read below finds EOF and says why
-        try:
-            line = self._lines.get(timeout=timeout_s)
-        except queue.Empty:
-            self.proc.kill()
-            raise WorkerLossError(f"worker timed out after {timeout_s}s: "
-                                  f"{self.proc.args[0]}{timeout_hint}") from None
-        if line is None:
-            raise WorkerLossError(f"worker exited {self.close()}: "
-                                  + (" | ".join(self._stderr_tail) or "no stderr"))
+            pass  # already dead: the read side finds EOF and says why
+
+    def read(self, fd: int) -> bool:
+        """Take what a readable ``fd`` (stdout or stderr) holds; False at EOF."""
+        data = os.read(fd, 1 << 16)
+        if fd == self.stdout:
+            self._out += data
+        else:  # only stderr's end is kept: a flood costs no memory
+            self._err = (self._err + data)[-4096:]
+        if not data:
+            self.open.discard(fd)
+        return bool(data)
+
+    def line(self) -> Optional[str]:
+        """The next complete stdout line, once it has arrived."""
+        if b"\n" not in self._out:
+            return None
+        line, _, self._out = self._out.partition(b"\n")
+        return line.decode(errors="replace")
+
+    def request(self, payload: Dict[str, object], timeout_s: float,
+                timeout_hint: str = "") -> Dict[str, object]:
+        """Send one request and wait for its response line (``check``'s path)."""
+        self.send(payload)
+        deadline = time.monotonic() + timeout_s
+        while (line := self.line()) is None:
+            ready = _readable(self.open, deadline - time.monotonic())
+            if not ready:
+                raise self.timed_out(timeout_s, timeout_hint)
+            for fd in ready:
+                if not self.read(fd) and fd == self.stdout:
+                    raise self.exited()
         return parse_response(line)
 
-    def close(self) -> int:
-        """Stdin EOF, a short grace, then kill; reaps and returns the exit code."""
-        try:
-            self.proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            self.proc.wait(CLOSE_GRACE_S)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        for thread in self._pumps:  # both pipes at EOF: the stderr tail is complete
-            thread.join(timeout=1.0)
-        return self.proc.returncode
+    def exited(self) -> WorkerLossError:
+        """Reap a worker whose stdout closed; the loss, with its stderr tail."""
+        code = self.close()
+        lines = [line.strip()[-300:] for line in
+                 self._err.decode(errors="replace").splitlines() if line.strip()]
+        return WorkerLossError(f"worker exited {code}: "
+                               + (" | ".join(lines[-3:]) or "no stderr"))
+
+    def timed_out(self, timeout_s: Optional[float],
+                  hint: str = "") -> WorkerLossError:
+        """Kill and reap a silent worker; the loss."""
+        self.close(kill=True)
+        return WorkerLossError(
+            f"worker timed out after {timeout_s}s: {self.name}{hint}")
+
+    def close(self, kill: bool = False) -> int:
+        """Stdin EOF, ``CLOSE_GRACE_S`` to exit (none with ``kill``), then
+        SIGKILL; drains stderr, reaps, and returns the exit code."""
+        if self.returncode is None:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            os.close(self.stdin)
+            deadline = time.monotonic() + CLOSE_GRACE_S
+            # A worker's pipes reach EOF when it exits.
+            while self.open and (left := deadline - time.monotonic()) > 0:
+                for fd in _readable(self.open, left):
+                    self.read(fd)
+            if self.open:
+                os.kill(self.pid, signal.SIGKILL)
+            status = os.waitpid(self.pid, 0)[1]
+            os.close(self.stdout)
+            os.close(self.stderr)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
 
 
 @dataclass
 class WorkerSlot:
-    """One unit of execution capacity plus its health counters."""
+    """One unit of execution capacity, its health counters, and its state
+    in the dispatch loop."""
 
     name: str
+    #: How the worker starts: "subprocess" or "fork".
     host: str
     runs_ok: int = 0
     runs_failed: int = 0
@@ -156,14 +209,25 @@ class WorkerSlot:
     #: Runs this slot handed back for retry elsewhere after a loss.
     retries: int = 0
     elapsed: float = 0.0
-    busy: bool = False
-    current: str = ""
-    #: ``(argv, env)`` that starts this slot's worker.
-    command: Optional[Tuple[List[str], Optional[Dict[str, str]]]] = None
+    #: ``(argv, env)`` that spawns the slot's worker; ``None`` forks it.
+    command: Optional[Tuple[List[str], Dict[str, str]]] = None
     #: Worker processes started for this slot (one per dispatch when healthy).
     spawned: int = 0
-    #: The live worker, from the slot's first request until its release.
+    #: The live worker, from the slot's first run until the dispatch ends.
     worker: Optional[WorkerProcess] = field(default=None, repr=False)
+    #: "idle", "handshake", "run" or "backoff".
+    state: str = "idle"
+    #: The run the slot holds: in flight, or waiting out its backoff.
+    job: Optional[_Job] = field(default=None, repr=False)
+    #: ``time.monotonic()`` at which the handshake, run or backoff expires.
+    deadline: Optional[float] = None
+    #: ``time.perf_counter()`` when the slot took its job.
+    started: float = 0.0
+
+    def detach(self) -> WorkerProcess:
+        """The slot's worker, handed over for closing; the slot has none after."""
+        worker, self.worker = self.worker, None
+        return worker
 
     def health_row(self) -> Dict[str, object]:
         return {
@@ -174,19 +238,21 @@ class WorkerSlot:
             "lost": self.losses,
             "retried": self.retries,
             "elapsed": round(self.elapsed, 3),
-            "state": (f"running {self.current}" if self.busy else "idle"),
+            "state": (f"running {self.job[1].label()}"
+                      if self.state in ("handshake", "run") else "idle"),
             "spawned": self.spawned,
         }
 
 
 class RunFarm:
-    """Base farm: slot bookkeeping plus the threaded dispatch loop."""
-
-    kind = "farm"
+    """Worker slots plus the one single-threaded dispatch loop."""
 
     def __init__(self, slots: Sequence[WorkerSlot],
                  max_attempts: int = 3, backoff_s: float = 0.5,
                  timeout_s: Optional[float] = None) -> None:
+        if not hasattr(os, "fork"):
+            raise ValueError(
+                f"the run farm is POSIX only: os.fork is missing on {sys.platform}")
         if not slots:
             raise ValueError("a farm needs at least one worker slot")
         if max_attempts < 1:
@@ -198,64 +264,52 @@ class RunFarm:
         self.backoff_s = backoff_s
         #: Seconds one request may take before its worker counts as lost.
         self.timeout_s = timeout_s
-        #: Optional health hook (the CampaignBoard's worker section).
-        self.on_worker: Optional[WorkerCallback] = None
-        self._lock = threading.Lock()
-
-    # -- worker lifetime -----------------------------------------------
-    def run_payload(self, slot: WorkerSlot,
-                    request: Dict[str, object]) -> Dict[str, object]:
-        """Execute one protocol request on ``slot``'s worker, spawned (and
-        pinged: a v1 worker reads stdin to EOF first, so never pongs) on
-        first use; returns the response.
-
-        Raises :class:`WorkerLossError` on worker death, silence or garbage
-        output (a failed *run* comes back inside a normal response); the
-        caller then :meth:`_release`\\ s the slot, so the next request respawns.
-        """
-        if slot.worker is None:
-            slot.worker = WorkerProcess(*slot.command)
-            slot.spawned += 1
-            slot.worker.request(ping_request(), HANDSHAKE_TIMEOUT_S,
-                                " (no pong -- older checkout on the host?)")
-        return slot.worker.request(request, self.timeout_s)
-
-    def _release(self, slot: WorkerSlot) -> None:
-        """Close and reap ``slot``'s worker, if it has one."""
-        worker, slot.worker = slot.worker, None
-        if worker is not None:
-            worker.close()
+        #: Called with the health rows whenever a slot changes state (the
+        #: CampaignBoard's worker section).
+        self.on_worker: Optional[Callable[[List[Dict[str, object]]], None]] = None
 
     # -- health ---------------------------------------------------------
     def health_rows(self) -> List[Dict[str, object]]:
         return [slot.health_row() for slot in self.slots]
 
     def describe(self) -> str:
-        return f"{self.kind} ({len(self.slots)} workers)"
+        return f"{self.slots[0].host} ({len(self.slots)} workers)"
 
     def check(self) -> List[Tuple[str, bool, str]]:
-        """Ping every slot; returns ``(slot name, reachable, detail)`` rows."""
+        """Start and ping every slot's worker; ``(slot, reachable, detail)``."""
         rows: List[Tuple[str, bool, str]] = []
         for slot in self.slots:
             start = time.perf_counter()
             try:
-                response = self.run_payload(slot, ping_request())
+                response = self._spawn(slot).request(
+                    ping_request(), HANDSHAKE_TIMEOUT_S, _NO_PONG)
                 if not response.get("pong"):
                     raise WorkerLossError(f"unexpected response {response!r}")
-            except WorkerLossError as exc:
-                rows.append((slot.name, False, str(exc)))
-            else:
                 rows.append((slot.name, True,
                              f"pong in {time.perf_counter() - start:.2f}s"))
+            except WorkerLossError as exc:
+                rows.append((slot.name, False, str(exc)))
             finally:
-                self._release(slot)
+                if slot.worker is not None:
+                    slot.detach().close()
         return rows
 
+    def _spawn(self, slot: WorkerSlot) -> WorkerProcess:
+        slot.worker = WorkerProcess(slot.command)
+        slot.spawned += 1
+        return slot.worker
+
     def _notify(self) -> None:
-        if self.on_worker is None:
-            return
-        with self._lock:
+        if self.on_worker is not None:
             self.on_worker(self.health_rows())
+
+    def _outcome(self, response: Dict[str, object]) -> RunOutcome:
+        """The run outcome a response carries; a loss if it carries none."""
+        try:
+            return outcome_from_payload(response["outcome"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WorkerLossError(
+                f"no outcome in worker response {response!r}: {exc!r}") from exc
 
     # -- dispatch -------------------------------------------------------
     def dispatch(self, jobs: Iterable[Tuple[int, RunSpec]],
@@ -267,162 +321,163 @@ class RunFarm:
         being dispensed; runs already in flight still finish and are
         yielded (the executor persists them -- nothing silently dropped),
         and a run whose worker was lost yields its loss as a failed
-        outcome instead of being retried.
+        outcome instead of being retried.  However the generator ends --
+        exhausted, closed, or abandoned by a consumer that raised -- it
+        reaps every worker it started.
         """
-        jobs = list(jobs)
-        if not jobs:
-            return
-        # None on `work` tells one slot to stop.
-        work: "queue.Queue[Optional[_Job]]" = queue.Queue()
-        # (index, outcome, retry): a slot that lost its worker sends the
-        # retry here instead of onto `work`, so re-queueing and the halt's
-        # drain both happen on this thread and cannot interleave.
-        results: "queue.Queue[Tuple[int, RunOutcome, Optional[_Job]]]" = (
-            queue.Queue())
-        for index, spec in jobs:
-            work.put((index, spec, 1, None))
-        stop = threading.Event()
-        threads = [
-            threading.Thread(
-                target=self._slot_loop, args=(slot, work, results, stop),
-                name=f"farm-{slot.name}", daemon=True)
-            for slot in self.slots
-        ]
-        for thread in threads:
-            thread.start()
-        remaining = len(jobs)
+        queue: Deque[_Job] = collections.deque(
+            (index, spec, 1, None) for index, spec in jobs)
+        remaining = len(queue)
+        # Idle slots, longest-idle first: a slot back from its backoff
+        # queues behind the others, so a healthy worker takes the retry.
+        idle = collections.deque(self.slots)
+        finished: Deque[Tuple[int, RunOutcome]] = collections.deque()
         halted = False
+
+        def send(slot: WorkerSlot, state: str, timeout_s: Optional[float]) -> None:
+            slot.state = state
+            slot.deadline = None if timeout_s is None else time.monotonic() + timeout_s
+            slot.worker.send(ping_request() if state == "handshake"
+                             else run_request(slot.job[1].to_dict()))
+
+        def settle(slot: WorkerSlot, outcome: RunOutcome) -> None:
+            finished.append((slot.job[0], outcome))
+            slot.state, slot.job, slot.deadline = "idle", None, None
+            idle.append(slot)
+            self._notify()
+
+        def lose(slot: WorkerSlot, exc: WorkerLossError) -> None:
+            index, spec, attempt, _ = slot.job
+            slot.losses += 1
+            exhausted = attempt >= self.max_attempts
+            error = (f"worker lost after {attempt} attempts "
+                     f"(last on {slot.name}): {exc}" if exhausted else
+                     f"worker lost on {slot.name} and campaign halted "
+                     f"before retry: {exc}")
+            # On a retry, `lost` is also the run's outcome if a halt cancels it.
+            lost = RunOutcome(spec=spec, status=STATUS_FAILED,
+                              elapsed=time.perf_counter() - slot.started,
+                              error=error, traceback=str(exc))
+            if exhausted or halted:
+                settle(slot, lost)
+                return
+            slot.retries += 1
+            slot.state, slot.job = "backoff", (index, spec, attempt + 1, lost)
+            slot.deadline = time.monotonic() + min(
+                self.backoff_s * (2 ** (attempt - 1)), 10.0)
+            self._notify()
+
+        def respond(slot: WorkerSlot, line: str) -> None:
+            try:
+                response = parse_response(line)
+                if slot.state == "handshake":
+                    send(slot, "run", self.timeout_s)
+                    return
+                outcome = self._outcome(response)
+            except WorkerLossError as exc:
+                slot.detach().close(kill=True)
+                lose(slot, exc)
+                return
+            if outcome.status == STATUS_FAILED:
+                slot.runs_failed += 1
+            else:
+                slot.runs_ok += 1
+            slot.elapsed += outcome.elapsed
+            settle(slot, outcome)
+
         try:
             while remaining:
-                index, outcome, retry = results.get()
-                if retry is not None and not halted:
-                    work.put(retry)
-                    continue
-                remaining -= 1
-                yield index, outcome
-                if fail_fast and not outcome.ok and not halted:
-                    halted = True
-                    stop.set()
-                    # Drain undispensed jobs; anything a slot already holds
-                    # stays in flight and arrives through `results` above.
-                    # A drained retry still owes its run an outcome.
-                    while True:
-                        try:
-                            index, _, _, lost = work.get_nowait()
-                        except queue.Empty:
-                            break
-                        remaining -= 1
-                        if lost is not None:
-                            yield index, lost
-        finally:
-            stop.set()
-            for slot in self.slots:
-                work.put(None)
-                worker = slot.worker
-                if remaining and worker is not None:
-                    # Abandoned mid-dispatch (error, interrupt): do not wait
-                    # for in-flight runs; their slots see a loss and stop.
-                    worker.proc.kill()
-            for thread in threads:
-                thread.join(timeout=5.0)
-
-    def _slot_loop(self, slot: WorkerSlot,
-                   work: "queue.Queue[Optional[_Job]]",
-                   results: "queue.Queue[Tuple[int, RunOutcome, Optional[_Job]]]",
-                   stop: threading.Event) -> None:
-        try:
-            while not stop.is_set():
-                job = work.get()
-                if job is None:
-                    return
-                index, spec, attempt, _ = job
-                slot.busy, slot.current = True, spec.label()
-                self._notify()
-                start = time.perf_counter()
-                try:
-                    outcome = self._run_once(slot, spec)
-                except WorkerLossError as exc:
-                    self._release(slot)
-                    slot.losses += 1
-                    slot.busy, slot.current = False, ""
-                    self._notify()
-                    if attempt >= self.max_attempts:
-                        error = (f"worker lost after {attempt} attempts "
-                                 f"(last on {slot.name}): {exc}")
+                while queue and idle:
+                    slot = idle.popleft()
+                    slot.job = queue.popleft()
+                    slot.started = time.perf_counter()
+                    if slot.worker is not None:
+                        send(slot, "run", self.timeout_s)
                     else:
-                        slot.retries += 1
-                        # Exponential backoff, slept by the *losing* slot: the
-                        # job goes back on the queue after the wait, but this
-                        # slot is the last to ask for more work, so an idle
-                        # healthy worker picks the retry up first.
-                        stop.wait(min(self.backoff_s * (2 ** (attempt - 1)), 10.0))
-                        error = (f"worker lost on {slot.name} and campaign "
-                                 f"halted before retry: {exc}")
-                    lost = RunOutcome(spec=spec, status=STATUS_FAILED,
-                                      elapsed=time.perf_counter() - start,
-                                      error=error, traceback=str(exc))
-                    # `lost` is also the run's outcome if a halt cancels the retry.
-                    retry = ((index, spec, attempt + 1, lost)
-                             if attempt < self.max_attempts else None)
-                    results.put((index, lost, retry))
-                    continue
-                slot.busy, slot.current = False, ""
-                if outcome.status == STATUS_FAILED:
-                    slot.runs_failed += 1
-                else:
-                    slot.runs_ok += 1
-                slot.elapsed += outcome.elapsed
-                self._notify()
-                results.put((index, outcome, None))
+                        try:
+                            self._spawn(slot)
+                        except WorkerLossError as exc:
+                            lose(slot, exc)
+                            continue
+                        send(slot, "handshake", HANDSHAKE_TIMEOUT_S)
+                    self._notify()
+                if not finished:
+                    owners = {fd: slot for slot in self.slots
+                              if slot.worker is not None
+                              for fd in slot.worker.open}
+                    deadlines = [slot.deadline for slot in self.slots
+                                 if slot.deadline is not None]
+                    timeout = min(deadlines) - time.monotonic() if deadlines else None
+                    for fd in _readable(owners, timeout):
+                        slot = owners[fd]
+                        worker = slot.worker
+                        if worker is None:
+                            continue  # lost earlier in this batch
+                        if not worker.read(fd):
+                            if fd == worker.stdout:
+                                lose(slot, slot.detach().exited())
+                        elif fd == worker.stdout and (
+                                line := worker.line()) is not None:
+                            respond(slot, line)
+                now = time.monotonic()
+                for slot in self.slots:
+                    if slot.deadline is None or slot.deadline > now:
+                        continue
+                    if slot.state == "backoff":
+                        queue.append(slot.job)
+                        slot.state, slot.job, slot.deadline = "idle", None, None
+                        idle.append(slot)
+                    elif slot.state == "handshake":
+                        lose(slot, slot.detach().timed_out(
+                            HANDSHAKE_TIMEOUT_S, _NO_PONG))
+                    else:
+                        lose(slot, slot.detach().timed_out(self.timeout_s))
+                while finished:
+                    index, outcome = finished.popleft()
+                    remaining -= 1
+                    yield index, outcome
+                    if fail_fast and not outcome.ok and not halted:
+                        halted = True
+                        # Undispensed runs never start; a retry, queued or
+                        # still backing off, owes its run the loss.
+                        remaining -= sum(lost is None for *_, lost in queue)
+                        finished.extend((index, lost)
+                                        for index, _, _, lost in queue
+                                        if lost is not None)
+                        queue.clear()
+                        for slot in self.slots:
+                            if slot.state == "backoff":
+                                settle(slot, slot.job[3])
         finally:
-            self._release(slot)
-
-    def _run_once(self, slot: WorkerSlot, spec: RunSpec) -> RunOutcome:
-        response = self.run_payload(slot, run_request(spec.to_dict()))
-        payload = response.get("outcome")
-        if not isinstance(payload, dict):
-            raise WorkerLossError(
-                f"worker response carries no outcome: {response!r}")
-        try:
-            return outcome_from_payload(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WorkerLossError(
-                f"malformed outcome payload: {exc}") from exc
+            for slot in self.slots:
+                if slot.worker is not None:
+                    # Abandoned mid-dispatch: do not wait for in-flight runs.
+                    slot.detach().close(kill=remaining > 0)
+                slot.state, slot.job, slot.deadline = "idle", None, None
 
 
-def _subprocess_env(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """The spawn environment: inherit, then guarantee ``repro`` is importable."""
+def _subprocess_env() -> Dict[str, str]:
+    """The spawn environment: inherited, with this checkout's ``repro`` first
+    on ``PYTHONPATH``."""
     import repro
 
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (src_dir + os.pathsep + existing if existing
-                             else src_dir)
-    if extra:
-        env.update(extra)
-    return env
+    path = [src_dir, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
-class SubprocessFarm(RunFarm):
-    """N slots, each backed by one local worker subprocess per dispatch."""
+def subprocess_slots(workers: int, python: Optional[Sequence[str]] = None
+                     ) -> List[WorkerSlot]:
+    """``workers`` slots, each spawning ``python -m repro.farm worker``."""
+    command = ([*(python or [sys.executable]), "-m", "repro.farm", "worker"],
+               _subprocess_env())
+    return [WorkerSlot(name=f"proc/{i}", host="subprocess", command=command)
+            for i in range(workers)]
 
-    kind = "subprocess"
 
-    def __init__(self, workers: int = 2,
-                 python: Optional[Sequence[str]] = None,
-                 env: Optional[Dict[str, str]] = None,
-                 timeout_s: Optional[float] = None,
-                 max_attempts: int = 3, backoff_s: float = 0.5) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        python = list(python) if python is not None else [sys.executable]
-        command = ([*python, "-m", "repro.farm", "worker"], _subprocess_env(env))
-        super().__init__(
-            [WorkerSlot(name=f"proc/{i}", host="subprocess", command=command)
-             for i in range(workers)],
-            max_attempts=max_attempts, backoff_s=backoff_s, timeout_s=timeout_s)
+def fork_slots(workers: int) -> List[WorkerSlot]:
+    """``workers`` slots, each forking this process into its worker."""
+    return [WorkerSlot(name=f"fork/{i}", host="fork") for i in range(workers)]
 
 
 def make_farm(spec: str, jobs: int = 1) -> RunFarm:
@@ -434,12 +489,7 @@ def make_farm(spec: str, jobs: int = 1) -> RunFarm:
     spec = spec.strip()
     if spec == "subprocess" or spec.startswith("subprocess:"):
         _, _, count = spec.partition(":")
-        if count:
-            workers = int(count)
-        elif jobs > 1:
-            workers = jobs
-        else:
-            workers = os.cpu_count() or 2
-        return SubprocessFarm(workers=workers)
+        default = jobs if jobs > 1 else os.cpu_count() or 2
+        return RunFarm(subprocess_slots(int(count) if count else default))
     raise ValueError(
         f"unknown farm spec {spec!r}; expected 'subprocess[:N]'")

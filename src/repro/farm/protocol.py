@@ -1,9 +1,9 @@
 """The farm's JSON-lines-over-stdio worker protocol.
 
-A farm worker is one ``python -m repro.farm worker`` process that serves
-requests until its stdin closes: one JSON request per line in, one JSON
-response per line out, in order.  The driver keeps one worker per slot per
-dispatch, so interpreter start and ``import repro`` are paid once per slot,
+A farm worker (``python -m repro.farm worker``, or for ``--jobs N`` a fork
+of the driver) runs :func:`worker_main` until its stdin closes: one JSON
+request per line in, one JSON response per line out, in order.  The driver
+keeps one worker per slot per dispatch, so start-up is paid once per slot,
 not per run (``execute_run`` resets the workload ids, so back-to-back runs
 in one interpreter stay byte-identical).  Everything is plain JSON -- no
 pickling -- so any command that starts this worker with a pipe to its stdio
@@ -22,7 +22,7 @@ at stderr, whose tail the driver keeps for loss messages.  A malformed
 request is a *worker-side* error: the worker says why on stderr and exits 2
 without answering, which the farm surfaces as a worker loss (and retries the
 run on a fresh worker).  A run that merely fails is a normal response -- the
-failure travels inside the outcome payload, exactly like the local pool.
+failure travels inside the outcome payload, as on the inline path.
 
 The driver opens every worker with a ping under a deadline.  A version 1
 worker reads stdin to EOF before answering, so it never pongs; a version 1
@@ -125,6 +125,7 @@ def worker_main(stdin: Optional[TextIO] = None,
             response = {"protocol": PROTOCOL_VERSION,
                         "outcome": outcome_to_payload(outcome)}
 
-        stdout.write(json.dumps(response, sort_keys=True) + "\n")
+        # Unsorted: a row's columns print in the order the run built them.
+        stdout.write(json.dumps(response) + "\n")
         stdout.flush()
     return 0

@@ -59,7 +59,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.schema import OMIT_DEFAULT, SHORTHAND, Section
+from repro.schema import OMIT_DEFAULT, SHORTHAND, Section, parse
 
 
 def canonical_json(data: object) -> str:
@@ -110,62 +110,56 @@ class WorkloadSpec(Section, section="workload"):
 FABRIC_EVENT_ACTIONS = ("fail", "repair", "degrade")
 
 
-def normalize_fabric_event(entry: object) -> Dict[str, object]:
-    """One ``fabric.events`` entry in canonical form, or a loud ValueError.
+def normalize_fabric_event(entry: object, index: int) -> Dict[str, object]:
+    """``fabric.events[index]`` in canonical form, or a loud ValueError.
 
     Accepts the canonical shape ``{"t": ..., "action": "fail", "link":
     [a, b]}`` and the compact shorthand where the action name carries the
     link (``{"t": ..., "fail": [a, b]}``).  ``factor`` is required for
     ``degrade`` and rejected elsewhere; unknown keys are rejected so typos
-    cannot silently drop an event.
+    cannot silently drop an event.  Every message starts
+    ``fabric.events[index]: ``.
     """
+    where = f"fabric.events[{index}]:"
     if not isinstance(entry, Mapping):
-        raise ValueError(
-            f"fabric.events entries must be objects, got {entry!r}")
+        raise ValueError(f"{where} must be an object, got {entry!r}")
     data = dict(entry)
     action = data.pop("action", None)
     link = data.pop("link", None)
     for name in FABRIC_EVENT_ACTIONS:
         if name in data:
             if action is not None:
-                raise ValueError(
-                    f"fabric.events entry declares two actions: {entry!r}")
+                raise ValueError(f"{where} declares two actions: {entry!r}")
             action = name
             link = data.pop(name)
     if action not in FABRIC_EVENT_ACTIONS:
         raise ValueError(
-            "fabric.events entries need an action of "
+            f"{where} needs an action of "
             f"{'/'.join(FABRIC_EVENT_ACTIONS)}, got {entry!r}")
     if not isinstance(link, (list, tuple)) or len(link) != 2:
         raise ValueError(
-            f"fabric.events link must be an [a, b] endpoint pair, "
-            f"got {link!r}")
+            f"{where} link must be an [a, b] endpoint pair, got {link!r}")
     if "t" not in data:
-        raise ValueError(f"fabric.events entry has no timestamp 't': {entry!r}")
-    t = float(data.pop("t"))
+        raise ValueError(f"{where} has no timestamp 't': {entry!r}")
+    t = parse(float, data.pop("t"), "t", f"{where} 't'")
     if t < 0:
-        raise ValueError(
-            f"fabric.events timestamps must be non-negative, got {t!r}")
+        raise ValueError(f"{where} timestamp must be non-negative, got {t!r}")
     event: Dict[str, object] = {
         "t": t, "action": str(action), "link": [str(link[0]), str(link[1])],
     }
-    factor = data.pop("factor", None)
     if action == "degrade":
-        if factor is None:
-            raise ValueError(
-                f"fabric.events degrade entries need a 'factor': {entry!r}")
-        factor = float(factor)
+        if "factor" not in data:
+            raise ValueError(f"{where} degrade needs a 'factor': {entry!r}")
+        factor = parse(float, data.pop("factor"), "factor", f"{where} 'factor'")
         if not 0 < factor <= 1:
             raise ValueError(
-                f"fabric.events degrade factor must be in (0, 1], "
-                f"got {factor!r}")
+                f"{where} degrade factor must be in (0, 1], got {factor!r}")
         event["factor"] = factor
-    elif factor is not None:
+    elif "factor" in data:
         raise ValueError(
-            f"'factor' only applies to degrade events, got {entry!r}")
+            f"{where} 'factor' only applies to degrade events, got {entry!r}")
     if data:
-        raise ValueError(
-            f"unknown fabric.events keys {sorted(data)} in {entry!r}")
+        raise ValueError(f"{where} unknown keys {sorted(data)} in {entry!r}")
     return event
 
 
@@ -237,7 +231,8 @@ class FabricSpec(Section, section="fabric"):
         """
         if not self.events:
             return
-        normalized = [normalize_fabric_event(entry) for entry in self.events]
+        normalized = [normalize_fabric_event(entry, index)
+                      for index, entry in enumerate(self.events)]
         failed = {frozenset((str(a), str(b))) for a, b in self.failures}
         last_t = 0.0
         for event in normalized:

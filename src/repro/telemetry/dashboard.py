@@ -237,12 +237,7 @@ class CampaignBoard(_Board):
         self._workers: List[Dict[str, object]] = []
 
     def update_workers(self, rows: Sequence[Dict[str, object]]) -> None:
-        """Record farm worker health for the next repaint.
-
-        Only stores the rows -- painting happens on the main-thread
-        progress callback, so farm dispatch threads never write to the
-        terminal concurrently.
-        """
+        """Record farm worker health; the next progress callback repaints."""
         self._workers = [dict(row) for row in rows]
 
     def __call__(self, completed: int, total: int, outcome) -> None:

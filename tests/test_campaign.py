@@ -33,8 +33,8 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import run_all, run_experiment, specs_for_all
 
 
-def _dying_worker_payload(payload):
-    """Stand-in for a worker killed mid-run (referenced by fork children)."""
+def _dying_run(spec):
+    """Stand-in for a worker killed mid-run (reaches forked workers)."""
     time.sleep(0.15)
     os._exit(1)
 
@@ -356,8 +356,8 @@ class TestExecutor:
 
     def test_fail_fast_drains_completed_parallel_runs(self, tmp_path):
         """Runs in flight when a fail_fast failure surfaces must still be
-        recorded: shutdown waits for them, and the drain loop persists
-        them -- otherwise --resume would silently re-simulate finished-ok
+        recorded: the dispatch yields them after the halt, and the executor
+        persists them -- otherwise --resume would silently re-simulate finished-ok
         runs whose outcome was simply never consumed."""
         store = ResultStore(tmp_path)
         spec_doc = json.loads(
@@ -372,7 +372,7 @@ class TestExecutor:
         outcomes = CampaignExecutor(store=store, jobs=2).run(
             specs, fail_fast=True)
         # Both runs come back and both are persisted, regardless of which
-        # completion order the pool produced.
+        # completion order the workers produced.
         assert len(outcomes) == 2
         assert store.status_counts() == {"ok": 1, "failed": 1}
         for outcome in outcomes:
@@ -383,18 +383,18 @@ class TestExecutor:
         reason="crasher patch reaches workers via fork inheritance")
     def test_worker_death_outcome_carries_elapsed_and_traceback(
             self, monkeypatch):
-        """A worker that dies mid-run (OOM kill, segfault) must produce a
-        failed outcome with the wall time since submission and the
-        pool-side traceback -- not elapsed=0.0 and traceback=None."""
+        """A worker that dies mid-run (OOM kill, segfault) is retried on a
+        fresh worker; once the attempts run out the run is a failed outcome
+        with the wall time of its last attempt and the loss as traceback --
+        not elapsed=0.0 and traceback=None."""
         from repro.campaign import executor as executor_module
 
-        monkeypatch.setattr(executor_module, "_execute_run_payload",
-                            _dying_worker_payload)
+        monkeypatch.setattr(executor_module, "execute_run", _dying_run)
         outcomes = CampaignExecutor(jobs=2).run(
             [RunSpec("table1", seed=s) for s in (0, 1)])
         assert [o.status for o in outcomes] == ["failed", "failed"]
         for outcome in outcomes:
-            assert "BrokenProcessPool" in outcome.error
+            assert "worker lost after 3 attempts" in outcome.error
             assert outcome.elapsed >= 0.1
             assert outcome.traceback is not None
 

@@ -29,55 +29,57 @@ DEGRADED_EXAMPLE = EXAMPLES_DIR / "scenario_fattree_degraded.json"
 class TestNormalizeFabricEvent:
     def test_canonical_shape_passes_through(self):
         event = normalize_fabric_event(
-            {"t": 0.001, "action": "fail", "link": ["agg0_0", "core1"]})
+            {"t": 0.001, "action": "fail", "link": ["agg0_0", "core1"]}, 0)
         assert event == {"t": 0.001, "action": "fail",
                          "link": ["agg0_0", "core1"]}
 
     def test_shorthand_is_normalized(self):
         assert normalize_fabric_event(
-            {"t": 0.002, "repair": ("agg0_0", "core1")}) == {
+            {"t": 0.002, "repair": ("agg0_0", "core1")}, 0) == {
             "t": 0.002, "action": "repair", "link": ["agg0_0", "core1"]}
 
     def test_degrade_requires_factor(self):
         event = normalize_fabric_event(
-            {"t": 0.0, "degrade": ["edge0_0", "agg0_0"], "factor": 0.5})
+            {"t": 0.0, "degrade": ["edge0_0", "agg0_0"], "factor": 0.5}, 0)
         assert event["factor"] == 0.5
-        with pytest.raises(ValueError, match="need a 'factor'"):
-            normalize_fabric_event({"t": 0.0, "degrade": ["a", "b"]})
+        with pytest.raises(ValueError,
+                           match=r"^fabric\.events\[3\]: degrade needs a 'factor'"):
+            normalize_fabric_event({"t": 0.0, "degrade": ["a", "b"]}, 3)
 
     def test_factor_rejected_on_non_degrade(self):
         with pytest.raises(ValueError, match="only applies to degrade"):
             normalize_fabric_event(
-                {"t": 0.0, "fail": ["a", "b"], "factor": 0.5})
+                {"t": 0.0, "fail": ["a", "b"], "factor": 0.5}, 0)
 
     def test_factor_range_enforced(self):
         with pytest.raises(ValueError, match=r"in \(0, 1\]"):
             normalize_fabric_event(
-                {"t": 0.0, "degrade": ["a", "b"], "factor": 1.5})
+                {"t": 0.0, "degrade": ["a", "b"], "factor": 1.5}, 0)
 
     def test_two_actions_rejected(self):
         with pytest.raises(ValueError, match="two actions"):
             normalize_fabric_event(
-                {"t": 0.0, "fail": ["a", "b"], "repair": ["a", "b"]})
+                {"t": 0.0, "fail": ["a", "b"], "repair": ["a", "b"]}, 0)
 
     def test_missing_action_and_missing_t_rejected(self):
-        with pytest.raises(ValueError, match="need an action"):
-            normalize_fabric_event({"t": 0.0, "link": ["a", "b"]})
+        with pytest.raises(ValueError, match="needs an action"):
+            normalize_fabric_event({"t": 0.0, "link": ["a", "b"]}, 0)
         with pytest.raises(ValueError, match="no timestamp"):
-            normalize_fabric_event({"fail": ["a", "b"]})
+            normalize_fabric_event({"fail": ["a", "b"]}, 0)
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            normalize_fabric_event({"t": -1e-6, "fail": ["a", "b"]})
+            normalize_fabric_event({"t": -1e-6, "fail": ["a", "b"]}, 0)
 
     def test_malformed_link_rejected(self):
         with pytest.raises(ValueError, match="endpoint pair"):
-            normalize_fabric_event({"t": 0.0, "fail": ["only_one"]})
+            normalize_fabric_event({"t": 0.0, "fail": ["only_one"]}, 0)
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown fabric.events keys"):
+        with pytest.raises(ValueError,
+                           match=r"^fabric\.events\[0\]: unknown keys"):
             normalize_fabric_event(
-                {"t": 0.0, "fail": ["a", "b"], "reason": "typo"})
+                {"t": 0.0, "fail": ["a", "b"], "reason": "typo"}, 0)
 
 
 # ----------------------------------------------------------------------
@@ -217,13 +219,14 @@ def _run(spec) -> object:
     return run_scenario(spec)
 
 
-class TestMidRunRepair:
-    @pytest.fixture(scope="class")
-    def fail_repair_result(self):
-        # One run of the default fail/repair timeline, shared read-only by
-        # the tests that only inspect it.
-        return _run(_fail_repair_spec())
+@pytest.fixture(scope="module")
+def fail_repair_result():
+    # One run of the default fail/repair timeline, shared read-only by the
+    # tests that only inspect it and by the in-process identity test.
+    return _run(_fail_repair_spec())
 
+
+class TestMidRunRepair:
     def test_failed_pair_carries_zero_packets_during_window(
             self, fail_repair_result):
         result = fail_repair_result
@@ -332,11 +335,13 @@ def test_stranded_packets_are_counted_and_retransmitted(seed, strands,
 # ----------------------------------------------------------------------
 # Determinism: the timeline document is part of the result contract
 # ----------------------------------------------------------------------
-def test_fail_repair_run_byte_identical_in_process():
+def test_fail_repair_run_byte_identical_in_process(fail_repair_result):
+    shared = [fail_repair_result]
+
     def run_to_json() -> str:
-        reset_workload_ids()
-        return json.dumps(run_scenario(_fail_repair_spec()).to_dict(),
-                          sort_keys=True)
+        # The shared run's document first, then a fresh run's.
+        result = shared.pop() if shared else _run(_fail_repair_spec())
+        return json.dumps(result.to_dict(), sort_keys=True)
 
     assert run_to_json() == run_to_json()
 

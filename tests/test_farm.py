@@ -1,7 +1,7 @@
 """Farm tests: worker protocol, dispatch/retry, backends, determinism.
 
 The determinism battery is the load-bearing part: a campaign executed
-serially in-process, through the ``--jobs N`` pool and through a
+serially in-process, through ``--jobs N``'s forked workers and through a
 subprocess farm must persist stores that are per-entry byte-identical --
 modulo ``created_unix``/``elapsed``.
 """
@@ -9,28 +9,27 @@ modulo ``created_unix``/``elapsed``.
 import io
 import json
 import os
-import queue
+import signal
 import sys
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from repro.campaign import CampaignExecutor, ResultStore, RunSpec
+from repro.campaign import CampaignExecutor, ResultStore, RunSpec, execute_run
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.executor import STATUS_FAILED, STATUS_OK, RunOutcome
-from repro.farm import farm as farm_module
-from repro.farm.farm import RunFarm, WorkerSlot
+from repro.farm.farm import fork_slots
 from repro.farm import (
     PROTOCOL_VERSION,
-    SubprocessFarm,
+    RunFarm,
     WorkerLossError,
     make_farm,
     parse_response,
     ping_request,
     run_request,
+    subprocess_slots,
     worker_main,
 )
 from repro.scenario import ScenarioSpec
@@ -73,13 +72,13 @@ def _child_pids():
     return pids
 
 
-def _wrapper_farm(tmp_path: Path, source: str, **kwargs) -> SubprocessFarm:
+def _wrapper_farm(tmp_path: Path, source: str, **kwargs) -> RunFarm:
     """A subprocess farm whose worker command runs ``source`` instead."""
     wrapper = tmp_path / "wrapper.py"
     wrapper.write_text(source)
-    kwargs.setdefault("workers", 1)
     kwargs.setdefault("backoff_s", 0.01)
-    return SubprocessFarm(python=[sys.executable, str(wrapper)], **kwargs)
+    return RunFarm(subprocess_slots(1, python=[sys.executable, str(wrapper)]),
+                   **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +98,14 @@ class TestWorkerProtocol:
         response = parse_response(out)
         assert response["outcome"]["status"] == "ok"
         assert response["outcome"]["result"]["rows"]
+
+    def test_response_keeps_row_key_order(self):
+        # Tables print columns in row-key order: the wire must not sort them.
+        rc, out, _ = self._invoke(
+            json.dumps(run_request(RunSpec("table1").to_dict())))
+        (row, *_) = parse_response(out)["outcome"]["result"]["rows"]
+        assert list(row) == list(
+            execute_run(RunSpec("table1")).result.rows[0])
 
     def test_run_failure_still_exits_zero(self):
         # A failing *run* is a normal outcome, not a worker loss.
@@ -216,6 +223,14 @@ class TestMakeFarm:
         with pytest.raises(ValueError, match="unknown farm spec"):
             make_farm("carrier-pigeon")
 
+    def test_no_fork_means_no_farm(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match="POSIX only: os.fork is missing"):
+            CampaignExecutor(jobs=2)
+        with pytest.raises(ValueError, match="POSIX only: os.fork is missing"):
+            make_farm("subprocess:2")
+        assert CampaignExecutor(jobs=1).forks is None  # the serial path stays
+
     @pytest.mark.parametrize("spec", ["local", "ssh-hosts:h.json", "ssh:h.json"])
     def test_removed_backends_are_unknown_specs(self, spec):
         # A stale command line fails before any dispatch, naming the one form.
@@ -245,7 +260,7 @@ class TestDispatch:
                 len(load_documents([tmp_path])))
 
         executor = CampaignExecutor(store=store,
-                                    farm=SubprocessFarm(workers=2))
+                                    farm=RunFarm(subprocess_slots(2)))
         outcomes = executor.run(specs, progress=progress)
         assert all(outcome.ok for outcome in outcomes)
         # The mid-campaign reads saw a growing store, not just the final one.
@@ -264,9 +279,8 @@ class TestDispatch:
             "    open(flag, 'w').close()\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
             "os.execv(sys.executable, [sys.executable] + sys.argv[1:])\n")
-        farm = SubprocessFarm(workers=2,
-                              python=[sys.executable, str(wrapper)],
-                              backoff_s=0.01)
+        farm = RunFarm(subprocess_slots(
+            2, python=[sys.executable, str(wrapper)]), backoff_s=0.01)
         store = ResultStore(tmp_path / "store")
         outcomes = CampaignExecutor(store=store, farm=farm).run(
             [RunSpec("table1")])
@@ -279,9 +293,9 @@ class TestDispatch:
     def test_worker_loss_exhausts_attempts(self, tmp_path):
         wrapper = tmp_path / "always_dies.py"
         wrapper.write_text("import sys; sys.exit(3)\n")
-        farm = SubprocessFarm(workers=1,
-                              python=[sys.executable, str(wrapper)],
-                              max_attempts=2, backoff_s=0.0)
+        farm = RunFarm(subprocess_slots(
+            1, python=[sys.executable, str(wrapper)]),
+            max_attempts=2, backoff_s=0.0)
         outcomes = CampaignExecutor(farm=farm).run([RunSpec("table1")])
         assert [outcome.status for outcome in outcomes] == ["failed"]
         assert "worker lost after 2 attempts" in outcomes[0].error
@@ -294,7 +308,7 @@ class TestDispatch:
         specs = [RunSpec("table1", seed=0), RunSpec("fig99"),
                  RunSpec("table1", seed=1)]
         outcomes = CampaignExecutor(store=store,
-                                    farm=SubprocessFarm(workers=2)).run(
+                                    farm=RunFarm(subprocess_slots(2))).run(
             specs, fail_fast=True)
         assert any(not outcome.ok for outcome in outcomes)
         # The invariant the executor guarantees: every returned outcome is
@@ -303,79 +317,42 @@ class TestDispatch:
             assert store.load(outcome.spec.config_hash()) is not None
 
     def test_halt_during_a_retry_handoff_yields_one_outcome_per_run(
-            self, monkeypatch):
-        """Run 1 loses its worker; its slot decides to retry, and before the
-        retry is queued run 0 fails and the fail-fast halt drains the queue.
-        The dispatch must end, reporting run 1's loss, not wait forever for
-        a retry queued after the drain (or run it after the halt)."""
-        bound = 5.0  # every wait is bounded: a wrong order fails, never hangs
-        checked = threading.Event()  # run 1's slot has read `stop`
-        failed = threading.Event()  # run 0 has returned its failure
-        drained = threading.Event()  # the halt has emptied the work queue
+            self, tmp_path, monkeypatch):
+        """Run 1 loses its worker and waits out its backoff; run 0 then
+        fails, and the fail-fast halt must cancel the waiting retry.  The
+        dispatch must end, reporting run 1's loss, not wait out the backoff
+        for the retry (or run it after the halt)."""
+        import repro.campaign.executor as executor_module
 
-        class DrainSignallingQueue(queue.Queue):
-            def get_nowait(self):
-                try:
-                    return super().get_nowait()
-                except queue.Empty:
-                    drained.set()
-                    raise
+        lost = tmp_path / "run-1-lost"
 
-        monkeypatch.setattr(farm_module, "queue", SimpleNamespace(
-            Queue=DrainSignallingQueue, Empty=queue.Empty))
+        def scripted(spec):  # reaches the forked workers
+            if spec.seed == 1:
+                return RunOutcome(spec=spec, status=STATUS_OK)
+            deadline = time.monotonic() + 5.0
+            while not lost.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return RunOutcome(spec=spec, status=STATUS_FAILED,
+                              error="run failed")
 
-        class GatedStop:
-            """A slot's view of `stop`.  The first check after a backoff
-            reads the flag, then holds it until the drain; any check after
-            run 0 failed waits for the drain, so no slot is idle in
-            `work.get()` when a late retry arrives."""
-
-            def __init__(self, stop):
-                self._stop, self._after_backoff = stop, False
-
-            def wait(self, timeout=None):
-                self._after_backoff = True
-                return self._stop.wait(timeout)
-
-            def is_set(self):
-                if self._after_backoff:
-                    self._after_backoff = False
-                    value = self._stop.is_set()
-                    checked.set()
-                    drained.wait(bound)
-                    return value
-                if failed.is_set():
-                    drained.wait(bound)
-                return self._stop.is_set()
-
+        monkeypatch.setattr(executor_module, "execute_run", scripted)
         attempts = []
 
         class ScriptedFarm(RunFarm):
-            def _slot_loop(self, slot, work, results, stop):
-                super()._slot_loop(slot, work, results, GatedStop(stop))
+            def _outcome(self, response):
+                outcome = super()._outcome(response)
+                attempts.append(outcome.spec.seed)
+                if outcome.spec.seed == 1 and attempts.count(1) == 1:
+                    lost.touch()
+                    raise WorkerLossError("worker died")
+                return outcome
 
-            def _run_once(self, slot, spec):
-                attempts.append(spec.seed)
-                if spec.seed == 1:
-                    if attempts.count(1) == 1:
-                        raise WorkerLossError("worker died")
-                    return RunOutcome(spec=spec, status=STATUS_OK)
-                checked.wait(bound)
-                failed.set()
-                return RunOutcome(spec=spec, status=STATUS_FAILED,
-                                  error="run failed")
-
-        farm = ScriptedFarm([WorkerSlot(name=f"fake/{i}", host="inline")
-                             for i in range(2)], backoff_s=0.0)
+        # The backoff is capped at 10 s: a retry left waiting shows as time.
+        farm = ScriptedFarm(fork_slots(2), backoff_s=60.0)
         specs = [RunSpec("table1", seed=0), RunSpec("table1", seed=1)]
-        yielded = []
-        consumer = threading.Thread(
-            target=lambda: yielded.extend(
-                farm.dispatch(enumerate(specs), fail_fast=True)),
-            daemon=True)
-        consumer.start()
-        consumer.join(4 * bound)
-        assert not consumer.is_alive(), "dispatch hung on a stranded retry"
+        started = time.perf_counter()
+        yielded = list(farm.dispatch(enumerate(specs), fail_fast=True))
+        assert time.perf_counter() - started < 8.0, "dispatch waited out a retry"
         assert sorted(attempts) == [0, 1]  # the retry never ran
         errors = {index: outcome.error for index, outcome in yielded}
         assert sorted(index for index, _ in yielded) == [0, 1]
@@ -383,7 +360,7 @@ class TestDispatch:
         assert "halted before retry: worker died" in errors[1]
 
     def test_health_rows_shape(self):
-        farm = SubprocessFarm(workers=1)
+        farm = RunFarm(subprocess_slots(1))
         CampaignExecutor(farm=farm).run([RunSpec("table1")])
         (row,) = farm.health_rows()
         assert row["worker"] == "proc/0"
@@ -394,14 +371,14 @@ class TestDispatch:
         assert row["elapsed"] >= 0  # rounded to ms; sub-ms runs read 0.0
 
     def test_check_subprocess(self):
-        rows = SubprocessFarm(workers=1).check()
+        rows = RunFarm(subprocess_slots(1)).check()
         assert [(name, ok) for name, ok, _ in rows] == [("proc/0", True)]
 
     def test_check_reports_unreachable(self, tmp_path):
         wrapper = tmp_path / "dead.py"
         wrapper.write_text("import sys; sys.exit(7)\n")
-        rows = SubprocessFarm(workers=1,
-                              python=[sys.executable, str(wrapper)]).check()
+        rows = RunFarm(subprocess_slots(
+            1, python=[sys.executable, str(wrapper)])).check()
         (name, ok, detail) = rows[0]
         assert not ok
         assert "exited 7" in detail
@@ -461,7 +438,7 @@ class TestPersistentWorkers:
 
     def test_one_spawn_per_slot_and_no_child_left(self, tmp_path):
         before = _child_pids()
-        farm = SubprocessFarm(workers=1)
+        farm = RunFarm(subprocess_slots(1))
         outcomes = CampaignExecutor(farm=farm).run(self._specs())
         assert [outcome.status for outcome in outcomes] == ["ok"] * 5
         (slot,) = farm.slots
@@ -472,10 +449,17 @@ class TestPersistentWorkers:
         assert [ok for _, ok, _ in farm.check()] == [True]
         assert slot.spawned == 2 and slot.worker is None
         assert _child_pids() == before
+        # jobs=2 forks its workers from the same loop: one fork per slot.
+        executor = CampaignExecutor(jobs=2)
+        outcomes = executor.run(self._specs())
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 5
+        assert [(slot.spawned, slot.worker) for slot in executor.forks.slots
+                ] == [(1, None), (1, None)]
+        assert _child_pids() == before
 
     def test_interrupt_mid_dispatch_leaves_no_child(self):
         before = _child_pids()
-        farm = SubprocessFarm(workers=3)
+        farm = RunFarm(subprocess_slots(3))
 
         def interrupt(completed, total, outcome):
             raise KeyboardInterrupt
@@ -486,6 +470,62 @@ class TestPersistentWorkers:
         assert time.perf_counter() - started < 20.0
         assert all(slot.worker is None for slot in farm.slots)
         assert _child_pids() == before
+        executor = CampaignExecutor(jobs=2)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(self._specs(9), progress=interrupt)
+        assert all(slot.worker is None for slot in executor.forks.slots)
+        assert _child_pids() == before
+
+    def test_no_worker_outlives_a_halt_or_a_close(self):
+        before = _child_pids()
+        for slots in (subprocess_slots(2), fork_slots(2)):
+            farm = RunFarm(slots)
+            halted = list(farm.dispatch(
+                enumerate([RunSpec("fig99"), *self._specs(4)]), fail_fast=True))
+            assert any(not outcome.ok for _, outcome in halted)
+            assert _child_pids() == before
+            dispatch = farm.dispatch(enumerate(self._specs(4)))
+            next(dispatch)
+            dispatch.close()
+            assert all(slot.worker is None for slot in farm.slots)
+            assert _child_pids() == before
+
+    def test_dispatch_starts_no_thread(self):
+        baseline = threading.active_count()
+        counts = []
+
+        def progress(completed, total, outcome):
+            counts.append(threading.active_count())
+
+        CampaignExecutor(farm=make_farm("subprocess:2")).run(
+            self._specs(4), progress=progress)
+        CampaignExecutor(jobs=2).run(self._specs(4), progress=progress)
+        assert counts == [baseline] * 8
+
+    def test_forked_worker_killed_mid_run_is_retried(self, tmp_path,
+                                                     monkeypatch):
+        """A jobs=2 worker SIGKILLed mid-run costs nothing: the run is
+        retried on a fresh fork and the store equals the serial one."""
+        import repro.campaign.executor as executor_module
+
+        serial_store, fork_store = tmp_path / "serial", tmp_path / "fork"
+        CampaignExecutor(store=ResultStore(serial_store),
+                         jobs=1).run(self._specs())
+        flag, real = tmp_path / "killed-once", executor_module.execute_run
+
+        def kill_once(spec):  # reaches the forked workers
+            if not flag.exists():
+                flag.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "execute_run", kill_once)
+        executor = CampaignExecutor(store=ResultStore(fork_store), jobs=2)
+        outcomes = executor.run(self._specs())
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 5
+        assert sum(slot.losses for slot in executor.forks.slots) == 1
+        assert _entries_modulo_timing(fork_store) == _entries_modulo_timing(
+            serial_store)
 
     def test_worker_killed_on_third_run_is_one_loss_one_respawn(self, tmp_path):
         farm = _wrapper_farm(tmp_path, _DIES_ON_THIRD_RUN.format(
@@ -604,7 +644,7 @@ class TestDeterminismBattery:
     def test_subprocess_farm_matches_serial_store(self, tmp_path):
         farm_store = tmp_path / "farm"
         CampaignExecutor(store=ResultStore(farm_store),
-                         farm=SubprocessFarm(workers=2)).run(self._specs())
+                         farm=RunFarm(subprocess_slots(2))).run(self._specs())
         assert self._serial_entries(tmp_path / "serial") == (
             _entries_modulo_timing(farm_store))
 
@@ -641,6 +681,13 @@ class TestFarmCli:
                       if "worker proc/0" in line]
         assert "ok 2 failed 0 lost 0 retried 0" in summary
         assert summary.endswith("spawned 1")
+
+    def test_live_board_shows_worker_rows(self, tmp_path, capsys):
+        rc = campaign_main([
+            "run", str(self._sweep(tmp_path)), "--live",
+            "--farm", "subprocess:1", "--store", str(tmp_path / "store")])
+        assert rc == 0
+        assert "[proc/0] ok 2 " in capsys.readouterr().err
 
     def test_run_with_bad_farm_spec(self, tmp_path, capsys):
         rc = campaign_main([

@@ -252,6 +252,13 @@ class TestScenarioSpec:
          r"^workloads\[0\] must be an object, got 'burst'$"),
         ("telemetry", True, "telemetry must be an object"),
         ("fabric", {"failures": "ab"}, "fabric.failures must be a list"),
+        # A fabric-event error names its entry.
+        ("fabric", {"events": [{"t": 0.1}]},
+         r"^fabric\.events\[0\]: needs an action of fail/repair/degrade"),
+        ("fabric", {"events": [{"t": 0.0, "fail": ["a", "b"]},
+                               {"t": 0.1, "action": "explode",
+                                "link": ["a", "b"]}]},
+         r"^fabric\.events\[1\]: needs an action of fail/repair/degrade"),
     ])
     def test_section_typos_and_lossy_values_are_rejected(
             self, section, value, message):

@@ -36,9 +36,7 @@ STUBS = ("...", "raise NotImplementedError", "raise NotImplementedError()")
 ALLOW = [
     r"^repro\.sim\.shard:(_worker_entry|_ShardWorker|_CutRecorder|_leak_guard)",  # shard process
     r"^repro\.netsim\.network:Network\.transport_config$",  # read by shard processes only
-    r"^repro\.farm\.farm:(RunFarm\.(_slot_loop|_run_once|_notify)|WorkerProcess\._pump_)",  # farm threads
-    r"^repro\.telemetry\.dashboard:CampaignBoard\.update_workers$",  # farm slot threads
-    r"^repro\.campaign\.executor:_execute_run_payload$",  # pool worker process
+    r"^repro\.farm\.farm:_serve_forked$",  # forked farm worker
     r"^repro\.telemetry\.plot:write_figure$",  # needs matplotlib
 ]
 
