@@ -22,6 +22,7 @@ from repro.workloads import (
     PoissonFlowGenerator,
     WEB_SEARCH_DISTRIBUTION,
     flows_per_second_for_load,
+    number_flows,
 )
 
 
@@ -52,7 +53,8 @@ def run_scheme(label, manager_factory, seed=1):
     ).generate(duration=0.02)
 
     topo.network.set_transport_config(TransportConfig(min_rto=2e-3))
-    topo.network.inject_flows(queries + background, transport="dctcp")
+    topo.network.inject_flows(number_flows(queries + background),
+                              transport="dctcp")
     topo.network.run(until=0.2)
 
     stats = topo.network.flow_stats

@@ -17,7 +17,7 @@ from repro.netsim.transport.base import TransportConfig
 from repro.sim.rng import SeededRNG
 from repro.sim.units import GBPS
 from repro.topology import SingleSwitchTopology
-from repro.workloads import FlowSpec, IncastQueryGenerator
+from repro.workloads import FlowSpec, IncastQueryGenerator, number_flows
 
 
 def build_flows(topo, rng, duration=0.02, with_background=True):
@@ -33,7 +33,7 @@ def build_flows(topo, rng, duration=0.02, with_background=True):
             for _ in range(7):
                 flows.append(FlowSpec(src=sender, dst=0, size_bytes=long_flow_bytes,
                                       start_time=0.0, priority=1))
-    return flows
+    return number_flows(flows)
 
 
 def run_scheme(label, manager_factory, with_background, seed=3):

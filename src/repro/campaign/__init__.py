@@ -35,7 +35,6 @@ from repro.campaign.spec import (
     ScenarioGridSpec,
     SweepSpec,
     canonical_json,
-    grid_from_dict,
     set_by_path,
 )
 from repro.campaign.store import ResultStore, StoreEntry
@@ -53,7 +52,6 @@ __all__ = [
     "campaign_report",
     "canonical_json",
     "execute_run",
-    "grid_from_dict",
     "set_by_path",
     "numeric_columns",
     "print_progress",

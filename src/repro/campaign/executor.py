@@ -65,12 +65,8 @@ def execute_run(spec: RunSpec) -> RunOutcome:
         # Imported lazily so worker processes pay the import cost once and
         # spec construction stays importable without the experiment stack.
         from repro.experiments.runner import get_runner
-        from repro.workloads import reset_workload_ids
 
         runner = get_runner(spec.experiment)
-        # Per-run isolation: results must depend only on the spec, not on
-        # whatever ran earlier in this (possibly reused worker) process.
-        reset_workload_ids()
         result = runner(scale=spec.scale, seed=spec.seed, **spec.params)
         if not isinstance(result, ExperimentResult):
             raise TypeError(

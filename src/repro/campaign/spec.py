@@ -236,15 +236,6 @@ class ScenarioGridSpec(Section, section="grid"):
 AnyGridSpec = Union[GridSpec, ScenarioGridSpec]
 
 
-def grid_from_dict(data: Mapping[str, object],
-                   section: str = "grid") -> AnyGridSpec:
-    """Dispatch on the optional ``"type"`` field (default ``"grid"``);
-    ``section`` names the grid in errors (``grids[0]``)."""
-    grid = parse(AnyGridSpec, data, section)
-    grid.validate(section)
-    return grid
-
-
 @dataclass
 class SweepSpec(Section, section="sweep", document=True):
     """A named campaign: a list of grids expanded into concrete runs."""

@@ -69,15 +69,7 @@ def get_runner(name: str) -> Callable[..., ExperimentResult]:
 
 
 def run_experiment(name: str, scale: str = "small", seed: int = 0) -> ExperimentResult:
-    """Run one experiment by name and return its result.
-
-    Flow/query id counters are reset first so a run's results depend only on
-    its (name, scale, seed) -- not on what ran earlier in this process (flow
-    ids feed the ECMP path hash).
-    """
-    from repro.workloads import reset_workload_ids
-
-    reset_workload_ids()
+    """Run one experiment by name and return its result."""
     return get_runner(name)(scale=scale, seed=seed)
 
 

@@ -468,6 +468,10 @@ class Network:
     def register_flow(self, spec: FlowSpec) -> None:
         """Record ``spec`` as injected, with its ``FlowStats`` record, without
         scheduling its start (the sharded executor starts flows itself)."""
+        if spec.flow_id is None:
+            raise ValueError(
+                f"flow {spec.src}->{spec.dst} has no flow_id; number the "
+                "flows first (repro.workloads.number_flows)")
         if spec.src not in self.hosts or spec.dst not in self.hosts:
             raise ValueError(
                 f"flow {spec.flow_id} references unknown hosts "

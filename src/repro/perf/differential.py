@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.perf.cases import PerfCase, case_with_engine
 from repro.scenario.runner import ScenarioRunner
-from repro.workloads import reset_workload_ids
 
 
 @dataclass
@@ -61,7 +60,6 @@ class DifferentialResult:
 def _canonical_document(case: PerfCase) -> tuple[str, int]:
     """Run ``case`` once; returns (canonical JSON, events executed)."""
     spec = case.build()
-    reset_workload_ids()
     result = ScenarioRunner().run(spec)
     document = result.to_dict()
     # Which engine ran is spec identity, not simulation outcome.

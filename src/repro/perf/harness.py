@@ -17,14 +17,12 @@ from typing import List
 
 from repro.perf.cases import PerfCase
 from repro.scenario.runner import ScenarioRunner
-from repro.workloads import reset_workload_ids
 
 
 def _execute_once(case: PerfCase) -> float:
     """One timed run of ``case``; returns its wall seconds."""
     spec = case.build()
     runner = ScenarioRunner()
-    reset_workload_ids()
     start = time.perf_counter()
     runner.run(spec)
     return time.perf_counter() - start

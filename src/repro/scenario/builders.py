@@ -19,7 +19,7 @@ JSON-serializable: ``spec.to_dict()`` is a valid campaign scenario document.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.scenario.scales import ScenarioConfig
 from repro.scenario.spec import (
@@ -31,49 +31,16 @@ from repro.scenario.spec import (
     WorkloadSpec,
 )
 from repro.sim.units import KB
-from repro.workloads.spec import FlowSpec
-
-FlowLike = Union[FlowSpec, Dict[str, object]]
-
-
-def _flow_dict(flow: FlowLike, keep_ids: bool) -> Dict[str, object]:
-    """Normalize a FlowSpec or dict into fixed-workload form."""
-    if isinstance(flow, FlowSpec):
-        entry: Dict[str, object] = {
-            "src": flow.src,
-            "dst": flow.dst,
-            "size_bytes": flow.size_bytes,
-            "start_time": flow.start_time,
-            "priority": flow.priority,
-            "query_id": flow.query_id,
-        }
-        if keep_ids:
-            # Pre-built FlowSpecs already consumed ids from the global
-            # counter; pin them so the run is identical to injecting the
-            # objects directly.
-            entry["flow_id"] = flow.flow_id
-        return entry
-    return dict(flow)
 
 
 def fixed_flows_workload(
-    flows: Sequence[FlowLike],
+    flows: Sequence[Dict[str, object]],
     transport: Optional[str] = None,
-    keep_ids: bool = True,
 ) -> WorkloadSpec:
-    """Wrap explicit flows (FlowSpecs or dicts) as a ``fixed`` workload.
-
-    ``keep_ids`` pins the flow ids of pre-built :class:`FlowSpec` objects so
-    an in-process run is identical to injecting the objects directly (the
-    deprecated-shim contract).  A pinned document is **not** portable: replay
-    it after the global id counter was reset (another process, a campaign
-    worker) and the pinned ids collide with freshly assigned ones -- the
-    runner rejects such runs.  Pass ``keep_ids=False`` when building a
-    scenario document meant to be serialized and re-run elsewhere.
-    """
+    """Wrap explicit flow dicts (``FlowSpec`` fields) as a ``fixed`` workload."""
     return WorkloadSpec(
         kind="fixed",
-        params={"flows": [_flow_dict(f, keep_ids) for f in flows]},
+        params={"flows": [dict(f) for f in flows]},
         transport=transport,
     )
 
@@ -92,7 +59,7 @@ def single_switch_scenario(
     background_priority: int = 0,
     alpha_overrides: Optional[Dict[int, float]] = None,
     scheme_kwargs: Optional[Dict[str, object]] = None,
-    extra_flows: Optional[Sequence[FlowLike]] = None,
+    extra_flows: Optional[Sequence[Dict[str, object]]] = None,
     include_background: bool = True,
     fabric: Optional[FabricSpec] = None,
     name: str = "single_switch",

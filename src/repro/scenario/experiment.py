@@ -43,8 +43,6 @@ def run(scale: str = "small", seed: int = 0, scenario: Optional[dict] = None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.workloads import reset_workload_ids
-
     spec = ScenarioSpec.from_file(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -74,7 +72,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.telemetry.dashboard import LiveDashboard
 
             dashboard = LiveDashboard(spec.label())
-    reset_workload_ids()
     result = run_scenario(spec, on_sample=dashboard)
     if dashboard is not None and result.telemetry is not None:
         dashboard.finish(result.telemetry)

@@ -11,16 +11,15 @@ everything else, each group in workload-list order -- the exact order of the
 original figure harnesses.  :meth:`ScenarioRunner.build` and
 :meth:`ScenarioRunner.flow_order` are the sharded executor's setup too.
 
-The runner does **not** reset the global flow/query id counters: experiments
-run several scenarios in sequence and ids must keep incrementing across them
-(they feed the ECMP path hash).  Call
-:func:`repro.workloads.reset_workload_ids` first when a standalone run must
-be reproducible in isolation (the campaign executor and the
-``python -m repro.scenario run`` CLI both do).
+Every run numbers its own flows and queries from 1, in generation order
+(:meth:`ScenarioRunner.flow_order`).  Flow ids feed the ECMP path hash, so
+a run's paths, and with them its document, are a function of its spec
+alone, however many runs came before it in the process.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, List, Optional,
                     Sequence, Tuple)
@@ -45,7 +44,7 @@ from repro.sim.rng import SeededRNG
 from repro.switchsim.packet import Packet
 from repro.switchsim.scheduler import make_scheduler
 from repro.workloads.burst import PacketSchedule
-from repro.workloads.spec import FlowSpec
+from repro.workloads.spec import FlowSpec, number_flows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bus uses spec)
     from repro.scenario.timeline import FabricTimeline
@@ -334,9 +333,10 @@ class ScenarioRunner:
                    topology) -> List[Tuple[str, List[FlowSpec]]]:
         """Every workload's flows in injection order, grouped by protocol.
 
-        Generates the workloads of a network-level ``spec`` and checks them
-        before anything is scheduled: transport flows only, unique flow
-        ids (``Network.register_flow`` checks the hosts).  Returns
+        Generates the workloads of a network-level ``spec``, numbers the
+        flows without a pinned id 1, 2, ... in workload-list order, and
+        checks them before anything is scheduled: transport flows only,
+        unique flow ids (``Network.register_flow`` checks the hosts).  Returns
         ``(protocol, flows)`` groups -- query flows first, then the rest,
         each in workload-list order -- each workload's transport resolved
         (its own or the scenario default).  The single-process run injects
@@ -344,24 +344,24 @@ class ScenarioRunner:
         workers.
         """
         seen_ids: Dict[int, str] = {}
+        flow_ids = itertools.count(1)
         generated = self._generate(spec, topology)
         for workload, flows in generated:
             if any(not isinstance(f, FlowSpec) for f in flows):
                 raise ValueError(
                     f"workload {workload.kind!r} produced raw packet arrivals; "
                     "it needs a packet-level topology (e.g. raw_switch)")
-            for flow in flows:
+            for flow in number_flows(flows, flow_ids):
                 # FlowStats keys records by flow_id and would silently
-                # overwrite on collision, corrupting every metric.  Pinned
-                # ids (a 'fixed' workload replayed after the id counter was
-                # reset) are the one way to get here.
+                # overwrite on collision, corrupting every metric.  A
+                # 'fixed' workload's pinned ids are the one way to get here.
                 if flow.flow_id in seen_ids:
                     raise ValueError(
                         f"duplicate flow_id {flow.flow_id}: workloads "
                         f"{seen_ids[flow.flow_id]!r} and {workload.kind!r} "
                         "both produced it.  Drop the pinned 'flow_id' "
-                        "entries from the fixed workload (or build it with "
-                        "keep_ids=False) so ids are auto-assigned.")
+                        "entries from the fixed workload so the run "
+                        "numbers its flows itself.")
                 seen_ids[flow.flow_id] = workload.kind
         default_protocol = spec.transport.protocol
         groups: List[Tuple[str, List[FlowSpec]]] = []
@@ -440,6 +440,7 @@ class ScenarioRunner:
         """Every workload's output from its own seeded substream, in
         workload-list order."""
         rng = SeededRNG(spec.seed)
+        query_ids = itertools.count(1)
         hosts = list(getattr(topology, "hosts", []) or [])
         link_rate_bps = getattr(topology, "link_rate_bps", 0.0)
         generated: List[Tuple[WorkloadSpec, Sequence]] = []
@@ -450,6 +451,7 @@ class ScenarioRunner:
                 hosts=hosts,
                 link_rate_bps=link_rate_bps,
                 topology=topology,
+                query_ids=query_ids,
             )
             generated.append(
                 (workload, make_workload(workload.kind, workload.params, ctx))

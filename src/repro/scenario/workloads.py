@@ -23,8 +23,9 @@ trace-identical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.registry import Registry
 from repro.sim.rng import SeededRNG
@@ -64,13 +65,18 @@ def _resolve_distribution(name: str):
 
 @dataclass
 class WorkloadContext:
-    """Everything a workload factory may consult about its scenario."""
+    """Everything a workload factory may consult about its scenario.
+
+    ``query_ids`` is the run's one query-id count: the runner hands every
+    workload the same one, so two ``incast`` workloads never share an id.
+    """
 
     rng: SeededRNG
     duration: float
     hosts: List[int] = field(default_factory=list)
     link_rate_bps: float = 0.0
     topology: object = None
+    query_ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
 
 
 WorkloadFactory = Callable[..., Sequence]
@@ -130,6 +136,7 @@ def incast_workload(
         queries_per_second=rate,
         rng=ctx.rng,
         priority=priority,
+        query_ids=ctx.query_ids,
     )
     if arrival == "poisson":
         return generator.generate(ctx.duration, start_time=start_time)
@@ -306,26 +313,26 @@ def hotspot_workload(
 def fixed_workload(ctx: WorkloadContext, flows: Sequence[dict]) -> List[FlowSpec]:
     """Explicitly listed flows (src/dst/size_bytes/start_time[/priority...]).
 
-    Dict keys mirror :class:`~repro.workloads.spec.FlowSpec`; ``flow_id`` and
-    ``query_id`` may be given to pin identities (the deprecated-shim path
-    uses this to preserve ids of pre-built flows), otherwise ids are
-    auto-assigned at generation time.
+    Dict keys mirror :class:`~repro.workloads.spec.FlowSpec`.  A given
+    ``flow_id`` or ``query_id`` is kept verbatim; flows without a
+    ``flow_id`` are numbered with the rest of the run's flows
+    (``ScenarioRunner.flow_order``), and a pinned id that collides with
+    one of those is rejected there.
     """
     del ctx  # fixed flows are position-independent
     specs: List[FlowSpec] = []
     for entry in flows:
-        kwargs = dict(
+        query_id, flow_id = (None if entry.get(key) is None else int(entry[key])
+                             for key in ("query_id", "flow_id"))
+        specs.append(FlowSpec(
             src=int(entry["src"]),
             dst=int(entry["dst"]),
             size_bytes=int(entry["size_bytes"]),
             start_time=float(entry.get("start_time", 0.0)),
             priority=int(entry.get("priority", 0)),
-            query_id=(None if entry.get("query_id") is None
-                      else int(entry["query_id"])),
-        )
-        if entry.get("flow_id") is not None:
-            kwargs["flow_id"] = int(entry["flow_id"])
-        specs.append(FlowSpec(**kwargs))
+            query_id=query_id,
+            flow_id=flow_id,
+        ))
     return specs
 
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict
-
-_packet_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -31,7 +28,6 @@ class Packet:
         priority: traffic class; lower value = higher priority.
         created_at: simulation time the packet was created (for latency stats).
         metadata: free-form annotations (e.g. query id) used by workloads.
-        packet_id: process-wide serial number, fresh per constructed packet.
     """
 
     size_bytes: int
@@ -48,7 +44,6 @@ class Packet:
     priority: int = 0
     created_at: float = 0.0
     metadata: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

@@ -5,7 +5,7 @@ whom, starting when, in which traffic class), which the network simulator
 turns into transport connections.
 """
 
-from repro.workloads.spec import FlowSpec, reset_flow_ids
+from repro.workloads.spec import FlowSpec, number_flows
 from repro.workloads.distributions import (
     DATA_MINING_DISTRIBUTION,
     WEB_SEARCH_DISTRIBUTION,
@@ -13,7 +13,7 @@ from repro.workloads.distributions import (
     flows_per_second_for_load,
 )
 from repro.workloads.poisson import PoissonFlowGenerator
-from repro.workloads.incast import IncastQueryGenerator, reset_query_ids
+from repro.workloads.incast import IncastQueryGenerator
 from repro.workloads.collective import all_reduce_flows, all_to_all_flows, double_binary_tree
 from repro.workloads.burst import burst_arrivals, constant_rate_arrivals
 from repro.workloads.hotspot import HotspotFlowGenerator
@@ -21,9 +21,10 @@ from repro.workloads.permutation import permutation_flows, random_derangement
 
 
 def reset_workload_ids() -> None:
-    """Restart flow- and query-id assignment; call before a reproducible run."""
-    reset_flow_ids()
-    reset_query_ids()
+    """Does nothing: every run numbers its own flows and queries.
+
+    Kept for callers written when ids came from process-wide counters.
+    """
 
 __all__ = [
     "DATA_MINING_DISTRIBUTION",
@@ -39,9 +40,8 @@ __all__ = [
     "constant_rate_arrivals",
     "double_binary_tree",
     "flows_per_second_for_load",
+    "number_flows",
     "permutation_flows",
     "random_derangement",
-    "reset_flow_ids",
-    "reset_query_ids",
     "reset_workload_ids",
 ]

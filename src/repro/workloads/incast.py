@@ -9,22 +9,18 @@ arrive according to a Poisson process.
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.sim.rng import SeededRNG
 from repro.workloads.spec import FlowSpec
 
-_query_ids = itertools.count(1)
-
-
-def reset_query_ids() -> None:
-    """Restart automatic query-id assignment from 1 (see ``reset_flow_ids``)."""
-    global _query_ids
-    _query_ids = itertools.count(1)
-
 
 class IncastQueryGenerator:
-    """Generates incast queries from a set of servers towards client hosts."""
+    """Generates incast queries from a set of servers towards client hosts.
+
+    Query ids come from ``query_ids`` (a fresh 1, 2, ... count by default);
+    generators that must not reuse each other's ids share one count.
+    """
 
     def __init__(
         self,
@@ -35,6 +31,7 @@ class IncastQueryGenerator:
         queries_per_second: float,
         rng: SeededRNG,
         priority: int = 0,
+        query_ids: Optional[Iterator[int]] = None,
     ) -> None:
         if not clients or not servers:
             raise ValueError("need at least one client and one server")
@@ -51,6 +48,7 @@ class IncastQueryGenerator:
         self.queries_per_second = queries_per_second
         self.rng = rng
         self.priority = priority
+        self.query_ids = itertools.count(1) if query_ids is None else query_ids
 
     def _pick_servers(self, client: int) -> List[int]:
         candidates = [s for s in self.servers if s != client]
@@ -65,7 +63,7 @@ class IncastQueryGenerator:
 
     def make_query(self, client: int, start_time: float) -> List[FlowSpec]:
         """The response flows of a single query issued by ``client``."""
-        query_id = next(_query_ids)
+        query_id = next(self.query_ids)
         per_flow = max(1, self.query_size_bytes // self.fanout)
         flows = []
         for server in self._pick_servers(client):

@@ -3,22 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
-
-_flow_spec_ids = itertools.count(1)
-
-
-def reset_flow_ids() -> None:
-    """Restart automatic flow-id assignment from 1.
-
-    Flow ids feed the ECMP path hash, so two runs of the same scenario only
-    take identical paths if they draw identical ids.  The experiment runner
-    resets the counter before every run to keep runs reproducible no matter
-    how many ran earlier in the same process.
-    """
-    global _flow_spec_ids
-    _flow_spec_ids = itertools.count(1)
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 
 @dataclass(slots=True)
@@ -32,7 +18,8 @@ class FlowSpec:
         priority: traffic class (0 = highest priority).
         query_id: queries (partition-aggregate requests) group several flows;
             the QCT of a query is the completion time of its last flow.
-        flow_id: unique identifier (auto-assigned).
+        flow_id: unique identifier within its run; ``None`` until
+            :func:`number_flows` gives it one.
     """
 
     src: int
@@ -41,7 +28,7 @@ class FlowSpec:
     start_time: float
     priority: int = 0
     query_id: Optional[int] = None
-    flow_id: int = field(default_factory=lambda: next(_flow_spec_ids))
+    flow_id: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -53,3 +40,20 @@ class FlowSpec:
         if self.priority < 0:
             raise ValueError(
                 f"priority must be a non-negative class index, got {self.priority}")
+
+
+def number_flows(flows: List[FlowSpec],
+                 ids: Optional[Iterator[int]] = None) -> List[FlowSpec]:
+    """Give every unnumbered flow the next id from ``ids``, in list order.
+
+    ``ids`` defaults to a fresh 1, 2, ... count; flows that already carry an
+    id keep it.  Flow ids feed the ECMP path hash, so numbering per run
+    (``ScenarioRunner.flow_order`` shares one count across a run's
+    workloads) makes a run's paths a function of its own traffic alone.
+    """
+    if ids is None:
+        ids = itertools.count(1)
+    for flow in flows:
+        if flow.flow_id is None:
+            flow.flow_id = next(ids)
+    return flows

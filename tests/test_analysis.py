@@ -22,7 +22,6 @@ from repro.analysis.cli import main as analysis_main
 from repro.analysis.sources import document_from_json
 from repro.campaign import CampaignExecutor, ResultStore, RunSpec
 from repro.scenario import ScenarioSpec, run_scenario
-from repro.workloads import reset_workload_ids
 
 import io
 
@@ -74,7 +73,6 @@ class TestSources:
         spec = ScenarioSpec.from_file(
             EXAMPLES_DIR / "scenario_dumbbell_burst.json")
         spec.duration = 0.002
-        reset_workload_ids()
         document = run_scenario(spec).to_dict()
         path = tmp_path / "result.json"
         path.write_text(json.dumps(document))

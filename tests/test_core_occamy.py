@@ -13,7 +13,6 @@ from repro.scenario.scales import get_scale
 from repro.sim import Simulator
 from repro.sim.units import GBPS, KB
 from repro.switchsim import Packet, SharedMemorySwitch, SwitchConfig
-from repro.workloads import reset_workload_ids
 
 from test_properties import reference_bitmap  # the comparators, recomputed
 
@@ -321,7 +320,6 @@ class TestEnginePassTripwires:
     """Counts, not timings: the idle proof keeps expulsion-free runs pass-free."""
 
     def test_expulsion_free_leaf_spine_runs_no_pass(self):
-        reset_workload_ids()
         spec = leaf_spine_scenario(
             scheme="occamy", config=replace(get_scale("bench"),
                                             fabric_duration=0.002),
@@ -336,7 +334,6 @@ class TestEnginePassTripwires:
     def test_expelling_run_keeps_its_victim_count(self):
         # dumbbell_burst expels nothing (0 at PR 12 too), so the
         # expelling tripwire rides on the bare-switch perf case instead.
-        reset_workload_ids()
         result = run_scenario(get_case("raw_switch_stream").build())
         engine = result.switch.expulsion_engine
         assert engine.passes > 0

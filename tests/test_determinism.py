@@ -3,9 +3,8 @@
 Same ScenarioSpec + seed must produce byte-identical
 ``json.dumps(ScenarioResult.to_dict())`` output:
 
-* across repeated runs in one process (guarded by ``reset_workload_ids`` --
-  flow ids feed the ECMP path hash, so the id-counter reset from PR 1 is
-  load-bearing here);
+* across repeated runs in one process, with nothing reset in between --
+  flow ids feed the ECMP path hash, and every run numbers its own flows;
 * across serial vs ``--jobs 2`` campaign execution (worker processes must
   not leak state into results);
 * across two fresh interpreter processes (no hidden dependence on hash
@@ -15,12 +14,15 @@ Same ScenarioSpec + seed must produce byte-identical
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import RunSpec
-from repro.scenario import ScenarioSpec, run_scenario
-from repro.workloads import reset_workload_ids
+from repro.scenario import (ScenarioSpec, get_scale, leaf_spine_scenario,
+                            run_scenario)
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -35,7 +37,6 @@ def _spec() -> ScenarioSpec:
 
 
 def _run_to_json() -> str:
-    reset_workload_ids()
     return json.dumps(run_scenario(_spec()).to_dict(), sort_keys=True)
 
 
@@ -70,11 +71,9 @@ def test_serial_vs_parallel_campaign_identical():
 _CHILD_SCRIPT = """
 import json, sys
 from repro.scenario import ScenarioSpec, run_scenario
-from repro.workloads import reset_workload_ids
 
 spec = ScenarioSpec.from_file(sys.argv[1])
 spec.duration = 0.002
-reset_workload_ids()
 print(json.dumps(run_scenario(spec).to_dict(), sort_keys=True))
 """
 
@@ -110,7 +109,6 @@ def _fat_tree_spec() -> ScenarioSpec:
 
 def _run_fat_tree_to_json() -> str:
     """Result document plus the ECMP-resolved path of every injected flow."""
-    reset_workload_ids()
     result = run_scenario(_fat_tree_spec())
     topology = result.topology
     document = result.to_dict()
@@ -143,14 +141,31 @@ def test_fat_tree_serial_vs_parallel_campaign_identical():
     assert serial_docs == parallel_docs
 
 
+def _leaf_spine_spec() -> ScenarioSpec:
+    config = replace(get_scale("bench"), fabric_duration=0.0005)
+    return leaf_spine_scenario(scheme="dt", config=config,
+                               query_size_bytes=60_000)
+
+
+@pytest.mark.parametrize("make_spec", [_leaf_spine_spec, _fat_tree_spec],
+                         ids=["leaf_spine", "fat_tree"])
+def test_fabric_runs_back_to_back_byte_identical(make_spec):
+    # No reset between the runs: each numbers its own flows, so the second
+    # takes the first one's ECMP paths (flow ids feed the hash).
+    spec = make_spec()
+    spec.duration = min(spec.duration, 0.0005)
+    first, second = (json.dumps(run_scenario(spec).to_dict(), sort_keys=True)
+                     for _ in range(2))
+    assert json.loads(first)["flows"], "expected per-flow records"
+    assert first == second
+
+
 _FAT_TREE_CHILD_SCRIPT = """
 import json, sys
 from repro.scenario import ScenarioSpec, run_scenario
-from repro.workloads import reset_workload_ids
 
 spec = ScenarioSpec.from_file(sys.argv[1])
 spec.duration = 0.0015
-reset_workload_ids()
 result = run_scenario(spec)
 topology = result.topology
 document = result.to_dict()
@@ -204,7 +219,6 @@ def _telemetry_spec() -> ScenarioSpec:
 
 
 def _run_telemetry_to_json() -> str:
-    reset_workload_ids()
     return json.dumps(run_scenario(_telemetry_spec()).to_dict(), sort_keys=True)
 
 
@@ -281,12 +295,10 @@ _TELEMETRY_CHILD_SCRIPT = """
 import json, sys
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.scenario.spec import TelemetrySpec
-from repro.workloads import reset_workload_ids
 
 spec = ScenarioSpec.from_file(sys.argv[1])
 spec.duration = 0.002
 spec.telemetry = TelemetrySpec(enabled=True)
-reset_workload_ids()
 print(json.dumps(run_scenario(spec).to_dict(), sort_keys=True))
 """
 

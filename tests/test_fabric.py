@@ -29,7 +29,6 @@ from repro.topology.fattree import FatTreeTopology
 from repro.topology.leaf_spine import LeafSpineTopology
 from repro.topology.raw_switch import RawSwitchTopology
 from repro.topology.single_switch import SingleSwitchTopology
-from repro.workloads import reset_workload_ids
 
 
 def _dt():
@@ -385,7 +384,6 @@ class TestFailedCoreLink:
                     assert not _crosses(path, "core1", "agg0_0")
 
     def test_traffic_completes_through_failed_fabric(self):
-        reset_workload_ids()
         spec = ScenarioSpec.from_dict({
             "name": "failed-core-smoke",
             "scheme": {"name": "dt"},

@@ -17,7 +17,6 @@ from repro.scenario import LoadBalancerSpec, ScenarioSpec, run_scenario
 from repro.scenario.runner import ScenarioRunner
 from repro.scenario.spec import FabricSpec, normalize_fabric_event
 from repro.scenario.timeline import PROBE_SLOTS, RECOVERY_THRESHOLD
-from repro.workloads import reset_workload_ids
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 DEGRADED_EXAMPLE = EXAMPLES_DIR / "scenario_fattree_degraded.json"
@@ -214,16 +213,11 @@ def _fail_repair_spec(lb=None, t_fail=0.0008, t_repair=0.0024) -> ScenarioSpec:
     return spec
 
 
-def _run(spec) -> object:
-    reset_workload_ids()
-    return run_scenario(spec)
-
-
 @pytest.fixture(scope="module")
 def fail_repair_result():
     # One run of the default fail/repair timeline, shared read-only by the
     # tests that only inspect it and by the in-process identity test.
-    return _run(_fail_repair_spec())
+    return run_scenario(_fail_repair_spec())
 
 
 class TestMidRunRepair:
@@ -283,7 +277,7 @@ class TestMidRunRepair:
         assert result.events_executed > 0
 
     def test_repair_without_failure_raises_mid_run(self):
-        result = _run(ScenarioSpec.from_dict(_events_doc([])))
+        result = run_scenario(ScenarioSpec.from_dict(_events_doc([])))
         network = result.topology.network
         with pytest.raises(ValueError, match="repair only follows fail"):
             network.repair_link("agg0_0", "core1")
@@ -292,7 +286,7 @@ class TestMidRunRepair:
         # Rerouting on fail + re-inclusion on repair is policy-independent:
         # flowlet tables drop dead cached ports, and the run stays
         # loss-consistent.
-        result = _run(_fail_repair_spec(lb="flowlet"))
+        result = run_scenario(_fail_repair_spec(lb="flowlet"))
         by_action = {r["action"]: r for r in result.timeline.applied}
         assert by_action["fail"]["packets_carried_at_fail"] == \
             by_action["repair"]["packets_carried_at_repair"]
@@ -323,7 +317,6 @@ def test_stranded_packets_are_counted_and_retransmitted(seed, strands,
                                                         bench_specs):
     spec = _stranding_spec(bench_specs, seed)
     ScenarioRunner().validate(spec)
-    reset_workload_ids()
     result = run_scenario(spec)  # raised LookupError on seeds 2-4
     nodes = result.topology.network.switch_nodes.values()
     no_route = sum(node.no_route for node in nodes)
@@ -340,7 +333,7 @@ def test_fail_repair_run_byte_identical_in_process(fail_repair_result):
 
     def run_to_json() -> str:
         # The shared run's document first, then a fresh run's.
-        result = shared.pop() if shared else _run(_fail_repair_spec())
+        result = shared.pop() if shared else run_scenario(_fail_repair_spec())
         return json.dumps(result.to_dict(), sort_keys=True)
 
     assert run_to_json() == run_to_json()

@@ -23,7 +23,6 @@ from repro.sim.kernel import (
     make_kernel,
     register_kernel,
 )
-from repro.workloads import reset_workload_ids
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
@@ -255,7 +254,6 @@ def test_runner_validate_covers_engine_section():
 # ``pooled`` is a compatibility alias of the heap kernel
 # ----------------------------------------------------------------------
 def _run_to_json(spec: ScenarioSpec, strip_engine: bool = False) -> str:
-    reset_workload_ids()
     document = run_scenario(spec).to_dict()
     if strip_engine:
         document["spec"].pop("engine", None)
@@ -273,7 +271,6 @@ def test_pooled_is_a_validated_alias_that_runs_the_heap_kernel(capsys):
     assert spec.to_dict()["engine"] == {"kernel": "pooled"}
     assert spec.config_hash() == "fcf8e6002bbd045a"  # frozen before PR 23
     assert _spec().config_hash() == "50e3aac446ab5994"
-    reset_workload_ids()
     result = run_scenario(spec)
     assert type(result.topology.sim.kernel) is HeapKernel
     assert result.to_dict()["spec"]["engine"] == {"kernel": "pooled"}
@@ -378,7 +375,6 @@ def test_custom_registered_kernel_is_selectable_through_the_spec(
         counting_kernel):
     spec = replace(_spec(), engine=EngineSpec(kernel=counting_kernel.name))
     spec.engine.validate()  # registered, so it validates
-    reset_workload_ids()
     result = run_scenario(spec)
     assert type(result.topology.sim.kernel) is counting_kernel
     assert counting_kernel.loops > 0

@@ -24,7 +24,6 @@ from repro.lb import EcmpPassthrough, FlowletBalancer, make_load_balancer
 from repro.metrics import percentile
 from repro.scenario import LoadBalancerSpec, ScenarioSpec, run_scenario
 from repro.scenario.runner import ScenarioRunner
-from repro.workloads import reset_workload_ids
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -174,7 +173,6 @@ def _short_spec(lb=None) -> ScenarioSpec:
 
 
 def _run_to_json(lb=None) -> str:
-    reset_workload_ids()
     return json.dumps(run_scenario(_short_spec(lb)).to_dict(), sort_keys=True)
 
 
@@ -183,7 +181,6 @@ def test_explicit_ecmp_document_byte_identical_to_omitted():
 
 
 def test_ecmp_passthrough_leaves_node_undelegated():
-    reset_workload_ids()
     result = run_scenario(_short_spec("ecmp"))
     for node in result.topology.network.switch_nodes.values():
         assert node.lb is None
@@ -191,7 +188,6 @@ def test_ecmp_passthrough_leaves_node_undelegated():
 
 
 def test_delegating_policy_swaps_deliver_and_counts_decisions():
-    reset_workload_ids()
     result = run_scenario(_short_spec("flowlet"))
     nodes = result.topology.network.switch_nodes.values()
     assert all("deliver" in node.__dict__ for node in nodes)
@@ -205,12 +201,10 @@ def test_delegating_policy_swaps_deliver_and_counts_decisions():
 _LB_CHILD_SCRIPT = """
 import json, sys
 from repro.scenario import LoadBalancerSpec, ScenarioSpec, run_scenario
-from repro.workloads import reset_workload_ids
 
 spec = ScenarioSpec.from_file(sys.argv[1])
 spec.duration = 0.001
 spec.lb = LoadBalancerSpec(sys.argv[2])
-reset_workload_ids()
 print(json.dumps(run_scenario(spec).to_dict(), sort_keys=True))
 """
 
@@ -264,7 +258,6 @@ def test_lb_counters_surface_through_telemetry_bus():
 
     spec = _short_spec("flowlet")
     spec.telemetry = TelemetrySpec(enabled=True, per_port=True)
-    reset_workload_ids()
     result = run_scenario(spec)
     series = result.telemetry.series
     decision_series = [name for name in series if name.endswith(".lb.decisions")]
@@ -276,7 +269,6 @@ def test_lb_counters_surface_through_telemetry_bus():
     # document stays byte-identical to a run with the section omitted.
     spec_ecmp = _short_spec("ecmp")
     spec_ecmp.telemetry = TelemetrySpec(enabled=True, per_port=True)
-    reset_workload_ids()
     result_ecmp = run_scenario(spec_ecmp)
     assert not any(".lb." in name for name in result_ecmp.telemetry.series)
 
@@ -293,7 +285,6 @@ def test_flowlet_beats_ecmp_p99_slowdown_on_degraded_fattree():
     for policy in ("ecmp", "flowlet"):
         spec = ScenarioSpec.from_file(DEGRADED_EXAMPLE)
         spec.lb = LoadBalancerSpec(policy)
-        reset_workload_ids()
         result = run_scenario(spec)
         p99[policy] = percentile(result.flow_stats.fct_slowdowns(), 99)
     assert p99["flowlet"] < p99["ecmp"], p99

@@ -9,7 +9,7 @@ from repro.netsim.transport.base import ReceiverState
 from repro.sim.units import GBPS, KB
 from repro.switchsim import Packet
 from repro.topology import DumbbellTopology, LeafSpineTopology, SingleSwitchTopology
-from repro.workloads import FlowSpec
+from repro.workloads import FlowSpec, number_flows
 
 
 class TestRouting:
@@ -74,7 +74,8 @@ class TestSingleFlowDelivery:
             link_rate_bps=10 * GBPS,
             ecn_threshold_bytes=30 * KB,
         )
-        spec = FlowSpec(src=0, dst=1, size_bytes=size_bytes, start_time=0.0)
+        spec = FlowSpec(src=0, dst=1, size_bytes=size_bytes, start_time=0.0,
+                        flow_id=1)
         topo.network.inject_flows([spec], transport=transport)
         topo.network.run(until=1.0)
         return topo, spec
@@ -108,8 +109,15 @@ class TestSingleFlowDelivery:
         topo = SingleSwitchTopology(2, lambda: CompleteSharing())
         with pytest.raises(ValueError):
             topo.network.inject_flows(
-                [FlowSpec(src=0, dst=99, size_bytes=1000, start_time=0.0)]
+                [FlowSpec(src=0, dst=99, size_bytes=1000, start_time=0.0,
+                          flow_id=1)]
             )
+
+    def test_unnumbered_flow_rejected(self):
+        topo = SingleSwitchTopology(2, lambda: CompleteSharing())
+        with pytest.raises(ValueError, match="no flow_id"):
+            topo.network.inject_flows(
+                [FlowSpec(src=0, dst=1, size_bytes=1000, start_time=0.0)])
 
 
 class TestDctcpBehaviour:
@@ -121,8 +129,9 @@ class TestDctcpBehaviour:
             link_rate_bps=10 * GBPS,
             ecn_threshold_bytes=30 * KB,
         )
-        flows = [FlowSpec(src=s, dst=0, size_bytes=400_000, start_time=0.0)
-                 for s in (1, 2)]
+        flows = number_flows([
+            FlowSpec(src=s, dst=0, size_bytes=400_000, start_time=0.0)
+            for s in (1, 2)])
         topo.network.inject_flows(flows, transport="dctcp")
         topo.network.run(until=1.0)
         assert topo.network.flow_stats.completion_fraction() == 1.0
@@ -135,7 +144,8 @@ class TestDctcpBehaviour:
             num_hosts=2, manager_factory=lambda: CompleteSharing(),
             link_rate_bps=10 * GBPS, ecn_threshold_bytes=15 * KB,
         )
-        spec = FlowSpec(src=0, dst=1, size_bytes=500_000, start_time=0.0)
+        spec = FlowSpec(src=0, dst=1, size_bytes=500_000, start_time=0.0,
+                        flow_id=1)
         topo.network.inject_flows([spec], transport="dctcp")
         topo.network.run(until=1.0)
         sender = topo.network.hosts[0].senders[spec.flow_id]
@@ -150,8 +160,9 @@ class TestDctcpBehaviour:
             link_rate_bps=10 * GBPS,
             buffer_bytes=20 * KB,
         )
-        flows = [FlowSpec(src=s, dst=0, size_bytes=150_000, start_time=0.0)
-                 for s in (1, 2)]
+        flows = number_flows([
+            FlowSpec(src=s, dst=0, size_bytes=150_000, start_time=0.0)
+            for s in (1, 2)])
         config = TransportConfig(min_rto=1e-3)
         topo.network.set_transport_config(config)
         topo.network.inject_flows(flows, transport="dctcp")
@@ -164,7 +175,7 @@ class TestDctcpBehaviour:
 
 class TestReceiverState:
     def test_out_of_order_reassembly(self):
-        spec = FlowSpec(src=0, dst=1, size_bytes=4500, start_time=0.0)
+        spec = FlowSpec(src=0, dst=1, size_bytes=4500, start_time=0.0, flow_id=1)
         done = []
         receiver = ReceiverState(spec, TransportConfig(mss_bytes=1500),
                                  on_complete=lambda fid, t: done.append(fid))
@@ -179,7 +190,7 @@ class TestReceiverState:
         assert done == [spec.flow_id]
 
     def test_ecn_echoed_in_ack(self):
-        spec = FlowSpec(src=0, dst=1, size_bytes=1500, start_time=0.0)
+        spec = FlowSpec(src=0, dst=1, size_bytes=1500, start_time=0.0, flow_id=1)
         receiver = ReceiverState(spec, TransportConfig(),
                                  on_complete=lambda fid, t: None)
         pkt = Packet(size_bytes=1540, flow_id=spec.flow_id, seq=0, payload_bytes=1500)
@@ -192,8 +203,9 @@ class TestTopologies:
     def test_dumbbell_cross_traffic_completes(self):
         topo = DumbbellTopology(num_pairs=2, manager_factory=lambda: CompleteSharing(),
                                 edge_rate_bps=10 * GBPS)
-        flows = [FlowSpec(src=s, dst=r, size_bytes=60_000, start_time=0.0)
-                 for s, r in zip(topo.senders, topo.receivers, strict=True)]
+        flows = number_flows([
+            FlowSpec(src=s, dst=r, size_bytes=60_000, start_time=0.0)
+            for s, r in zip(topo.senders, topo.receivers, strict=True)])
         topo.network.inject_flows(flows, transport="dctcp")
         topo.network.run(until=1.0)
         assert topo.network.flow_stats.completion_fraction() == 1.0
@@ -214,7 +226,8 @@ class TestTopologies:
                                  link_rate_bps=10 * GBPS,
                                  ecn_threshold_bytes=30 * KB)
         # Host 0 is on leaf 0, host 3 on leaf 1.
-        spec = FlowSpec(src=0, dst=3, size_bytes=100_000, start_time=0.0)
+        spec = FlowSpec(src=0, dst=3, size_bytes=100_000, start_time=0.0,
+                        flow_id=1)
         topo.network.inject_flows([spec], transport="dctcp")
         topo.network.run(until=1.0)
         assert topo.network.flow_stats.completion_fraction() == 1.0
@@ -227,9 +240,10 @@ class TestTopologies:
             num_hosts=5, manager_factory=lambda: Occamy(alpha=8.0),
             link_rate_bps=10 * GBPS, buffer_bytes=60 * KB,
         )
-        flows = [FlowSpec(src=s, dst=0, size_bytes=120_000, start_time=0.0,
-                          priority=0)
-                 for s in (1, 2, 3, 4)]
+        flows = number_flows([
+            FlowSpec(src=s, dst=0, size_bytes=120_000, start_time=0.0,
+                     priority=0)
+            for s in (1, 2, 3, 4)])
         topo.network.set_transport_config(TransportConfig(min_rto=1e-3))
         topo.network.inject_flows(flows, transport="dctcp")
         topo.network.run(until=2.0)

@@ -49,7 +49,6 @@ from repro.scenario import (
 from repro.scenario.scales import get_scale
 from repro.scenario.topologies import make_topology
 from repro.sim import Simulator
-from repro.workloads import reset_workload_ids
 
 DATA_DIR = Path(__file__).parent / "data"
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
@@ -295,7 +294,6 @@ class TestScenarioRunner:
         assert run_scenario(spec).switch.name == "sw"
 
     def test_dumbbell_burst_runs(self):
-        reset_workload_ids()
         result = run_scenario(_dumbbell_burst_spec())
         assert result.flow_stats is not None
         assert result.flow_stats.completion_fraction() > 0.9
@@ -315,12 +313,10 @@ class TestScenarioRunner:
                 {"src": 0, "dst": 2, "size_bytes": 30000, "priority": -1}]}}],
             "duration": 0.002,
         })
-        reset_workload_ids()
         with pytest.raises(ValueError, match="priority"):
             run_scenario(spec)
 
     def test_leaf_spine_all_reduce_scenario(self):
-        reset_workload_ids()
         spec = leaf_spine_scenario(
             scheme="dt", config=get_scale("bench"), query_size_bytes=60_000,
             background_kind="all_reduce", background_flow_size=16_384,
@@ -329,7 +325,6 @@ class TestScenarioRunner:
         assert result.flow_stats.completed_queries()
 
     def test_fat_tree_builder_round_trips_and_runs(self):
-        reset_workload_ids()
         config = replace(get_scale("bench"), fabric_duration=0.001)
         spec = fat_tree_scenario(
             scheme="occamy", config=config, query_size_bytes=60_000,
@@ -347,7 +342,6 @@ class TestScenarioRunner:
         assert len(background) == result.topology.num_hosts
 
     def test_hotspot_workload_concentrates_on_receiver(self):
-        reset_workload_ids()
         spec = ScenarioSpec(
             name="hotspot-single-switch",
             scheme=SchemeSpec("dt"),
@@ -390,7 +384,6 @@ class TestScenarioRunner:
             return real_run(sim, *args, **kwargs)
 
         monkeypatch.setattr(Simulator, "run", spying_run)
-        reset_workload_ids()
         result = run_scenario(get_case("raw_switch_stream").build())
         assert heap_at_run_start == [(1, 4441)]
         assert result.switch.stats.arrived_packets == 4441
@@ -424,10 +417,9 @@ class TestScenarioRunner:
         assert topology.switch.stats.arrived_packets == 0
 
     def test_pinned_id_collision_rejected(self):
-        # A 'fixed' workload with pinned ids replayed after the id counter
-        # was reset collides with freshly assigned ids; FlowStats would
-        # silently overwrite records, so the runner must refuse loudly.
-        reset_workload_ids()
+        # A 'fixed' workload's pinned id that collides with one the run
+        # assigns itself; FlowStats would silently overwrite records, so
+        # the runner must refuse loudly.
         spec = ScenarioSpec(
             name="id-collision",
             scheme=SchemeSpec("dt"),
@@ -444,7 +436,6 @@ class TestScenarioRunner:
             run_scenario(spec)
 
     def test_fixed_workload_pins_ids(self):
-        reset_workload_ids()
         spec = ScenarioSpec(
             name="fixed-ids",
             scheme=SchemeSpec("dt"),
@@ -586,34 +577,39 @@ class TestLegacyEquivalence:
     content-keyed same-timestamp ordering (``Link.event_priority``, the
     sharded-engine determinism prerequisite): equal-time arrival
     arbitration changed, which shifts outcomes in synchronized-start
-    scenarios.  fig03 survived the transition byte-identical.
+    scenarios.  fig03 survived the transition byte-identical.  fig17 was
+    re-captured again when every run started numbering its own flows:
+    before, each scheme's run took its flow ids (and so its ECMP paths)
+    from where the previous scheme's stopped.
     """
 
     def test_fig13_bench_row_for_row(self):
         from repro.experiments import fig13_qct_fct
 
-        reset_workload_ids()
         result = fig13_qct_fct.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig13")
 
     def test_fig17_bench_row_for_row(self):
         from repro.experiments import fig17_websearch
 
-        reset_workload_ids()
         result = fig17_websearch.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig17")
+        # No scheme drops a packet here, so schemes run on one fabric point
+        # (same flows, same ECMP paths) must read the same.
+        rows = {row["scheme"]: {k: v for k, v in row.items() if k != "scheme"}
+                for row in result.rows}
+        assert rows["dt"]["drops"] == 0
+        assert rows["dt"] == rows["occamy"] == rows["pushout"]
 
     def test_fig06_bench_row_for_row(self):
         from repro.experiments import fig06_anomalous
 
-        reset_workload_ids()
         result = fig06_anomalous.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig06")
 
     def test_fig03_bench_row_for_row(self):
         from repro.experiments import fig03_dt_behavior
 
-        reset_workload_ids()
         result = fig03_dt_behavior.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig03")
 
@@ -627,27 +623,24 @@ class TestHotPathEquivalence:
     (fig03/fig06/fig13), and the ECMP leaf-spine fabric (fig17/fig19).  Any
     behaviour change in the simulation core shows up as a row diff here.
     (fig19 was re-captured with the content-keyed same-timestamp ordering
-    -- see :class:`TestLegacyEquivalence`; fig11/fig12 survived it
-    byte-identical.)
+    and with per-run flow numbering -- see :class:`TestLegacyEquivalence`;
+    fig11/fig12 survived both byte-identical.)
     """
 
     def test_fig11_bench_row_for_row(self):
         from repro.experiments import fig11_queue_evolution
 
-        reset_workload_ids()
         result = fig11_queue_evolution.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig11")
 
     def test_fig12_bench_row_for_row(self):
         from repro.experiments import fig12_burst_absorption
 
-        reset_workload_ids()
         result = fig12_burst_absorption.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig12")
 
     def test_fig19_bench_row_for_row(self):
         from repro.experiments import fig19_all_reduce
 
-        reset_workload_ids()
         result = fig19_all_reduce.run(scale="bench", seed=0)
         assert result.to_dict() == _golden("fig19")

@@ -30,7 +30,6 @@ from repro.core.registry import make_buffer_manager
 from repro.netsim.partition import partition_topology
 from repro.scenario.topologies import make_topology
 from repro.sim.shard import ShardCrash
-from repro.workloads import reset_workload_ids
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -71,7 +70,6 @@ def _to_json(result) -> str:
 
 
 def _run_to_json(spec: ScenarioSpec) -> str:
-    reset_workload_ids()
     return _to_json(run_scenario(spec))
 
 
@@ -150,9 +148,7 @@ def test_validate_spec_file_resolves_the_partition(tmp_path):
     pytest.param(2, "degraded", id="2-degraded"),
 ])
 def test_sharded_byte_identical_to_oracle_in_process(shards, variant):
-    reset_workload_ids()
     sharded = run_scenario(_spec(shards, variant))
-    reset_workload_ids()
     oracle = run_scenario(_spec(1, variant))
     assert _to_json(sharded) == _to_json(oracle)
     # The merged switches are the parent's real ones, carrying their owner
@@ -199,7 +195,6 @@ def test_unknown_host_fails_in_the_parent_like_single_process(monkeypatch):
     for shards in (1, 2):
         spec = replace(_spec(shards), workloads=[WorkloadSpec("fixed", {
             "flows": [{"src": 0, "dst": 99, "size_bytes": 1000}]})])
-        reset_workload_ids()
         with pytest.raises(ValueError, match="unknown hosts 0->99"):
             run_scenario(spec)
 
@@ -209,7 +204,6 @@ def test_sharded_repeated_run_byte_identical_in_process():
 
 
 def test_shard_stats_ride_outside_the_canonical_document():
-    reset_workload_ids()
     result = run_scenario(_spec(2))
     stats = result.shard_stats
     assert stats["partition"]["num_shards"] == 2
@@ -253,12 +247,10 @@ _CHILD_SCRIPT = """
 import json, sys
 from dataclasses import replace
 from repro.scenario import EngineSpec, ScenarioSpec, run_scenario
-from repro.workloads import reset_workload_ids
 
 spec = ScenarioSpec.from_file(sys.argv[1])
 spec.duration = 0.0015
 spec = replace(spec, engine=EngineSpec(shards=int(sys.argv[2])))
-reset_workload_ids()
 document = run_scenario(spec).to_dict()
 document["spec"].pop("engine", None)
 print(json.dumps(document, sort_keys=True))
@@ -336,7 +328,6 @@ def test_one_crashing_shard_raises_shard_crash_with_traceback(monkeypatch):
 
     # Fork workers inherit the patched class, so exactly shard 1 dies.
     monkeypatch.setattr(shard_mod._ShardWorker, "run", sabotaged)
-    reset_workload_ids()
     with pytest.raises(ShardCrash) as excinfo:
         run_scenario(_spec(2))
     message = str(excinfo.value)

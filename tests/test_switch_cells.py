@@ -89,7 +89,3 @@ class TestPacket:
     def test_positive_size_required(self):
         with pytest.raises(ValueError):
             Packet(size_bytes=0)
-
-    def test_unique_ids(self):
-        a, b = Packet(size_bytes=100), Packet(size_bytes=100)
-        assert a.packet_id != b.packet_id

@@ -20,7 +20,6 @@ import pytest
 
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.sim.units import GBPS
-from repro.workloads import reset_workload_ids
 
 DURATION = 300e-6
 
@@ -102,7 +101,6 @@ def _spec(scheme: str, trace_queues: bool = True) -> ScenarioSpec:
 
 
 def _run(scheme: str, trace_queues: bool = True):
-    reset_workload_ids()
     return run_scenario(_spec(scheme, trace_queues)).switch.stats
 
 

@@ -13,7 +13,6 @@ from repro.scenario import (
 )
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.leaf_spine import LeafSpineTopology
-from repro.workloads import reset_workload_ids
 
 
 def _dt_factory():
@@ -129,7 +128,6 @@ class TestFatTreePaths:
 
 class TestFatTreeEndToEnd:
     def test_permutation_scenario_completes(self):
-        reset_workload_ids()
         spec = ScenarioSpec(
             name="fattree-permutation",
             scheme=SchemeSpec("dt"),

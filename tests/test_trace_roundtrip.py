@@ -16,7 +16,6 @@ from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import RunSpec
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.runner import run_scenario
-from repro.workloads import reset_workload_ids
 
 BASE_DOC = {
     "name": "roundtrip-source",
@@ -37,7 +36,6 @@ BASE_DOC = {
 
 @pytest.fixture(scope="module")
 def source_result():
-    reset_workload_ids()
     return run_scenario(ScenarioSpec.from_dict(BASE_DOC))
 
 
@@ -69,7 +67,6 @@ class TestTraceRoundTrip:
         # identity, not just timing).
         trace = tmp_path / "flows.json"
         trace.write_text(json.dumps(source_result.to_dict()))
-        reset_workload_ids()
         replayed = run_scenario(_replay_spec(trace))
         original = source_result.topology.network.injected_flows
         replay = replayed.topology.network.injected_flows
@@ -81,16 +78,13 @@ class TestTraceRoundTrip:
     def test_campaign_store_payload_round_trips(self, tmp_path):
         # The full loop through the campaign executor: run the scenario as a
         # campaign would, then replay the flow log of the in-process result.
-        reset_workload_ids()
         outcome = CampaignExecutor(jobs=1).run(
             [RunSpec(experiment="scenario", scale="-", seed=3,
                      params={"scenario": BASE_DOC})])[0]
         assert outcome.ok
-        reset_workload_ids()
         source = run_scenario(ScenarioSpec.from_dict(BASE_DOC))
         trace = tmp_path / "campaign_flows.json"
         trace.write_text(json.dumps(source.to_dict()))
-        reset_workload_ids()
         replayed = run_scenario(_replay_spec(trace))
         # The campaign's summary row and the replayed population agree on
         # the flow count -- the store's headline metric matches the trace.

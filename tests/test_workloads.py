@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.scenario import (ScenarioSpec, SchemeSpec, TopologySpec,
+                            WorkloadSpec)
+from repro.scenario.runner import ScenarioRunner
 from repro.sim.rng import SeededRNG
 from repro.workloads import (
     DATA_MINING_DISTRIBUTION,
@@ -41,9 +44,32 @@ class TestFlowSpec:
             FlowSpec(src=0, dst=1, size_bytes=100, start_time=0.0, priority=-1)
 
     def test_unique_flow_ids(self):
-        a = FlowSpec(src=0, dst=1, size_bytes=100, start_time=0.0)
-        b = FlowSpec(src=0, dst=1, size_bytes=100, start_time=0.0)
-        assert a.flow_id != b.flow_id
+        # A run numbers its flows 1..n in generation order (workload-list
+        # order, then each workload's own order) and gives every incast
+        # workload query ids from one count.
+        def incast(client_index):
+            return WorkloadSpec("incast", {
+                "query_size_bytes": 6000, "fanout": 3, "arrival": "paced",
+                "num_queries": 3, "client_index": client_index},
+                rng_label=f"query{client_index}")
+
+        spec = ScenarioSpec(
+            name="ids", scheme=SchemeSpec("dt"),
+            topology=TopologySpec("single_switch", {"num_hosts": 4}),
+            workloads=[incast(0),
+                       WorkloadSpec("all_to_all", {"flow_size_bytes": 1000}),
+                       incast(1)],
+            duration=0.01)
+        runner = ScenarioRunner()
+        for _ in range(2):  # nothing carries over from one run to the next
+            # Injection order: query flows first, then the rest.
+            first, second, mesh = (flows for _, flows in
+                                   runner.flow_order(spec, runner.build(spec)))
+            assert [f.flow_id for f in first] == list(range(1, 10))
+            assert [f.flow_id for f in mesh] == list(range(10, 22))
+            assert [f.flow_id for f in second] == list(range(22, 31))
+            assert [f.query_id for f in first] == [1] * 3 + [2] * 3 + [3] * 3
+            assert [f.query_id for f in second] == [4] * 3 + [5] * 3 + [6] * 3
 
 
 class TestDistributions:
