@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """Example: leaf-spine fabric sweep using the experiment harness directly.
 
-The :mod:`repro.experiments` package exposes every figure of the paper as a
-``run()`` function; this example drives the Figure 17 harness (web-search
-background on a leaf-spine fabric) programmatically, which is the easiest way
-to script custom parameter sweeps on top of the library.
+:func:`repro.experiments.runner.run_experiment` runs every figure of the
+paper by name, with the harness's own options as keywords; this example
+drives the Figure 17 harness (web-search background on a leaf-spine fabric)
+programmatically, which is the easiest way to script custom parameter sweeps
+on top of the library.
 
 Run it with::
 
     python examples/leaf_spine_sweep.py
 """
 
-from repro.experiments import fig17_websearch
 from repro.experiments.common import get_scale
+from repro.experiments.runner import run_experiment
 
 
 def main():
     # The "bench" scale keeps this example fast (a couple of minutes at most);
     # switch to "small" or "paper" for larger fabrics.
-    result = fig17_websearch.run(scale="bench", schemes=["occamy", "dt"],
-                                 query_size_fractions=(0.4, 0.8))
+    result = run_experiment("fig17", scale="bench", schemes=["occamy", "dt"],
+                            query_size_fractions=(0.4, 0.8))
     print(result)
 
     # Post-process the rows like any experiment result: compare Occamy vs DT.

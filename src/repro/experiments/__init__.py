@@ -1,9 +1,12 @@
 """Experiment harnesses reproducing every table and figure of the paper.
 
-Each ``figXX_*`` / ``table1_*`` module exposes a ``run(scale=..., seed=...)``
-function returning an :class:`repro.experiments.common.ExperimentResult`
-(rows of the same series the paper plots) and can be executed from the
-command line through :mod:`repro.experiments.runner`::
+Each ``figXX_*`` module declares ``points(scale=..., seed=..., **params)``
+(a :class:`repro.experiments.common.Figure`: the scenarios it runs, in row
+order) and ``row(keys, results)`` (one point's row of the series the paper
+plots); ``table1_*`` exposes ``run(scale=..., seed=...)``.
+:func:`repro.experiments.runner.run_experiment` returns either as an
+:class:`repro.experiments.common.ExperimentResult`, and every experiment can
+be executed from the command line through :mod:`repro.experiments.runner`::
 
     python -m repro.experiments.runner fig12 --scale small
     occamy-exp fig17 --scale bench
@@ -17,12 +20,14 @@ Scales:
 
 from repro.experiments.common import (
     ExperimentResult,
+    Figure,
     ScenarioConfig,
     default_schemes,
 )
 
 __all__ = [
     "ExperimentResult",
+    "Figure",
     "ScenarioConfig",
     "default_schemes",
 ]

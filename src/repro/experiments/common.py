@@ -6,12 +6,14 @@ Since the :mod:`repro.scenario` layer landed, this module is mostly glue:
 
 * :class:`ExperimentResult` -- the rows-of-dicts container every experiment
   returns (with table/CSV/JSON rendering);
+* :class:`Figure` -- what a figure harness's ``points()`` declares: the
+  scenarios to run, one point at a time;
 * re-exports of :class:`~repro.scenario.scales.ScenarioConfig` /
   :func:`~repro.scenario.scales.get_scale` (their historical home).
 
 Harnesses build :class:`~repro.scenario.spec.ScenarioSpec`\\ s with
-:mod:`repro.scenario.builders` and run them through
-:class:`~repro.scenario.runner.ScenarioRunner`.
+:mod:`repro.scenario.builders`; :func:`repro.experiments.runner.run_figure`
+runs them and turns each point's results into a row.
 """
 
 from __future__ import annotations
@@ -19,21 +21,39 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.metrics.percentiles import mean, percentile
 from repro.scenario.scales import ScenarioConfig, get_scale
 
 __all__ = [
     "ExperimentResult",
+    "Figure",
     "ScenarioConfig",
     "default_schemes",
     "get_scale",
+    "slowdowns",
 ]
 
 
 def default_schemes() -> List[str]:
     """The four schemes compared throughout the paper's evaluation."""
     return ["occamy", "abm", "dt", "pushout"]
+
+
+def slowdowns(stats) -> Dict[str, float]:
+    """A fabric run's QCT slowdowns and background FCT slowdowns.
+
+    ``stats`` is the run's :class:`~repro.metrics.flows.FlowStats`.
+    """
+    return dict(
+        avg_qct_slowdown=mean(stats.qct_slowdowns()),
+        p99_qct_slowdown=percentile(stats.qct_slowdowns(), 99),
+        avg_bg_fct_slowdown=mean(stats.fct_slowdowns(query_traffic=False)),
+        p99_small_bg_fct_slowdown=percentile(
+            stats.fct_slowdowns(query_traffic=False, small_only=True), 99
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -167,3 +187,21 @@ class ExperimentResult:
         if self.notes:
             header += f"  ({self.notes})"
         return header + "\n" + self.format_table()
+
+
+@dataclass
+class Figure:
+    """A figure harness's points, in row order.
+
+    Each point is ``(keys, spec)``: ``keys`` are the row's leading columns,
+    ``spec`` one :class:`~repro.scenario.spec.ScenarioSpec` or a tuple of
+    them (a with / without competitor pair).  The harness's ``row(keys,
+    results)`` reads the point's result(s) into the full row.
+    """
+
+    experiment: str
+    notes: str
+    points: List[Tuple[Dict[str, object], Any]]
+
+    def result(self, rows: Iterable[Dict[str, object]]) -> ExperimentResult:
+        return ExperimentResult(self.experiment, rows=list(rows), notes=self.notes)

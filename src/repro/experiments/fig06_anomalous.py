@@ -14,94 +14,71 @@ Two sub-experiments, both DT-only (they motivate the need for Occamy):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.experiments.common import (
-    ExperimentResult,
-    ScenarioConfig,
-    get_scale,
-)
-from repro.scenario import run_scenario, single_switch_scenario
+from repro.experiments.common import Figure, ScenarioConfig, get_scale
+from repro.scenario import ScenarioResult, single_switch_scenario
 
 
-def _long_lived_background(config: ScenarioConfig, hosts: List[int], client: int,
-                           priority: int) -> List[Dict[str, object]]:
+def long_lived_background(config: ScenarioConfig, client: int,
+                          min_size: int = 100_000) -> List[Dict[str, object]]:
     """Long-lived low-priority flows from two hosts towards the query client."""
-    senders = [h for h in hosts if h != client][:2]
-    flows: List[Dict[str, object]] = []
-    size = int(config.link_rate_bps / 8 * config.duration)  # enough to last the run
-    for sender in senders:
-        for _ in range(7):
-            flows.append(dict(src=sender, dst=client,
-                              size_bytes=max(size, 100_000),
-                              start_time=0.0, priority=priority))
-    return flows
+    senders = [h for h in range(config.num_hosts) if h != client][:2]
+    # Enough to last the run.
+    size = max(min_size, int(config.link_rate_bps / 8 * config.duration))
+    return [dict(src=sender, dst=client, size_bytes=size, start_time=0.0,
+                 priority=1)
+            for sender in senders for _ in range(7)]
 
 
-def run(scale: str = "small", seed: int = 0,
-        query_fractions: Optional[Iterable[float]] = None) -> ExperimentResult:
-    """Average QCT with and without competing traffic, for both sub-figures."""
+def points(scale: str = "small", seed: int = 0,
+           query_fractions: Optional[Iterable[float]] = None) -> Figure:
+    """QCT with and without competing traffic, for both sub-figures."""
     config = get_scale(scale)
     if query_fractions is None:
         query_fractions = (0.3, 0.6, 1.0) if scale != "bench" else (0.5,)
-
-    buffer_bytes = int(config.buffer_kb_per_port_per_gbps * 1024
-                       * config.num_hosts * config.link_rate_bps / 1e9)
-    result = ExperimentResult(
+    figure = Figure(
         "fig06_anomalous_behavior",
         notes="DT only; QCT degradation from buffer choking (a) and inter-port bursts (b)",
+        points=[],
     )
-
     for fraction in query_fractions:
-        query_size = int(fraction * buffer_bytes)
+        base = dict(scheme="dt", config=config, seed=seed,
+                    query_size_bytes=int(fraction * config.switch_buffer_bytes))
 
         # ---- (a) buffer choking: queries and background share a port -------
-        hosts = list(range(config.num_hosts))
-        client = hosts[0]
-        lp_flows = _long_lived_background(config, hosts, client, priority=1)
-        with_lp = run_scenario(single_switch_scenario(
-            scheme="dt", config=config, query_size_bytes=query_size, seed=seed,
-            include_background=False, queues_per_port=2, scheduler="strict",
-            query_priority=0, alpha_overrides={0: 8.0, 1: 1.0},
-            extra_flows=lp_flows, background_transport="cubic",
-            name="fig06_buffer_choking",
+        choking = dict(base, include_background=False, queues_per_port=2,
+                       scheduler="strict", query_priority=0,
+                       name="fig06_buffer_choking")
+        figure.points.append((
+            {"subfigure": "a_buffer_choking", "query_size_frac": fraction},
+            (single_switch_scenario(
+                alpha_overrides={0: 8.0, 1: 1.0},
+                extra_flows=long_lived_background(config, client=0),
+                background_transport="cubic", **choking),
+             single_switch_scenario(alpha_overrides={0: 1.0, 1: 1.0}, **choking)),
         ))
-        without_lp = run_scenario(single_switch_scenario(
-            scheme="dt", config=config, query_size_bytes=query_size, seed=seed,
-            include_background=False, queues_per_port=2, scheduler="strict",
-            query_priority=0, alpha_overrides={0: 1.0, 1: 1.0},
-            name="fig06_buffer_choking",
-        ))
-        result.add_row(
-            subfigure="a_buffer_choking",
-            query_size_frac=fraction,
-            qct_with_competitor_ms=with_lp.flow_stats.average_qct() * 1e3,
-            qct_without_competitor_ms=without_lp.flow_stats.average_qct() * 1e3,
-            degradation=(
-                with_lp.flow_stats.average_qct()
-                / max(1e-9, without_lp.flow_stats.average_qct())
-            ),
-        )
 
         # ---- (b) inter-port influence: background on other ports -----------
-        with_bg = run_scenario(single_switch_scenario(
-            scheme="dt", config=config, query_size_bytes=query_size, seed=seed,
-            background_load=0.6, include_background=True,
-            name="fig06_inter_port",
+        inter_port = dict(base, name="fig06_inter_port")
+        figure.points.append((
+            {"subfigure": "b_inter_port", "query_size_frac": fraction},
+            (single_switch_scenario(background_load=0.6, include_background=True,
+                                    **inter_port),
+             single_switch_scenario(include_background=False, **inter_port)),
         ))
-        without_bg = run_scenario(single_switch_scenario(
-            scheme="dt", config=config, query_size_bytes=query_size, seed=seed,
-            include_background=False,
-            name="fig06_inter_port",
-        ))
-        result.add_row(
-            subfigure="b_inter_port",
-            query_size_frac=fraction,
-            qct_with_competitor_ms=with_bg.flow_stats.average_qct() * 1e3,
-            qct_without_competitor_ms=without_bg.flow_stats.average_qct() * 1e3,
-            degradation=(
-                with_bg.flow_stats.average_qct()
-                / max(1e-9, without_bg.flow_stats.average_qct())
-            ),
-        )
-    return result
+    return figure
+
+
+def row(keys: Dict[str, object],
+        results: Tuple[ScenarioResult, ScenarioResult]) -> Dict[str, object]:
+    """Average QCT with and without the competitor, and their ratio."""
+    with_competitor, without_competitor = results
+    qct_with = with_competitor.flow_stats.average_qct()
+    qct_without = without_competitor.flow_stats.average_qct()
+    return dict(
+        keys,
+        qct_with_competitor_ms=qct_with * 1e3,
+        qct_without_competitor_ms=qct_without * 1e3,
+        degradation=qct_with / max(1e-9, qct_without),
+    )

@@ -13,67 +13,52 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.experiments.common import ExperimentResult, get_scale
+from repro.experiments.common import Figure, get_scale
 from repro.metrics.percentiles import percentile
-from repro.scenario import leaf_spine_scenario, run_scenario
+from repro.scenario import ScenarioResult, leaf_spine_scenario
 
 
-def _collect_utilizations(run_result) -> Dict[str, List[float]]:
-    buffer_samples: List[float] = []
-    bandwidth_samples: List[float] = []
-    for node in run_result.topology.all_switches():
-        buffer_samples.extend(node.stats.buffer_utilization_on_drop)
-        bandwidth_samples.extend(node.stats.bandwidth_utilization_on_drop)
-    return {"buffer": buffer_samples, "bandwidth": bandwidth_samples}
-
-
-def run(scale: str = "small", seed: int = 0,
-        alphas: Iterable[float] = (0.5, 1.0),
-        loads: Optional[Iterable[float]] = None) -> ExperimentResult:
-    """Percentiles of utilization-on-drop for the two sub-figures."""
+def points(scale: str = "small", seed: int = 0,
+           alphas: Iterable[float] = (0.5, 1.0),
+           loads: Optional[Iterable[float]] = None) -> Figure:
+    """DT at each alpha (7a, 40% load), then at each load (7b, alpha 1)."""
     config = get_scale(scale)
     if loads is None:
         loads = (0.2, 0.4, 0.9) if scale != "bench" else (0.4,)
     query_size = 4 * config.fabric_buffer_bytes_per_port
 
-    result = ExperimentResult(
+    def point(subfigure: str, alpha: float, load: float):
+        return ({"subfigure": subfigure, "alpha": alpha, "load": load},
+                leaf_spine_scenario(
+                    scheme="dt", config=config, query_size_bytes=query_size,
+                    seed=seed, background_load=load,
+                    scheme_kwargs={"alpha": alpha}, name="fig07_utilization",
+                ))
+
+    return Figure(
         "fig07_utilization",
         notes="utilization sampled at packet-drop time, leaf-spine web-search",
+        # 7(a): buffer utilization for DT alpha in {0.5, 1} at 40% load;
+        # 7(b): memory bandwidth utilization for several loads (alpha = 1).
+        points=[point("a_buffer", alpha, 0.4) for alpha in alphas]
+        + [point("b_bandwidth", 1.0, load) for load in loads],
     )
 
-    # 7(a): buffer utilization for DT alpha in {0.5, 1} at 40% load.
-    for alpha in alphas:
-        run_result = run_scenario(leaf_spine_scenario(
-            scheme="dt", config=config, query_size_bytes=query_size, seed=seed,
-            background_load=0.4, scheme_kwargs={"alpha": alpha},
-            name="fig07_utilization",
-        ))
-        samples = _collect_utilizations(run_result)["buffer"]
-        result.add_row(
-            subfigure="a_buffer",
-            alpha=alpha,
-            load=0.4,
-            samples=len(samples),
-            p50_util=percentile(samples, 50),
-            p90_util=percentile(samples, 90),
-            p99_util=percentile(samples, 99),
-        )
 
-    # 7(b): memory bandwidth utilization for several loads (DT alpha = 1).
-    for load in loads:
-        run_result = run_scenario(leaf_spine_scenario(
-            scheme="dt", config=config, query_size_bytes=query_size, seed=seed,
-            background_load=load, scheme_kwargs={"alpha": 1.0},
-            name="fig07_utilization",
-        ))
-        samples = _collect_utilizations(run_result)["bandwidth"]
-        result.add_row(
-            subfigure="b_bandwidth",
-            alpha=1.0,
-            load=load,
-            samples=len(samples),
-            p50_util=percentile(samples, 50),
-            p90_util=percentile(samples, 90),
-            p99_util=percentile(samples, 99),
-        )
-    return result
+def row(keys: Dict[str, object], result: ScenarioResult) -> Dict[str, object]:
+    """Percentiles of the utilization sampled at every drop of the run.
+
+    A run that drops nothing has no samples, and no percentiles (``None``).
+    """
+    samples: List[float] = []
+    for node in result.topology.all_switches():
+        if keys["subfigure"] == "a_buffer":
+            samples.extend(node.stats.buffer_utilization_on_drop)
+        else:
+            samples.extend(node.stats.bandwidth_utilization_on_drop)
+    return dict(
+        keys,
+        samples=len(samples),
+        **{f"p{q}_util": percentile(samples, q) if samples else None
+           for q in (50, 90, 99)},
+    )

@@ -10,48 +10,27 @@ is allocated its fair share.
 
 The run reports, per (scheme, alpha): the burst's drop count, queue 2's
 maximum length, queue 1's length at the end of the burst, and the threshold at
-that time -- the quantities visible in the paper's time-series plots.  The raw
-traces are also returned for plotting.
+that time -- the quantities visible in the paper's time-series plots.
 
 Sampling rides the telemetry subsystem (:mod:`repro.telemetry`): each run
 executes with the sampling bus enabled, the per-event queue series come from
-:mod:`repro.telemetry.series` (their home since the bus landed), and every
-:class:`EvolutionTrace` carries the bus's cadence-sampled document, which
-``main(--csv ...)`` emits through the same ``repro.telemetry.plot`` path as
-``python -m repro.telemetry plot``.
+:mod:`repro.telemetry.series` (their home since the bus landed), and
+``main(--csv ...)`` emits each run's cadence-sampled bus document through the
+same ``repro.telemetry.plot`` path as ``python -m repro.telemetry plot``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.experiments.common import ExperimentResult
-from repro.scenario import packet_burst_scenario, run_scenario
-from repro.scenario.runner import ScenarioResult
+from repro.experiments.common import Figure
+from repro.scenario import ScenarioResult, ScenarioSpec, packet_burst_scenario
 from repro.scenario.spec import TelemetrySpec
 from repro.sim.units import GBPS, KB, MB
 from repro.telemetry import QueueLengthSeries, trace_to_series
 
 
-@dataclass
-class EvolutionTrace:
-    """Raw traces of one run (for plotting).
-
-    ``q1``/``q2`` are the per-event queue series (full resolution, the
-    paper's plots); ``telemetry`` is the run's cadence-sampled bus document
-    (occupancy, backlogs, drop counters over time), consumable by
-    :func:`repro.telemetry.plot.write_csv`.
-    """
-
-    scheme: str
-    alpha: float
-    q1: QueueLengthSeries
-    q2: QueueLengthSeries
-    telemetry: Dict[str, object] = field(default_factory=dict)
-
-
-def drive_burst_scenario(
+def burst_scenario(
     scheme: str,
     alpha: float,
     burst_bytes: int = 600 * KB,
@@ -61,8 +40,8 @@ def drive_burst_scenario(
     warmup: float = 300e-6,
     tail: float = 300e-6,
     chip_ports: int = 32,
-) -> ScenarioResult:
-    """Run the long-lived + burst scenario for one (scheme, alpha) pair.
+) -> ScenarioSpec:
+    """The long-lived + burst scenario for one (scheme, alpha) pair.
 
     Only two ports carry traffic, but the chip is dimensioned for
     ``chip_ports`` ports (the paper's Tofino has far more switching capacity
@@ -70,8 +49,8 @@ def drive_burst_scenario(
     redundant read bandwidth for Occamy's expulsions.
 
     The run executes with the telemetry bus attached (read-only sampling:
-    rows and traces are byte-identical to a bus-less run), so the returned
-    result also carries cadence-sampled series under ``result.telemetry``.
+    rows and traces are byte-identical to a bus-less run), so its result
+    also carries cadence-sampled series under ``result.telemetry``.
     """
     if scheme not in ("occamy", "dt"):
         raise ValueError(f"figure 11 compares occamy and dt, not {scheme!r}")
@@ -94,57 +73,54 @@ def drive_burst_scenario(
         name="fig11_queue_evolution",
     )
     spec.telemetry = TelemetrySpec(enabled=True)
-    return run_scenario(spec)
+    return spec
 
 
-def run(scale: str = "small", seed: int = 0,
-        alphas: Tuple[float, ...] = (1.0, 4.0)) -> ExperimentResult:
-    """Queue-length evolution summary for Occamy and DT at each alpha."""
-    del seed  # deterministic experiment
+def points(scale: str = "small", seed: int = 0,
+           alphas: Tuple[float, ...] = (1.0, 4.0)) -> Figure:
+    """Occamy and DT at each alpha (the experiment is deterministic)."""
+    del seed
     burst_bytes = 400 * KB if scale == "bench" else 600 * KB
-    result = ExperimentResult(
+    return Figure(
         "fig11_queue_evolution",
         notes="long-lived traffic on q1, burst on q2; P4 prototype scenario",
+        points=[({"scheme": scheme, "alpha": alpha, "burst_bytes": burst_bytes},
+                 burst_scenario(scheme, alpha, burst_bytes=burst_bytes))
+                for scheme in ("occamy", "dt") for alpha in alphas],
     )
-    result.traces: List[EvolutionTrace] = []  # type: ignore[attr-defined]
-    for scheme in ("occamy", "dt"):
-        for alpha in alphas:
-            scenario_result = drive_burst_scenario(scheme, alpha,
-                                                   burst_bytes=burst_bytes)
-            switch = scenario_result.switch
-            series = trace_to_series(switch.stats.queue_trace)
-            q1 = series.get(0, QueueLengthSeries(0))
-            q2 = series.get(1, QueueLengthSeries(1))
-            # Steady-state fair share with two congested queues: alpha*B/(1+2*alpha).
-            fair_queue_len = alpha * switch.buffer_size_bytes / (1 + 2 * alpha)
-            fair_target = min(fair_queue_len, burst_bytes)
-            burst_drops = switch.stats.per_queue_drops.get(1, 0)
-            first_drop_len = switch.stats.first_drop_queue_length.get(1)
-            result.add_row(
-                scheme=scheme,
-                alpha=alpha,
-                burst_bytes=burst_bytes,
-                burst_drops=burst_drops,
-                q2_max_kb=round(q2.max_length / KB, 1),
-                q1_max_kb=round(q1.max_length / KB, 1),
-                q1_expelled=switch.stats.per_queue_expulsions.get(0, 0),
-                first_drop_at_kb=(
-                    round(first_drop_len / KB, 1) if first_drop_len is not None else None
-                ),
-                dropped_before_fair=bool(
-                    first_drop_len is not None and first_drop_len < 0.9 * fair_target
-                ),
-            )
-            result.traces.append(  # type: ignore[attr-defined]
-                EvolutionTrace(scheme=scheme, alpha=alpha, q1=q1, q2=q2,
-                               telemetry=scenario_result.telemetry.to_dict())
-            )
-    return result
+
+
+def row(keys: Dict[str, object], result: ScenarioResult) -> Dict[str, object]:
+    """Queue-length evolution summary of one (scheme, alpha) run."""
+    switch = result.switch
+    series = trace_to_series(switch.stats.queue_trace)
+    q1 = series.get(0, QueueLengthSeries(0))
+    q2 = series.get(1, QueueLengthSeries(1))
+    alpha = keys["alpha"]
+    # Steady-state fair share with two congested queues: alpha*B/(1+2*alpha).
+    fair_queue_len = alpha * switch.buffer_size_bytes / (1 + 2 * alpha)
+    fair_target = min(fair_queue_len, keys["burst_bytes"])
+    first_drop_len = switch.stats.first_drop_queue_length.get(1)
+    return dict(
+        keys,
+        burst_drops=switch.stats.per_queue_drops.get(1, 0),
+        q2_max_kb=round(q2.max_length / KB, 1),
+        q1_max_kb=round(q1.max_length / KB, 1),
+        q1_expelled=switch.stats.per_queue_expulsions.get(0, 0),
+        first_drop_at_kb=(
+            round(first_drop_len / KB, 1) if first_drop_len is not None else None
+        ),
+        dropped_before_fair=bool(
+            first_drop_len is not None and first_drop_len < 0.9 * fair_target
+        ),
+    )
 
 
 def main(argv: List[str] = None) -> None:
     import argparse
     from pathlib import Path
+
+    from repro.experiments.runner import run_points
 
     parser = argparse.ArgumentParser(
         description="Figure 11 summary table; optionally emit the sampled "
@@ -153,16 +129,20 @@ def main(argv: List[str] = None) -> None:
                         help="write one telemetry CSV per (scheme, alpha) "
                              "run into this directory")
     args = parser.parse_args(argv)
-    result = run()
-    print(result)
+    figure = points()
+    rows, telemetry = [], []
+    for keys, result in run_points(figure):
+        rows.append(row(keys, result))
+        telemetry.append((keys, result.telemetry.to_dict()))
+    print(figure.result(rows))
     if args.csv is not None:
         from repro.telemetry.plot import write_csv
 
         args.csv.mkdir(parents=True, exist_ok=True)
-        for trace in result.traces:  # type: ignore[attr-defined]
-            path = args.csv / f"fig11_{trace.scheme}_alpha{trace.alpha}.csv"
+        for keys, document in telemetry:
+            path = args.csv / f"fig11_{keys['scheme']}_alpha{keys['alpha']}.csv"
             with open(path, "w") as stream:
-                write_csv(trace.telemetry, stream)
+                write_csv(document, stream)
             print(f"wrote {path}")
 
 

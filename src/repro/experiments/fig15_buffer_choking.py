@@ -10,48 +10,28 @@ The harness reports QCT with and without the background for every scheme.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.experiments.common import (
-    ExperimentResult,
-    ScenarioConfig,
-    default_schemes,
-    get_scale,
-)
-from repro.scenario import run_scenario, single_switch_scenario
+from repro.experiments.common import Figure, default_schemes, get_scale
+from repro.experiments.fig06_anomalous import long_lived_background
+from repro.scenario import ScenarioResult, single_switch_scenario
 
 
-def _low_priority_background(config: ScenarioConfig,
-                             client: int) -> List[Dict[str, object]]:
-    """Long-lived low-priority flows converging on the query client's port."""
-    senders = [h for h in range(config.num_hosts) if h != client][:2]
-    size = max(200_000, int(config.link_rate_bps / 8 * config.duration))
-    flows: List[Dict[str, object]] = []
-    for sender in senders:
-        for _ in range(7):
-            flows.append(dict(src=sender, dst=client, size_bytes=size,
-                              start_time=0.0, priority=1))
-    return flows
-
-
-def run(scale: str = "small", seed: int = 0,
-        schemes: Optional[List[str]] = None,
-        query_size_fractions: Optional[Iterable[float]] = None) -> ExperimentResult:
-    """QCT of high-priority queries with vs without low-priority background."""
+def points(scale: str = "small", seed: int = 0,
+           schemes: Optional[List[str]] = None,
+           query_size_fractions: Optional[Iterable[float]] = None) -> Figure:
+    """Every scheme at every query size, with and without the background."""
     config = get_scale(scale)
     schemes = schemes or default_schemes()
     if query_size_fractions is None:
         query_size_fractions = (1.7,) if scale == "bench" else (1.5, 1.9, 2.3)
-    buffer_bytes = int(config.buffer_kb_per_port_per_gbps * 1024
-                       * config.num_hosts * config.link_rate_bps / 1e9)
-
-    result = ExperimentResult(
+    figure = Figure(
         "fig15_buffer_choking",
         notes="strict priority; HP queries (alpha=8) vs LP long-lived background (alpha=1)",
+        points=[],
     )
-    client = 0
     for fraction in query_size_fractions:
-        query_size = max(2000, int(fraction * buffer_bytes))
+        query_size = max(2000, int(fraction * config.switch_buffer_bytes))
         for scheme in schemes:
             common_kwargs = dict(
                 scheme=scheme, config=config, query_size_bytes=query_size,
@@ -61,21 +41,30 @@ def run(scale: str = "small", seed: int = 0,
                 background_transport="cubic",
                 name="fig15_buffer_choking",
             )
-            with_bg = run_scenario(single_switch_scenario(
-                extra_flows=_low_priority_background(config, client),
+            with_bg = single_switch_scenario(
+                extra_flows=long_lived_background(config, client=0,
+                                                  min_size=200_000),
                 **common_kwargs,
-            ))
-            without_bg = run_scenario(single_switch_scenario(**common_kwargs))
-            qct_with = with_bg.flow_stats.average_qct()
-            qct_without = without_bg.flow_stats.average_qct()
-            result.add_row(
-                query_size_frac=round(fraction, 2),
-                scheme=scheme,
-                qct_with_bg_ms=qct_with * 1e3,
-                qct_without_bg_ms=qct_without * 1e3,
-                p99_qct_with_bg_ms=with_bg.flow_stats.p99_qct() * 1e3,
-                p99_qct_without_bg_ms=without_bg.flow_stats.p99_qct() * 1e3,
-                degradation=qct_with / max(1e-9, qct_without),
-                expelled=with_bg.switch_stats.expelled_packets,
             )
-    return result
+            figure.points.append((
+                {"query_size_frac": round(fraction, 2), "scheme": scheme},
+                (with_bg, single_switch_scenario(**common_kwargs)),
+            ))
+    return figure
+
+
+def row(keys: Dict[str, object],
+        results: Tuple[ScenarioResult, ScenarioResult]) -> Dict[str, object]:
+    """QCT of high-priority queries with vs without low-priority background."""
+    with_bg, without_bg = results
+    qct_with = with_bg.flow_stats.average_qct()
+    qct_without = without_bg.flow_stats.average_qct()
+    return dict(
+        keys,
+        qct_with_bg_ms=qct_with * 1e3,
+        qct_without_bg_ms=qct_without * 1e3,
+        p99_qct_with_bg_ms=with_bg.flow_stats.p99_qct() * 1e3,
+        p99_qct_without_bg_ms=without_bg.flow_stats.p99_qct() * 1e3,
+        degradation=qct_with / max(1e-9, qct_without),
+        expelled=with_bg.switch_stats.expelled_packets,
+    )

@@ -8,50 +8,40 @@ remains available where it is needed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro.experiments.common import (
-    ExperimentResult,
-    default_schemes,
-    get_scale,
-)
-from repro.metrics.percentiles import mean, percentile
-from repro.scenario import leaf_spine_scenario, run_scenario
+from repro.experiments.common import Figure, default_schemes, get_scale, slowdowns
+from repro.scenario import ScenarioResult, leaf_spine_scenario
 
 
-def run(scale: str = "small", seed: int = 0,
-        schemes: Optional[List[str]] = None,
-        query_size_fractions: Optional[Iterable[float]] = None,
-        background_load: float = 1.2) -> ExperimentResult:
-    """QCT / FCT slowdowns at 120% offered background load."""
+def points(scale: str = "small", seed: int = 0,
+           schemes: Optional[List[str]] = None,
+           query_size_fractions: Optional[Iterable[float]] = None,
+           background_load: float = 1.2) -> Figure:
+    """Every scheme at every query size, at 120% offered background load."""
     config = get_scale(scale)
     schemes = schemes or default_schemes()
     if query_size_fractions is None:
         query_size_fractions = (0.6,) if scale == "bench" else (0.2, 0.6, 1.0)
     reference_buffer = config.fabric_buffer_bytes_per_port * 8
-
-    result = ExperimentResult(
+    return Figure(
         "fig22_heavy_load",
         notes=f"leaf-spine, background offered load {background_load:.0%}",
+        points=[({"query_size_frac": round(fraction, 2), "scheme": scheme},
+                 leaf_spine_scenario(
+                     scheme=scheme, config=config,
+                     query_size_bytes=max(4000, int(fraction * reference_buffer)),
+                     seed=seed, background_load=background_load,
+                     name="fig22_heavy_load",
+                 ))
+                for fraction in query_size_fractions for scheme in schemes],
     )
-    for fraction in query_size_fractions:
-        query_size = max(4000, int(fraction * reference_buffer))
-        for scheme in schemes:
-            run_result = run_scenario(leaf_spine_scenario(
-                scheme=scheme, config=config, query_size_bytes=query_size,
-                seed=seed, background_load=background_load,
-                name="fig22_heavy_load",
-            ))
-            stats = run_result.flow_stats
-            result.add_row(
-                query_size_frac=round(fraction, 2),
-                scheme=scheme,
-                avg_qct_slowdown=mean(stats.qct_slowdowns()),
-                p99_qct_slowdown=percentile(stats.qct_slowdowns(), 99),
-                avg_bg_fct_slowdown=mean(stats.fct_slowdowns(query_traffic=False)),
-                p99_small_bg_fct_slowdown=percentile(
-                    stats.fct_slowdowns(query_traffic=False, small_only=True), 99
-                ),
-                drops=run_result.total_drops(),
-            )
-    return result
+
+
+def row(keys: Dict[str, object], result: ScenarioResult) -> Dict[str, object]:
+    """QCT slowdowns of the queries, FCT slowdowns of the background."""
+    return dict(
+        keys,
+        **slowdowns(result.flow_stats),
+        drops=result.total_drops(),
+    )

@@ -8,22 +8,30 @@ Usage::
 
 ``all`` runs every experiment at the requested scale and prints each table;
 it is the closest thing to "regenerate the paper's evaluation section".
-With ``--jobs N`` the experiments execute on N forked campaign workers
-(:mod:`repro.campaign`; POSIX only) instead of serially; results are
-identical run-for-run because every experiment still receives the same seed.
+
+Each figure harness is data: ``points()`` lists the scenarios of the
+figure, ``row()`` reads one point's results into a row.  One loop here
+(:func:`run_figure`) runs them -- every point inline, or one point per
+campaign run: with ``--jobs N`` the points of all figures execute on N
+forked campaign workers (:mod:`repro.campaign`; POSIX only) instead of
+serially, and the tables are identical row-for-row because every point
+still receives its figure's seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, Figure
 
-#: Experiment name -> module path (each module exposes ``run``).
+#: Experiment name -> module path.  A figure module declares
+#: ``points(scale, seed, **params) -> Figure`` and ``row(keys, results)``;
+#: ``table1`` exposes ``run``.
 EXPERIMENTS: Dict[str, str] = {
     "fig03": "repro.experiments.fig03_dt_behavior",
     "fig06": "repro.experiments.fig06_anomalous",
@@ -45,32 +53,74 @@ EXPERIMENTS: Dict[str, str] = {
 }
 
 
-def get_runner(name: str) -> Callable[..., ExperimentResult]:
-    """Import and return the ``run`` function of experiment ``name``.
+def _module(name: str):
+    if name not in EXPERIMENTS:
+        raise KeyError(
+            f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
+        )
+    return importlib.import_module(EXPERIMENTS[name])
 
-    Besides the figure/table harnesses, the pseudo-experiment ``scenario``
-    resolves to :func:`repro.scenario.experiment.run`, which executes a
-    declarative scenario document passed via ``params={"scenario": {...}}``
-    (the campaign layer's ``"scenario"`` grid type).  It is not part of
+
+def _figure(name: str, scale: str, seed: int, **params) -> Figure | None:
+    """Figure ``name``'s points, or ``None`` for ``table1`` (it keeps a plain ``run``)."""
+    points = getattr(_module(name), "points", None)
+    return None if points is None else points(scale=scale, seed=seed, **params)
+
+
+def get_runner(name: str) -> Callable[..., ExperimentResult]:
+    """The function that runs experiment ``name``: :func:`run_figure` bound to it.
+
+    The pseudo-experiment ``scenario`` resolves to
+    :func:`repro.scenario.experiment.run`, which executes a declarative
+    scenario document passed via ``params={"scenario": {...}}`` (the
+    campaign layer's ``"scenario"`` grid type).  It is not part of
     :data:`EXPERIMENTS` because it cannot run without a document (so
     ``runner all`` skips it).
     """
     if name == "scenario":
         module = importlib.import_module("repro.scenario.experiment")
         return module.run
-    try:
-        module_path = EXPERIMENTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
-        ) from None
-    module = importlib.import_module(module_path)
-    return module.run
+    _module(name)  # an unknown name raises KeyError here
+    return functools.partial(run_figure, name)
 
 
-def run_experiment(name: str, scale: str = "small", seed: int = 0) -> ExperimentResult:
+def run_points(figure: Figure, point: int | None = None
+               ) -> Iterator[Tuple[Dict[str, object], object]]:
+    """Run a figure's points (or only point ``point``), yielding ``(keys, results)``.
+
+    ``results`` is the point's :class:`~repro.scenario.runner.ScenarioResult`,
+    or a tuple of them for a tuple of specs.  This is the one place a
+    figure's scenarios run.
+    """
+    from repro.scenario import run_scenario
+
+    if point is not None and not 0 <= point < len(figure.points):
+        raise IndexError(f"{figure.experiment} has no point {point}")
+    for keys, spec in figure.points if point is None else [figure.points[point]]:
+        pair = isinstance(spec, tuple)
+        results = tuple(run_scenario(each) for each in (spec if pair else (spec,)))
+        yield keys, results if pair else results[0]
+
+
+def run_figure(name: str, scale: str = "small", seed: int = 0,
+               point: int | None = None, **params) -> ExperimentResult:
+    """Run figure ``name``'s points -- all, or only point ``point`` -- into rows.
+
+    ``params`` are the harness's ``points()`` options (``schemes``, ...).
+    ``point`` changes no row: the rows of every point run alone concatenate
+    to the whole figure's rows.  ``table1`` has no points and runs its ``run``.
+    """
+    figure = _figure(name, scale, seed, **params)
+    if figure is None:
+        return _module(name).run(scale=scale, seed=seed, **params)
+    return figure.result(_module(name).row(keys, results)
+                         for keys, results in run_points(figure, point))
+
+
+def run_experiment(name: str, scale: str = "small", seed: int = 0,
+                   **params) -> ExperimentResult:
     """Run one experiment by name and return its result."""
-    return get_runner(name)(scale=scale, seed=seed)
+    return get_runner(name)(scale=scale, seed=seed, **params)
 
 
 def specs_for_all(scale: str = "small", seed: int = 0,
@@ -78,17 +128,28 @@ def specs_for_all(scale: str = "small", seed: int = 0,
                   vary_seed: bool = False) -> List["RunSpec"]:
     """The campaign run specs behind :func:`run_all`.
 
-    With ``vary_seed`` every experiment gets ``seed + index`` (its position
-    in the run order) instead of all experiments sharing one seed.
+    A figure is one run per point (``params={"point": i}``), ``table1`` one
+    run.  With ``vary_seed`` every experiment gets ``seed + index`` (its
+    position in the run order) instead of all sharing one seed.  An
+    experiment whose points cannot be built (an unknown name or scale)
+    raises :class:`RuntimeError` naming it, as a failed run does in
+    :func:`run_all`.
     """
+    from dataclasses import replace
+
     from repro.campaign.spec import RunSpec
 
-    ordered = names or sorted(EXPERIMENTS)
-    return [
-        RunSpec(experiment=name, scale=scale,
-                seed=seed + index if vary_seed else seed)
-        for index, name in enumerate(ordered)
-    ]
+    specs: List[RunSpec] = []
+    for index, name in enumerate(names or sorted(EXPERIMENTS)):
+        run = RunSpec(experiment=name, scale=scale,
+                      seed=seed + index if vary_seed else seed)
+        try:
+            figure = _figure(name, scale, run.seed)
+        except Exception as exc:
+            raise RuntimeError(f"experiment {name!r} failed: {exc}") from exc
+        specs.extend([run] if figure is None else
+                     [replace(run, params={"point": i}) for i in range(len(figure.points))])
+    return specs
 
 
 def run_all(scale: str = "small", seed: int = 0,
@@ -99,13 +160,14 @@ def run_all(scale: str = "small", seed: int = 0,
     ) -> List[ExperimentResult]:
     """Run every (or the selected) experiment and return all results.
 
-    ``jobs > 1`` delegates to the campaign executor's forked workers; the
-    results come back in the same order either way, and each experiment sees
-    the same seed, so parallel and serial runs match row-for-row.  A failing
-    experiment raises and stops further experiments (the single-shot runner
-    keeps its fail-fast contract; use ``python -m repro.campaign`` for
-    failure-tolerant sweeps).  ``progress(name, elapsed_s)`` is called as
-    each experiment completes (in completion order when parallel).
+    Every figure point is one run of :func:`specs_for_all`; ``jobs > 1``
+    hands them to the campaign executor's forked workers.  Each figure's
+    rows are reassembled in point order, so parallel and serial runs match
+    row-for-row.  A failing run raises and stops further runs (the
+    single-shot runner keeps its fail-fast contract; use
+    ``python -m repro.campaign`` for failure-tolerant sweeps).
+    ``progress(name, elapsed_s)`` is called as each run completes (in
+    completion order when parallel); a point is named ``fig03[1]``.
     """
     from repro.campaign.executor import CampaignExecutor
 
@@ -113,7 +175,8 @@ def run_all(scale: str = "small", seed: int = 0,
 
     def on_progress(done: int, total: int, outcome) -> None:
         if progress and outcome.ok:
-            progress(outcome.spec.experiment, outcome.elapsed)
+            name, point = outcome.spec.experiment, outcome.spec.params.get("point")
+            progress(name if point is None else f"{name}[{point}]", outcome.elapsed)
 
     outcomes = CampaignExecutor(jobs=jobs).run(
         specs, progress=on_progress, fail_fast=True
@@ -125,7 +188,10 @@ def run_all(scale: str = "small", seed: int = 0,
             if outcome.traceback:
                 message += f"\n{outcome.traceback}"
             raise RuntimeError(message)
-        results.append(outcome.result)
+        if outcome.spec.params.get("point", 0) > 0:
+            results[-1].rows.extend(outcome.result.rows)
+        else:
+            results.append(outcome.result)
     return results
 
 

@@ -50,6 +50,12 @@ class ScenarioConfig:
     def mtu_ecn_threshold_bytes(self, mtu: int = 1500) -> int:
         return self.ecn_threshold_packets * mtu
 
+    @property
+    def switch_buffer_bytes(self) -> int:
+        """The single switch's shared buffer, sized per port per Gbps."""
+        return int(self.buffer_kb_per_port_per_gbps * 1024
+                   * self.num_hosts * self.link_rate_bps / 1e9)
+
 
 _SCALES: Dict[str, ScenarioConfig] = {
     "bench": ScenarioConfig(

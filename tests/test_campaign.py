@@ -487,18 +487,24 @@ class TestAggregation:
 class TestRunnerIntegration:
     def test_specs_for_all_shared_seed_by_default(self):
         specs = specs_for_all(scale="bench", seed=5, names=["fig03", "fig11", "table1"])
-        assert [s.seed for s in specs] == [5, 5, 5]
+        assert [s.seed for s in specs] == [5] * 7
 
     def test_specs_for_all_vary_seed_offsets_by_index(self):
         specs = specs_for_all(
             scale="bench", seed=5, names=["fig03", "fig11", "table1"], vary_seed=True
         )
-        assert [s.seed for s in specs] == [5, 6, 7]
-        assert [s.experiment for s in specs] == ["fig03", "fig11", "table1"]
+        # Every point of a figure shares the figure's seed.
+        assert [(s.experiment, s.seed) for s in specs] == (
+            [("fig03", 5)] * 2 + [("fig11", 6)] * 4 + [("table1", 7)]
+        )
 
     def test_run_all_raises_on_failure(self):
         with pytest.raises(RuntimeError, match="fig99"):
             run_all(names=["fig99"])
+
+    def test_run_all_raises_on_bad_scale(self):
+        with pytest.raises(RuntimeError, match="fig13.*unknown scale 'huge'"):
+            run_all(scale="huge", names=["fig13"])
 
     def test_run_experiment_deterministic_within_process(self):
         a = run_experiment("fig03", scale="bench")

@@ -6,17 +6,24 @@ assert the qualitative *shape* of each paper result rather than absolute
 numbers.
 """
 
+import importlib
+
 import pytest
 
-from repro.experiments import fig03_dt_behavior, fig11_queue_evolution
-from repro.experiments import fig12_burst_absorption, table1_hw_cost
+from repro.campaign.spec import RunSpec
+from repro.experiments import fig11_queue_evolution, table1_hw_cost
 from repro.experiments.common import (
     ExperimentResult,
     ScenarioConfig,
     default_schemes,
     get_scale,
 )
-from repro.experiments.runner import EXPERIMENTS, get_runner, run_experiment
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    get_runner,
+    run_experiment,
+    specs_for_all,
+)
 from repro.scenario.builders import single_switch_scenario
 from repro.scenario.runner import ScenarioRunner
 
@@ -70,18 +77,50 @@ class TestRunnerRegistry:
             assert callable(get_runner(name))
 
 
+class TestFigurePoints:
+    """A figure is its points: one run per point gives the figure's rows."""
+
+    @pytest.mark.parametrize("name", ["fig03", "fig06", "fig12"])
+    def test_point_rows_concatenate_to_the_figure(self, name):
+        points = [spec.params["point"] for spec in specs_for_all("bench", names=[name])]
+        assert len(points) > 1
+        rows = [row for point in points
+                for row in run_experiment(name, scale="bench", point=point).rows]
+        assert rows == run_experiment(name, scale="bench").rows
+
+    def test_specs_for_all_one_run_per_point(self):
+        specs = specs_for_all(scale="bench", seed=3)
+        for name, module_path in EXPERIMENTS.items():
+            params = [spec.params for spec in specs if spec.experiment == name]
+            if name == "table1":
+                assert params == [{}]
+                continue
+            figure = importlib.import_module(module_path).points(scale="bench")
+            assert params == [{"point": i} for i in range(len(figure.points))]
+        assert {spec.seed for spec in specs} == {3}
+
+    def test_figure_run_spec_hash_unchanged(self):
+        # Stored campaign runs of a whole figure keep their config hash.
+        assert RunSpec("fig13", "bench", 0, {"schemes": ["dt"]}).config_hash() \
+            == "f7b5842d5276441b"
+
+    def test_unknown_point_rejected(self):
+        with pytest.raises(IndexError, match="fig03_dt_behavior has no point 2"):
+            run_experiment("fig03", scale="bench", point=2)
+
+
 class TestMicroExperiments:
     """Fast, deterministic experiments asserting the paper's qualitative claims."""
 
     def test_fig03_anomalous_case_drops_before_fair(self):
-        result = fig03_dt_behavior.run(scale="bench")
+        result = run_experiment("fig03", scale="bench")
         by_case = {row["case"]: row for row in result.rows}
         assert by_case["healthy"]["q2_drops"] == 0
         assert by_case["anomalous"]["q2_drops"] > 0
         assert by_case["anomalous"]["drop_before_fair"] is True
 
     def test_fig11_occamy_absorbs_burst_dt_alpha4_does_not(self):
-        result = fig11_queue_evolution.run(scale="bench")
+        result = run_experiment("fig11", scale="bench")
         rows = {(r["scheme"], r["alpha"]): r for r in result.rows}
         assert rows[("occamy", 1.0)]["burst_drops"] == 0
         assert rows[("occamy", 4.0)]["burst_drops"] == 0
@@ -109,7 +148,7 @@ class TestMicroExperiments:
         assert capsys.readouterr().out.count("wrote ") == 4
 
     def test_fig12_occamy_absorbs_at_least_as_much_as_dt(self):
-        result = fig12_burst_absorption.run(scale="bench")
+        result = run_experiment("fig12", scale="bench")
         for alpha in (1.0, 4.0):
             for burst in {r["burst_kb"] for r in result.rows}:
                 occ = result.filter(scheme="occamy", alpha=alpha, burst_kb=burst)[0]
@@ -117,7 +156,7 @@ class TestMicroExperiments:
                 assert occ["loss_rate"] <= dt["loss_rate"] + 1e-9
 
     def test_fig12_dt_gets_worse_with_large_alpha(self):
-        result = fig12_burst_absorption.run(scale="bench")
+        result = run_experiment("fig12", scale="bench")
         bursts = sorted({r["burst_kb"] for r in result.rows})
         mid = bursts[len(bursts) // 2]
         dt1 = result.filter(scheme="dt", alpha=1.0, burst_kb=mid)[0]["loss_rate"]
@@ -157,4 +196,8 @@ class TestNetworkExperimentsSmoke:
     def test_fig07_reports_utilization_percentiles(self):
         result = run_experiment("fig07", scale="bench")
         for row in result.rows:
-            assert 0.0 <= row["p99_util"] <= 1.0
+            # A run that drops nothing samples nothing: no percentiles.
+            for key in ("p50_util", "p90_util", "p99_util"):
+                assert (row[key] is None) == (row["samples"] == 0)
+                if row[key] is not None:
+                    assert 0.0 <= row[key] <= 1.0

@@ -584,15 +584,15 @@ class TestLegacyEquivalence:
     """
 
     def test_fig13_bench_row_for_row(self):
-        from repro.experiments import fig13_qct_fct
+        from repro.experiments.runner import run_experiment
 
-        result = fig13_qct_fct.run(scale="bench", seed=0)
+        result = run_experiment("fig13", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig13")
 
     def test_fig17_bench_row_for_row(self):
-        from repro.experiments import fig17_websearch
+        from repro.experiments.runner import run_experiment
 
-        result = fig17_websearch.run(scale="bench", seed=0)
+        result = run_experiment("fig17", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig17")
         # No scheme drops a packet here, so schemes run on one fabric point
         # (same flows, same ECMP paths) must read the same.
@@ -602,15 +602,15 @@ class TestLegacyEquivalence:
         assert rows["dt"] == rows["occamy"] == rows["pushout"]
 
     def test_fig06_bench_row_for_row(self):
-        from repro.experiments import fig06_anomalous
+        from repro.experiments.runner import run_experiment
 
-        result = fig06_anomalous.run(scale="bench", seed=0)
+        result = run_experiment("fig06", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig06")
 
     def test_fig03_bench_row_for_row(self):
-        from repro.experiments import fig03_dt_behavior
+        from repro.experiments.runner import run_experiment
 
-        result = fig03_dt_behavior.run(scale="bench", seed=0)
+        result = run_experiment("fig03", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig03")
 
 
@@ -628,19 +628,19 @@ class TestHotPathEquivalence:
     """
 
     def test_fig11_bench_row_for_row(self):
-        from repro.experiments import fig11_queue_evolution
+        from repro.experiments.runner import run_experiment
 
-        result = fig11_queue_evolution.run(scale="bench", seed=0)
+        result = run_experiment("fig11", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig11")
 
     def test_fig12_bench_row_for_row(self):
-        from repro.experiments import fig12_burst_absorption
+        from repro.experiments.runner import run_experiment
 
-        result = fig12_burst_absorption.run(scale="bench", seed=0)
+        result = run_experiment("fig12", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig12")
 
     def test_fig19_bench_row_for_row(self):
-        from repro.experiments import fig19_all_reduce
+        from repro.experiments.runner import run_experiment
 
-        result = fig19_all_reduce.run(scale="bench", seed=0)
+        result = run_experiment("fig19", scale="bench", seed=0)
         assert result.to_dict() == _golden("fig19")
