@@ -60,8 +60,6 @@ def points(scale: str = "small", seed: int = 0,
     port_rate = 10 * GBPS
     if cases is None:
         cases = {"healthy": 1.2 * port_rate, "anomalous": 8 * port_rate}
-    if scale == "bench":
-        cases = dict(list(cases.items())[:2])
     return Figure(
         "fig03_dt_behavior",
         notes="DT, two queues, burst at queue 2 while queue 1 is congested",

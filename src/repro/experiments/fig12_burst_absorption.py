@@ -13,7 +13,7 @@ parameter.  The paper's observations to reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.experiments.common import Figure
 from repro.experiments.fig11_queue_evolution import burst_scenario
@@ -22,15 +22,15 @@ from repro.sim.units import KB
 
 
 def points(scale: str = "small", seed: int = 0,
-           alphas: Tuple[float, ...] = (1.0, 2.0, 4.0),
+           alphas: Optional[Iterable[float]] = None,
            burst_sizes_kb: Optional[Iterable[int]] = None) -> Figure:
     """Every (alpha, burst size, scheme) (the experiment is deterministic)."""
     del seed
+    if alphas is None:
+        alphas = (1.0, 4.0) if scale == "bench" else (1.0, 2.0, 4.0)
     if burst_sizes_kb is None:
-        burst_sizes_kb = (300, 400, 500, 600, 700, 800)
-    if scale == "bench":
-        burst_sizes_kb = (400, 800)
-        alphas = (1.0, 4.0)
+        burst_sizes_kb = ((400, 800) if scale == "bench"
+                          else (300, 400, 500, 600, 700, 800))
     return Figure(
         "fig12_burst_absorption",
         notes="loss rate of bursty traffic; 2MB buffer, q1 congested by long-lived traffic",

@@ -14,7 +14,10 @@ request under a deadline, or backing off until a time.  The farm starts no
 thread, which is what makes forking from that loop safe.  A slot's worker
 starts on its first run, answers a ping, then one JSON line per run
 (:mod:`repro.farm.protocol`), and is closed -- stdin EOF, a short grace,
-SIGKILL, ``waitpid`` -- when the dispatch (or ``check``) ends.
+SIGKILL, ``waitpid`` -- when the dispatch (or ``check``) ends.  A worker is a
+:class:`~repro.process.WorkerProcess`, the one process primitive in
+``repro``: the sharded executor's shard workers start, speak and are reaped
+through it too.
 
 A worker loss (EOF, non-zero exit, garbage line, timeout, failed handshake)
 is not a run failure: the run re-enters the queue after an exponential
@@ -26,13 +29,9 @@ cancels the retry, it is a failed outcome.  POSIX only.
 from __future__ import annotations
 
 import collections
-import json
 import os
-import selectors
-import signal
 import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
@@ -40,8 +39,9 @@ from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
 
 from repro.campaign.executor import RunOutcome, STATUS_FAILED, outcome_from_payload
 from repro.campaign.spec import RunSpec
-from repro.farm.protocol import (WorkerLossError, parse_response, ping_request,
-                                 run_request, worker_main)
+from repro.farm.protocol import (parse_response, ping_request, run_request,
+                                 worker_main)
+from repro.process import Command, WorkerLossError, WorkerProcess, _readable
 
 #: A queued run: (index, spec, attempt, outcome to report if it never runs --
 #: set on a retry, ``None`` on a first attempt).
@@ -49,149 +49,7 @@ _Job = Tuple[int, RunSpec, int, Optional[RunOutcome]]
 
 #: Seconds a freshly started worker has to answer the opening ping.
 HANDSHAKE_TIMEOUT_S = 30.0
-#: Seconds a worker has to exit after stdin EOF before it is killed.
-CLOSE_GRACE_S = 2.0
 _NO_PONG = " (no pong -- older checkout on the host?)"
-
-
-def _serve_forked(stdin_fd: int, stdout_fd: int, stderr_fd: int) -> None:
-    """The forked child: serve the protocol on fds 0-2, leave by ``os._exit``.
-
-    Every other inherited fd is closed: a sibling worker's stdin left open
-    here would keep that worker from ever seeing the EOF that closes it.
-    The child never returns into the parent's stack, flushes the parent's
-    buffered streams or runs its ``atexit`` hooks.
-    """
-    code = 1
-    try:
-        for fd, target in ((stdin_fd, 0), (stdout_fd, 1), (stderr_fd, 2)):
-            os.dup2(fd, target)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdin = open(0, encoding="utf-8", errors="replace", closefd=False)
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", buffering=1, closefd=False)
-        code = worker_main()
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
-def _readable(fds: Iterable[int], timeout_s: Optional[float]) -> List[int]:
-    """Those of ``fds`` readable (or at EOF) within ``timeout_s`` seconds."""
-    with selectors.DefaultSelector() as selector:
-        for fd in fds:
-            selector.register(fd, selectors.EVENT_READ)
-        return [key.fd for key, _ in selector.select(timeout_s)]
-
-
-class WorkerProcess:
-    """One live worker: request lines to its stdin, response lines from its
-    stdout, the end of its stderr kept for the loss message.  The owner
-    :meth:`read`\\ s whichever pipe is readable: a chatty worker never blocks."""
-
-    def __init__(self, command: Optional[Tuple[List[str], Dict[str, str]]]) -> None:
-        self.name = "fork" if command is None else command[0][0]
-        child_in, self.stdin = os.pipe()
-        self.stdout, child_out = os.pipe()
-        self.stderr, child_err = os.pipe()
-        child_fds = (child_in, child_out, child_err)
-        try:
-            if command is None:
-                self.pid = os.fork()
-                if self.pid == 0:
-                    _serve_forked(*child_fds)
-            else:
-                self.pid = os.posix_spawnp(
-                    command[0][0], command[0], command[1],
-                    file_actions=[(os.POSIX_SPAWN_DUP2, fd, target)
-                                  for target, fd in enumerate(child_fds)])
-        except OSError as exc:
-            for fd in (self.stdin, self.stdout, self.stderr):
-                os.close(fd)
-            raise WorkerLossError(
-                f"cannot launch worker {self.name!r}: {exc}") from exc
-        finally:
-            for fd in child_fds:
-                os.close(fd)
-        #: Read ends not yet at EOF.
-        self.open = {self.stdout, self.stderr}
-        self.returncode: Optional[int] = None
-        self._out = bytearray()
-        self._err = b""
-
-    def send(self, payload: Dict[str, object]) -> None:
-        try:
-            os.write(self.stdin, (json.dumps(payload) + "\n").encode())
-        except OSError:
-            pass  # already dead: the read side finds EOF and says why
-
-    def read(self, fd: int) -> bool:
-        """Take what a readable ``fd`` (stdout or stderr) holds; False at EOF."""
-        data = os.read(fd, 1 << 16)
-        if fd == self.stdout:
-            self._out += data
-        else:  # only stderr's end is kept: a flood costs no memory
-            self._err = (self._err + data)[-4096:]
-        if not data:
-            self.open.discard(fd)
-        return bool(data)
-
-    def line(self) -> Optional[str]:
-        """The next complete stdout line, once it has arrived."""
-        if b"\n" not in self._out:
-            return None
-        line, _, self._out = self._out.partition(b"\n")
-        return line.decode(errors="replace")
-
-    def request(self, payload: Dict[str, object], timeout_s: float,
-                timeout_hint: str = "") -> Dict[str, object]:
-        """Send one request and wait for its response line (``check``'s path)."""
-        self.send(payload)
-        deadline = time.monotonic() + timeout_s
-        while (line := self.line()) is None:
-            ready = _readable(self.open, deadline - time.monotonic())
-            if not ready:
-                raise self.timed_out(timeout_s, timeout_hint)
-            for fd in ready:
-                if not self.read(fd) and fd == self.stdout:
-                    raise self.exited()
-        return parse_response(line)
-
-    def exited(self) -> WorkerLossError:
-        """Reap a worker whose stdout closed; the loss, with its stderr tail."""
-        code = self.close()
-        lines = [line.strip()[-300:] for line in
-                 self._err.decode(errors="replace").splitlines() if line.strip()]
-        return WorkerLossError(f"worker exited {code}: "
-                               + (" | ".join(lines[-3:]) or "no stderr"))
-
-    def timed_out(self, timeout_s: Optional[float],
-                  hint: str = "") -> WorkerLossError:
-        """Kill and reap a silent worker; the loss."""
-        self.close(kill=True)
-        return WorkerLossError(
-            f"worker timed out after {timeout_s}s: {self.name}{hint}")
-
-    def close(self, kill: bool = False) -> int:
-        """Stdin EOF, ``CLOSE_GRACE_S`` to exit (none with ``kill``), then
-        SIGKILL; drains stderr, reaps, and returns the exit code."""
-        if self.returncode is None:
-            if kill:
-                os.kill(self.pid, signal.SIGKILL)
-            os.close(self.stdin)
-            deadline = time.monotonic() + CLOSE_GRACE_S
-            # A worker's pipes reach EOF when it exits.
-            while self.open and (left := deadline - time.monotonic()) > 0:
-                for fd in _readable(self.open, left):
-                    self.read(fd)
-            if self.open:
-                os.kill(self.pid, signal.SIGKILL)
-            status = os.waitpid(self.pid, 0)[1]
-            os.close(self.stdout)
-            os.close(self.stderr)
-            self.returncode = os.waitstatus_to_exitcode(status)
-        return self.returncode
 
 
 @dataclass
@@ -209,8 +67,8 @@ class WorkerSlot:
     #: Runs this slot handed back for retry elsewhere after a loss.
     retries: int = 0
     elapsed: float = 0.0
-    #: ``(argv, env)`` that spawns the slot's worker; ``None`` forks it.
-    command: Optional[Tuple[List[str], Dict[str, str]]] = None
+    #: ``(argv, env)`` that spawns the slot's worker, or the body it forks.
+    command: Command = worker_main
     #: Worker processes started for this slot (one per dispatch when healthy).
     spawned: int = 0
     #: The live worker, from the slot's first run until the dispatch ends.
@@ -281,8 +139,10 @@ class RunFarm:
         for slot in self.slots:
             start = time.perf_counter()
             try:
-                response = self._spawn(slot).request(
-                    ping_request(), HANDSHAKE_TIMEOUT_S, _NO_PONG)
+                worker = self._spawn(slot)
+                worker.send(ping_request())
+                response = parse_response(
+                    worker.reply(HANDSHAKE_TIMEOUT_S, _NO_PONG))
                 if not response.get("pong"):
                     raise WorkerLossError(f"unexpected response {response!r}")
                 rows.append((slot.name, True,

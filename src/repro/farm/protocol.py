@@ -4,8 +4,8 @@ A farm worker (``python -m repro.farm worker``, or for ``--jobs N`` a fork
 of the driver) runs :func:`worker_main` until its stdin closes: one JSON
 request per line in, one JSON response per line out, in order.  The driver
 keeps one worker per slot per dispatch, so start-up is paid once per slot,
-not per run (``execute_run`` resets the workload ids, so back-to-back runs
-in one interpreter stay byte-identical).  Everything is plain JSON -- no
+not per run (every run numbers its own flows and queries, so back-to-back
+runs in one interpreter stay byte-identical).  Everything is plain JSON -- no
 pickling -- so any command that starts this worker with a pipe to its stdio
 can serve a slot.
 
@@ -37,12 +37,10 @@ import json
 import sys
 from typing import Dict, Optional, TextIO
 
+from repro.process import WorkerLossError
+
 #: Bump when the request/response shape changes incompatibly.
 PROTOCOL_VERSION = 2
-
-
-class WorkerLossError(RuntimeError):
-    """A worker died or spoke garbage (as opposed to a run merely failing)."""
 
 
 def run_request(spec_payload: Dict[str, object]) -> Dict[str, object]:

@@ -20,6 +20,8 @@ alone, however many runs came before it in the process.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, List, Optional,
                     Sequence, Tuple)
@@ -401,6 +403,10 @@ class ScenarioRunner:
                     "fabric.events needs a network-level topology; "
                     f"{spec.topology.kind!r} has no links to fail or repair")
         if spec.engine.shards > 1:
+            if not hasattr(os, "fork"):
+                raise ValueError(
+                    "engine.shards > 1 is POSIX only: shard workers are "
+                    f"forked and os.fork is missing on {sys.platform}")
             if topology_level(spec.topology.kind) == LEVEL_SWITCH:
                 raise ValueError(
                     f"engine.shards > 1 needs a network-level topology; "

@@ -45,22 +45,25 @@ differential --shards N`` is the gate).  Three rules make that hold:
   batch.  The merged count subtracts the maintenance events, so
   ``events_executed`` matches the oracle exactly.
 
-Handoffs cross process boundaries over stdlib ``multiprocessing`` pipes as
-JSON frames (``send_bytes``/``recv_bytes``) -- the same pickle-free framing
-discipline as :mod:`repro.farm.protocol`.  Workers bucket their outbound
-records by destination shard and the parent routes the encoded buckets
-opaquely, so handoff volume never transits Python object serialization.
+Each shard worker is a forked :class:`~repro.process.WorkerProcess`, the
+campaign farm's process primitive: it inherits the spec, the partition and
+the flow list, and answers one JSON line on its stdout per round request
+line on its stdin.  Workers bucket their outbound records by destination
+shard and the parent routes the encoded buckets opaquely, so handoff volume
+never transits Python object serialization.
 
-A worker that dies mid-round is detected by the parent's poll loop and the
-run fails loudly with the shard's traceback instead of hanging.
+A worker that raises sends its traceback as its reply, and one that dies
+closes its stdout: either way the run fails loudly with a
+:class:`ShardCrash` instead of hanging, and every worker is killed and
+reaped.  A worker whose stdin reaches EOF -- its parent is gone -- exits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import resource
+import sys
 import time as _time
 import traceback
 from array import array
@@ -72,6 +75,7 @@ from repro.netsim.network import host_node_name
 from repro.netsim.partition import Partition, partition_topology
 from repro.netsim.transport.base import ReceiverState
 from repro.netsim.transport.factory import make_transport
+from repro.process import WorkerLossError, WorkerProcess
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.transports import make_transport_config
 from repro.switchsim.packet import Packet
@@ -82,13 +86,10 @@ from repro.workloads.spec import FlowSpec
 _SHARD_SERIES_PREFIX = "shard."
 
 
-def _send(conn, message: Dict[str, object]) -> None:
-    """One JSON frame over a multiprocessing pipe (farm.protocol style)."""
-    conn.send_bytes(json.dumps(message).encode("utf-8"))
-
-
-def _recv(conn) -> Dict[str, object]:
-    return json.loads(conn.recv_bytes().decode("utf-8"))
+def _write_line(message: Dict[str, object]) -> None:
+    """One reply line to the parent (a worker's stdout is its pipe)."""
+    sys.stdout.write(json.dumps(message) + "\n")
+    sys.stdout.flush()
 
 
 # ----------------------------------------------------------------------
@@ -160,14 +161,13 @@ def _leak_guard(name: str) -> Callable[[Packet], None]:
 class _ShardWorker:
     """One shard process: full topology, masked cut links, round loop."""
 
-    def __init__(self, conn, payload: Dict[str, object]) -> None:
-        self.conn = conn
-        self.payload = payload
-        self.shard = int(payload["shard"])
-        self.assignment: Dict[str, int] = {
-            str(k): int(v) for k, v in payload["assignment"].items()}
-        self.cut_links: List[Tuple[str, str]] = [
-            (str(a), str(b)) for a, b in payload["cut_links"]]
+    def __init__(self, spec: ScenarioSpec, partition: Partition, shard: int,
+                 flows: List[Tuple[str, FlowSpec]]) -> None:
+        self.spec = spec
+        self.shard = shard
+        self.assignment = partition.assignment
+        self.cut_links = partition.cut_links
+        self.flows = flows
         self.maintenance = 0
         self.handoffs_in = 0
         self.handoffs_out = 0
@@ -179,7 +179,7 @@ class _ShardWorker:
     def _build(self) -> None:
         from repro.scenario.runner import ScenarioRunner
 
-        spec = ScenarioSpec.from_dict(self.payload["spec"])
+        spec = self.spec
         topology = ScenarioRunner().build(spec)
         self.topology = topology
         self.network = topology.network
@@ -255,8 +255,7 @@ class _ShardWorker:
         config = network.transport_config
         sender_classes: Dict[str, object] = {}
         self.owned_dst_flows: List[int] = []
-        for protocol, *fields in self.payload["flows"]:
-            flow = FlowSpec(*fields)
+        for protocol, flow in self.flows:
             network.register_flow(flow)
             src_owned = assignment[host_node_name(flow.src)] == me
             dst_owned = assignment[host_node_name(flow.dst)] == me
@@ -340,12 +339,13 @@ class _ShardWorker:
                  for shard, bucket in buckets.items()}, min_arr)
 
     def run(self) -> None:
+        """Answer round request lines on stdin, one reply line each on
+        stdout, until the final round or stdin's EOF."""
         self._build()
         sim = self.sim
-        conn = self.conn
-        while True:
-            t0 = _time.perf_counter()
-            msg = _recv(conn)
+        t0 = _time.perf_counter()
+        for line in sys.stdin:
+            msg = json.loads(line)
             t1 = _time.perf_counter()
             self.blocked_s += t1 - t0
             blobs = msg["handoffs"]
@@ -355,10 +355,10 @@ class _ShardWorker:
             self.busy_s += _time.perf_counter() - t1
             self.rounds += 1
             if msg["final"]:
-                _send(conn, self._final_report())
+                _write_line(self._final_report())
                 return
             handoffs, min_arr = self._collect_outbound()
-            _send(conn, {
+            _write_line({
                 "type": "round",
                 "peek": sim._queue.peek_time(),
                 "min_arr": min_arr,
@@ -367,6 +367,16 @@ class _ShardWorker:
                 "events": sim.events_executed,
                 "handoffs_out": self.handoffs_out,
             })
+            t0 = _time.perf_counter()
+
+    def serve(self) -> int:
+        """The forked worker's body: a failure becomes an error reply."""
+        try:
+            self.run()
+        except BaseException:  # noqa: BLE001 - ship any failure to the parent
+            _write_line({"type": "error", "traceback": traceback.format_exc()})
+            return 1
+        return 0
 
     def _final_report(self) -> Dict[str, object]:
         me = self.shard
@@ -403,20 +413,6 @@ class _ShardWorker:
                     resource.RUSAGE_SELF).ru_maxrss,
             },
         }
-
-
-def _worker_entry(conn, payload_json: str) -> None:
-    """Process entry point; every failure becomes a loud error frame."""
-    try:
-        _ShardWorker(conn, json.loads(payload_json)).run()
-    except BaseException:  # noqa: BLE001 - ship any failure to the parent
-        try:
-            _send(conn, {"type": "error",
-                         "traceback": traceback.format_exc()})
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -508,73 +504,15 @@ def _load_stats(stats, state: Dict[str, object]) -> None:
             setattr(stats, name, value)
 
 
-class _ShardPool:
-    """Spawned worker processes plus crash-aware receive."""
-
-    def __init__(self, spec: ScenarioSpec, partition: Partition,
-                 flows: List[List[object]]) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        base_payload = {
-            "spec": spec.to_dict(),
-            "assignment": partition.assignment,
-            "cut_links": [list(pair) for pair in partition.cut_links],
-            "flows": flows,
-        }
-        self.conns = []
-        self.procs = []
-        try:
-            for shard in range(partition.num_shards):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                payload = dict(base_payload, shard=shard)
-                proc = ctx.Process(
-                    target=_worker_entry,
-                    args=(child_conn, json.dumps(payload)),
-                    name=f"repro-shard-{shard}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self.conns.append(parent_conn)
-                self.procs.append(proc)
-        except BaseException:
-            self.terminate()
-            raise
-
-    def send(self, shard: int, message: Dict[str, object]) -> None:
-        _send(self.conns[shard], message)
-
-    def recv(self, shard: int) -> Dict[str, object]:
-        conn = self.conns[shard]
-        proc = self.procs[shard]
-        while not conn.poll(0.2):
-            if not proc.is_alive():
-                raise ShardCrash(
-                    f"shard {shard} process died (exit code "
-                    f"{proc.exitcode}) without reporting an error")
-        try:
-            message = _recv(conn)
-        except EOFError:
-            raise ShardCrash(
-                f"shard {shard} closed its pipe mid-round (exit code "
-                f"{proc.exitcode})") from None
-        if message.get("type") == "error":
-            raise ShardCrash(
-                f"shard {shard} failed:\n{message['traceback']}")
-        return message
-
-    def terminate(self) -> None:
-        for conn in self.conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for proc in self.procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.procs:
-            proc.join(timeout=5)
+def _reply(worker: WorkerProcess, shard: int) -> Dict[str, object]:
+    """``shard``'s next reply; a :class:`ShardCrash` if it failed or died."""
+    try:
+        message = json.loads(worker.reply())
+    except WorkerLossError as loss:
+        raise ShardCrash(f"shard {shard} died: {loss}") from None
+    if message.get("type") == "error":
+        raise ShardCrash(f"shard {shard} failed:\n{message['traceback']}")
+    return message
 
 
 def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
@@ -592,7 +530,8 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
     ``ScenarioRunner.build``, cuts it, and takes the runner's
     ``flow_order`` -- so a spec the single-process run rejects raises the
     same error here, before any worker starts.  The flows are registered
-    on the parent's network and shipped, in that order, to every worker.
+    on the parent's network; every worker is forked with them, in that
+    order.
     The result's topology is the parent's: its switches carry their owner
     shard's counters, its ``FlowStats`` the workers' completion times.
     """
@@ -604,14 +543,11 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
     partition = partition_topology(topology, spec.engine.shards,
                                    spec.engine.partition)
     network = topology.network
-    # Shipped as [protocol, *the FlowSpec fields in declaration order].
-    flows: List[List[object]] = []
+    flows: List[Tuple[str, FlowSpec]] = []
     for protocol, group in runner.flow_order(spec, topology):
         for flow in group:
             network.register_flow(flow)
-            flows.append([protocol, flow.src, flow.dst, flow.size_bytes,
-                          flow.start_time, flow.priority, flow.query_id,
-                          flow.flow_id])
+            flows.append((protocol, flow))
 
     on_round = (on_sample if on_sample is not None
                 and getattr(on_sample, "shard_aware", False) else None)
@@ -622,15 +558,18 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
     # The first global minimum is known without an exchange: at setup the
     # only scheduled events are the flow starts and (with telemetry) the
     # first sampler tick at t=0.
-    starts = [entry[4] for entry in flows]
+    starts = [flow.start_time for _, flow in flows]
     if spec.telemetry.enabled:
         starts.append(0.0)
     t_next: Optional[float] = min(starts, default=None)
 
-    pool = _ShardPool(spec, partition, flows)
+    workers: List[WorkerProcess] = []
     reports: List[Dict[str, object]] = []
     rounds = 0
     try:
+        for shard in range(num_shards):
+            workers.append(WorkerProcess(
+                _ShardWorker(spec, partition, shard, flows).serve))
         route: List[List[str]] = [[] for _ in range(num_shards)]
         while True:
             if t_next is None:
@@ -647,15 +586,12 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
                     round_horizon, final = horizon, True
                 else:
                     round_horizon, final = candidate, False
-            for shard in range(num_shards):
-                pool.send(shard, {
-                    "cmd": "run",
-                    "horizon": round_horizon,
-                    "final": final,
-                    "handoffs": route[shard],
-                })
+            for shard, worker in enumerate(workers):
+                worker.send({"horizon": round_horizon, "final": final,
+                             "handoffs": route[shard]})
             route = [[] for _ in range(num_shards)]
-            replies = [pool.recv(shard) for shard in range(num_shards)]
+            replies = [_reply(worker, shard)
+                       for shard, worker in enumerate(workers)]
             rounds += 1
             if final:
                 reports = replies
@@ -679,7 +615,8 @@ def run_sharded(spec: ScenarioSpec, on_sample: Optional[Callable] = None):
                         "handoffs": reply["handoffs_out"],
                     } for i, reply in enumerate(replies)]))
     finally:
-        pool.terminate()
+        for worker in workers:
+            worker.close(kill=not reports)
 
     # -- merge ---------------------------------------------------------
     for shard, report in enumerate(reports):

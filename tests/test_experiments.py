@@ -104,6 +104,18 @@ class TestFigurePoints:
         assert RunSpec("fig13", "bench", 0, {"schemes": ["dt"]}).config_hash() \
             == "f7b5842d5276441b"
 
+    def test_bench_scale_keeps_caller_parameters(self):
+        # A scale only picks the defaults: parameters a caller passes win.
+        from repro.experiments import fig03_dt_behavior, fig12_burst_absorption
+
+        figure = fig12_burst_absorption.points(
+            "bench", alphas=(2.0,), burst_sizes_kb=(300,))
+        assert {(keys["alpha"], keys["burst_kb"]) for keys, _ in figure.points
+                } == {(2.0, 300)}
+        cases = {"healthy": 1.0, "anomalous": 2.0, "extreme": 3.0}
+        figure = fig03_dt_behavior.points("bench", cases=cases)
+        assert [keys["case"] for keys, _ in figure.points] == list(cases)
+
     def test_unknown_point_rejected(self):
         with pytest.raises(IndexError, match="fig03_dt_behavior has no point 2"):
             run_experiment("fig03", scale="bench", point=2)

@@ -12,9 +12,11 @@ traceback, never a hang).
 """
 
 import json
-import multiprocessing
+import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -191,7 +193,7 @@ def test_unknown_host_fails_in_the_parent_like_single_process(monkeypatch):
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(shard_mod, "_ShardPool", no_workers)
+    monkeypatch.setattr(shard_mod, "WorkerProcess", no_workers)
     for shards in (1, 2):
         spec = replace(_spec(shards), workloads=[WorkloadSpec("fixed", {
             "flows": [{"src": 0, "dst": 99, "size_bytes": 1000}]})])
@@ -315,7 +317,7 @@ def test_live_run_paints_the_shard_board_and_one_row_per_shard(
 # Crash containment: one dead shard fails the run loudly, never hangs
 # ----------------------------------------------------------------------
 def test_one_crashing_shard_raises_shard_crash_with_traceback(monkeypatch):
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         pytest.skip("fault injection via monkeypatch needs fork workers")
     import repro.sim.shard as shard_mod
 
@@ -334,3 +336,101 @@ def test_one_crashing_shard_raises_shard_crash_with_traceback(monkeypatch):
     assert "shard 1" in message
     assert "synthetic shard fault" in message
     assert "Traceback" in message  # the worker's own stack, not the parent's
+
+
+# ----------------------------------------------------------------------
+# Process model: shard workers are the farm's WorkerProcesses
+# ----------------------------------------------------------------------
+def _children_of(parent: int):
+    """Live (or zombie) direct children of ``parent``, from /proc."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited between listdir and read
+        # "pid (comm) state ppid ..." -- comm may itself contain ")".
+        if int(stat.rsplit(")", 1)[1].split()[1]) == parent:
+            pids.add(int(entry))
+    return pids
+
+
+def _alive(pid: int) -> bool:
+    """Running or sleeping; a zombie has exited and counts as gone."""
+    try:
+        stat = Path("/proc", str(pid), "stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+_LONG_RUN_SCRIPT = """
+import sys
+from dataclasses import replace
+from repro.scenario import EngineSpec, ScenarioSpec, run_scenario
+
+spec = ScenarioSpec.from_file(sys.argv[1])
+run_scenario(replace(spec, engine=EngineSpec(shards=2)))
+"""
+
+
+def test_shard_workers_exit_when_their_parent_is_killed():
+    from repro.process import CLOSE_GRACE_S
+
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LONG_RUN_SCRIPT,
+         str(EXAMPLES_DIR / "scenario_fattree_websearch.json")],
+        env={"PYTHONPATH": str(SRC_DIR)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    shards = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(shards) < 2 and proc.poll() is None:
+            assert time.monotonic() < deadline, "no shard workers started"
+            shards = _children_of(proc.pid)
+            time.sleep(0.05)
+        assert len(shards) == 2, "the run ended before it could be killed"
+        time.sleep(1.0)  # into the round exchange
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + CLOSE_GRACE_S + 3
+        while any(map(_alive, shards)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in shards if _alive(pid)]
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in shards:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+
+
+def test_a_silently_killed_shard_raises_shard_crash_with_its_exit_code(
+        monkeypatch):
+    import repro.sim.shard as shard_mod
+
+    original = shard_mod._ShardWorker._collect_outbound
+
+    def killed(self):
+        if self.shard == 1 and self.rounds == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(self)
+
+    monkeypatch.setattr(shard_mod._ShardWorker, "_collect_outbound", killed)
+    before = _children_of(os.getpid())
+    with pytest.raises(ShardCrash, match=r"shard 1 .*exited -9"):
+        run_scenario(_spec(2))
+    assert _children_of(os.getpid()) == before
+
+
+def test_sharding_needs_fork(monkeypatch):
+    from repro.scenario.runner import ScenarioRunner
+
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError,
+                       match=f"POSIX only: .*os.fork is missing on {sys.platform}"):
+        ScenarioRunner().validate(_spec(2))

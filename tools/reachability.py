@@ -34,9 +34,9 @@ STUBS = ("...", "raise NotImplementedError", "raise NotImplementedError()")
 #: ``module:qualname`` patterns run out of process, in a thread, or only with
 #: an optional dependency (one line each, at most ten).
 ALLOW = [
-    r"^repro\.sim\.shard:(_worker_entry|_ShardWorker|_CutRecorder|_leak_guard)",  # shard process
+    r"^repro\.sim\.shard:(_ShardWorker|_CutRecorder|_leak_guard)",  # shard process
     r"^repro\.netsim\.network:Network\.transport_config$",  # read by shard processes only
-    r"^repro\.farm\.farm:_serve_forked$",  # forked farm worker
+    r"^repro\.process:_serve_forked$",  # forked worker
     r"^repro\.telemetry\.plot:write_figure$",  # needs matplotlib
 ]
 
