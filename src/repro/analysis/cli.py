@@ -5,13 +5,16 @@ Subcommands (all read stores / result JSONs, never re-simulate):
 * ``summary``  -- one row per loaded document (identity, status, payload);
 * ``fct``      -- FCT / slowdown CDF rows per scheme or lb (the paper's
   slowdown-CDF figures), or a percentile table with ``--format table``;
-* ``qlen``     -- queue-depth timelines, one commented CSV block per run;
-* ``compare``  -- per-scheme / per-lb summary + baseline-delta tables.
+* ``qlen``     -- queue-depth (or any ``--series``) timelines, one
+  commented CSV block per telemetry-carrying run;
+* ``compare``  -- per-scheme / per-lb summary + baseline-delta tables, one
+  pair per experiment.
 
 Inputs are any mix of: a campaign store directory, store-entry JSONs,
 ``ScenarioResult`` documents, ``ExperimentResult`` documents, and bare
-telemetry sections.  All output is deterministic: the same store produces
-byte-identical bytes on every invocation.
+telemetry sections.  This is the one command that reads stored results.
+All output is deterministic: the same store produces byte-identical bytes
+on every invocation.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "occupancy + per-port backlogs)")
 
     cmp_parser = sub.add_parser(
-        "compare", help="per-scheme / per-lb summary + delta tables")
+        "compare", help="per-scheme / per-lb summary + delta tables, "
+                        "one pair per experiment")
     _add_common(cmp_parser, default_format="table")
     cmp_parser.add_argument("--group-by", default="scheme",
                             help="grouping column (default: scheme)")

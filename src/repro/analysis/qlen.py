@@ -1,9 +1,11 @@
 """Queue-depth timelines across many stored runs.
 
-Reuses :mod:`repro.telemetry.plot`'s series selection and CSV writer, but
-emits one commented block per run (``# label=... experiment=...``) so a
-whole campaign's queue dynamics land in a single file.  Blocks are ordered
-by document label, making repeated invocations over the same store
+Any telemetry-carrying document (a store, a store entry, a scenario or
+experiment result, a bare telemetry section) goes through
+:mod:`repro.telemetry.series`' series selection and CSV writer, one
+commented block per run (``# label=... experiment=...``), so a whole
+campaign's queue dynamics land in a single file.  Blocks are ordered by
+document label, making repeated invocations over the same store
 byte-identical.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, TextIO
 
 from repro.analysis.sources import RunDocument
-from repro.telemetry.plot import select_series, write_csv
+from repro.telemetry.series import select_series, write_csv
 
 #: Default series selection: switch occupancy plus any per-port backlogs.
 DEFAULT_PATTERNS = ("switch.*occupancy_bytes", "switch.*backlog_bytes")
@@ -29,8 +31,8 @@ def write_qlen_csv(documents: Sequence[RunDocument], stream: TextIO,
                    patterns: Optional[Sequence[str]] = None) -> int:
     """Write per-run queue-depth CSV blocks; returns the block count.
 
-    With explicit ``patterns``, a run matching none of them is an error
-    (same contract as ``telemetry plot``); with the default selection,
+    With explicit ``patterns``, a run matching none of them is an error;
+    with the default selection,
     runs without queue-depth series are skipped silently -- a mixed store
     should not kill the export.
     """

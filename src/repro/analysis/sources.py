@@ -1,13 +1,12 @@
-"""Document loading for the analysis toolkit.
+"""Document loading for the analysis toolkit: the one reader of stored results.
 
-``python -m repro.analysis`` reads the same stored shapes as
-``python -m repro.telemetry plot`` (a campaign :class:`ResultStore`
-directory, a single store-entry JSON, a ``ScenarioResult.to_dict()``
-document, an ``ExperimentResult`` document, or a bare telemetry section)
-and normalizes each into a :class:`RunDocument`: identity tags, summary
-rows, the per-flow trace with its ideal-FCT context, and the telemetry
-section.  Everything downstream (CDFs, timelines, comparison tables) works
-on ``RunDocument`` lists and never re-simulates.
+Every stored shape -- a campaign :class:`ResultStore` directory, a single
+store-entry JSON, a ``ScenarioResult.to_dict()`` document, an
+``ExperimentResult`` document, or a bare telemetry section -- is read here
+and normalized into a :class:`RunDocument`: identity tags, summary rows,
+the per-flow trace with its ideal-FCT context, and the telemetry section.
+Everything downstream (CDFs, timelines, comparison tables) works on
+``RunDocument`` lists and never re-simulates.
 """
 
 from __future__ import annotations
@@ -17,6 +16,11 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
+
+#: Grouping columns whose absence means a known value: summary rows only
+#: carry an ``lb`` column for non-default policies, so rows without one
+#: *are* the static-hashing baseline, not unknown.
+GROUP_DEFAULTS = {"lb": "ecmp"}
 
 
 @dataclass
@@ -66,16 +70,13 @@ class RunDocument:
     def group_value(self, group_by: str) -> str:
         """The run's value of a grouping column, read from its rows.
 
-        ``lb`` falls back to ``"ecmp"``: summary rows only carry an ``lb``
-        column for non-default policies, so rows without one *are* the
-        static-hashing baseline, not unknown.
+        A column no row carries reads as its :data:`GROUP_DEFAULTS` entry
+        (``lb`` -> ``ecmp``), else ``"-"``.
         """
         for row in self.rows:
             if group_by in row:
                 return str(row[group_by])
-        if group_by == "lb":
-            return "ecmp"
-        return "-"
+        return GROUP_DEFAULTS.get(group_by, "-")
 
     def summary(self) -> Dict[str, object]:
         """One flat row describing this run (the ``summary`` subcommand)."""

@@ -9,20 +9,13 @@ firesim's run-farm configs and conweave-ns3's autorun + analysis pipeline:
   isolation, progress reporting and failure capture;
 * :mod:`repro.campaign.store` -- a JSON result store keyed by config hash,
   enabling cache-hit skip / ``--resume``;
-* :mod:`repro.campaign.aggregate` -- cross-run comparison tables (percentile
-  summaries, scheme-vs-scheme deltas);
 * :mod:`repro.campaign.cli` -- the ``python -m repro.campaign`` command
-  (``run`` / ``status`` / ``report`` / ``clean``).
+  (``run`` / ``status`` / ``clean``).
+
+Reading the store back (comparison tables, CDFs, timelines) is the analysis
+package's job alone.
 """
 
-from repro.campaign.aggregate import (
-    CampaignReport,
-    campaign_report,
-    numeric_columns,
-    scheme_deltas,
-    scheme_summary,
-    tagged_rows,
-)
 from repro.campaign.executor import (
     CampaignExecutor,
     RunOutcome,
@@ -41,7 +34,6 @@ from repro.campaign.store import ResultStore, StoreEntry
 
 __all__ = [
     "CampaignExecutor",
-    "CampaignReport",
     "GridSpec",
     "ResultStore",
     "RunOutcome",
@@ -49,13 +41,8 @@ __all__ = [
     "ScenarioGridSpec",
     "StoreEntry",
     "SweepSpec",
-    "campaign_report",
     "canonical_json",
     "execute_run",
     "set_by_path",
-    "numeric_columns",
     "print_progress",
-    "scheme_deltas",
-    "scheme_summary",
-    "tagged_rows",
 ]

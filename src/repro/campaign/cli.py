@@ -7,26 +7,23 @@ Usage::
     python -m repro.campaign run sweep.json --farm subprocess:4 --store results/
     python -m repro.campaign run sweep.json --farm subprocess:4 --live
     python -m repro.campaign status --store results/
-    python -m repro.campaign report --store results/ --metric avg_qct_ms --baseline dt
-    python -m repro.campaign report --store results/ --format csv
     python -m repro.campaign clean --store results/ --failed-only
 
 ``run`` expands the JSON sweep spec into its run grid, executes it on
 ``--jobs`` forked workers (or ``--farm``), and persists one JSON artifact per run (keyed by config hash)
 under ``<store>/runs/``.  With ``--resume``, runs whose hash is already
 stored successfully are served from the store instead of re-simulated.
-``report`` rebuilds cross-scheme comparison tables purely from the store.
+Comparison tables, CDFs and timelines come from the store alone, through the
+analysis CLI's ``compare`` / ``fct`` / ``qlen`` subcommands.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.campaign.aggregate import campaign_report
 from repro.campaign.executor import CampaignExecutor, print_progress
 from repro.campaign.spec import SweepSpec
 from repro.campaign.store import ResultStore
@@ -112,38 +109,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
-    report = campaign_report(
-        store,
-        experiment=args.experiment,
-        metric=args.metric,
-        baseline=args.baseline,
-        group_key=args.group_by,
-    )
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not report.tables:
-        print(f"store {store.root}: no completed runs with a "
-              f"{args.group_by!r} column to report on")
-        return 1
-    if args.format == "json":
-        print(json.dumps([table.to_dict() for table in report.tables],
-                         indent=2, sort_keys=True))
-    elif args.format == "csv":
-        for table in report.tables:
-            # One CSV block per table, prefixed with a comment naming it so
-            # multi-table output still splits cleanly.
-            print(f"# {table.experiment}")
-            print(table.to_csv(), end="")
-            print()
-    else:
-        for table in report.tables:
-            print(table)
-            print()
-    return 0
-
-
 def cmd_clean(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
     removed = store.clean(failed_only=args.failed_only)
@@ -182,23 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also report completion against this sweep spec")
     _store_arg(p_status)
     p_status.set_defaults(func=cmd_status)
-
-    p_report = sub.add_parser("report",
-                              help="cross-scheme comparison tables from the store")
-    p_report.add_argument("--experiment", default=None,
-                          help="restrict to one experiment")
-    p_report.add_argument("--metric", default=None,
-                          help="metric column (default: first numeric column)")
-    p_report.add_argument("--baseline", default=None,
-                          help="baseline scheme for deltas (default: first seen)")
-    p_report.add_argument("--group-by", default="scheme",
-                          help="grouping column (default: scheme)")
-    p_report.add_argument("--format", default="table",
-                          choices=["table", "csv", "json"],
-                          help="output format for downstream plotting "
-                               "(default: table)")
-    _store_arg(p_report)
-    p_report.set_defaults(func=cmd_report)
 
     p_clean = sub.add_parser("clean", help="delete stored artifacts")
     p_clean.add_argument("--failed-only", action="store_true",

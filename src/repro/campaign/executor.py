@@ -126,8 +126,8 @@ class CampaignExecutor:
       A single pending run still executes inline with ``jobs > 1``.
 
     Both persist outcomes into the store *as they complete* (streaming
-    persistence), so ``python -m repro.campaign report`` and the analysis
-    CLI work against a still-running campaign.
+    persistence), so the analysis CLI works against a still-running
+    campaign.
     """
 
     def __init__(self, store: Optional[ResultStore] = None, jobs: int = 1,

@@ -16,7 +16,8 @@ Sampling rides the telemetry subsystem (:mod:`repro.telemetry`): each run
 executes with the sampling bus enabled, the per-event queue series come from
 :mod:`repro.telemetry.series` (their home since the bus landed), and
 ``main(--csv ...)`` emits each run's cadence-sampled bus document through the
-same ``repro.telemetry.plot`` path as ``python -m repro.telemetry plot``.
+same :func:`repro.telemetry.series.write_csv` as ``python -m repro.analysis
+qlen``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.experiments.common import Figure
 from repro.scenario import ScenarioResult, ScenarioSpec, packet_burst_scenario
 from repro.scenario.spec import TelemetrySpec
 from repro.sim.units import GBPS, KB, MB
-from repro.telemetry import QueueLengthSeries, trace_to_series
+from repro.telemetry.series import QueueLengthSeries, trace_to_series, write_csv
 
 
 def burst_scenario(
@@ -136,8 +137,6 @@ def main(argv: List[str] = None) -> None:
         telemetry.append((keys, result.telemetry.to_dict()))
     print(figure.result(rows))
     if args.csv is not None:
-        from repro.telemetry.plot import write_csv
-
         args.csv.mkdir(parents=True, exist_ok=True)
         for keys, document in telemetry:
             path = args.csv / f"fig11_{keys['scheme']}_alpha{keys['alpha']}.csv"

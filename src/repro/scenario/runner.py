@@ -109,7 +109,7 @@ class ScenarioResult:
 
     # -- summary ------------------------------------------------------
     def summary_row(self) -> Dict[str, object]:
-        """One flat row of identity + headline metrics (campaign reports)."""
+        """One flat row of identity + headline metrics (comparison tables)."""
         row: Dict[str, object] = {
             "scenario": self.spec.name,
             "scheme": self.spec.scheme.name,

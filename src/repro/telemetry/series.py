@@ -10,12 +10,19 @@ Two shapes live here:
 * :class:`QueueLengthSeries` / :func:`trace_to_series` -- the per-event
   queue-length series extracted from switch traces (Figures 3 and 11),
   so the figure harnesses and the bus share one series module.
+
+:func:`select_series` / :func:`write_csv` turn a bus document (``time`` +
+``series``) into time-series CSV for fig11's ``--csv`` and
+``python -m repro.analysis qlen``.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple, Union
+from fnmatch import fnmatch
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, TextIO,
+                    Tuple, Union)
 
 from repro.switchsim.stats import QueueTraceSample
 
@@ -125,3 +132,30 @@ def trace_to_series(trace: Iterable[QueueTraceSample]) -> Dict[int, QueueLengthS
         per_queue = series.setdefault(sample.queue_id, QueueLengthSeries(sample.queue_id))
         per_queue.append(sample.time, sample.length_bytes, sample.threshold_bytes)
     return series
+
+
+def select_series(telemetry: Mapping, patterns: Optional[Sequence[str]] = None
+                  ) -> List[str]:
+    """Series names matching any of the glob ``patterns`` (all when empty)."""
+    names = sorted(telemetry.get("series", {}))
+    if not patterns:
+        return names
+    selected = [name for name in names
+                if any(fnmatch(name, pattern) for pattern in patterns)]
+    if not selected:
+        raise ValueError(
+            f"no series match {list(patterns)!r}; available: "
+            + ", ".join(names))
+    return selected
+
+
+def write_csv(telemetry: Mapping, stream: TextIO,
+              patterns: Optional[Sequence[str]] = None) -> List[str]:
+    """Write ``time`` + selected series as CSV columns; returns the names."""
+    names = select_series(telemetry, patterns)
+    series = telemetry["series"]
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["time"] + names)
+    for index, t in enumerate(telemetry["time"]):
+        writer.writerow([t] + [series[name][index] for name in names])
+    return names

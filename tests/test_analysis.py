@@ -20,7 +20,8 @@ from repro.analysis import (
 )
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.sources import document_from_json
-from repro.campaign import CampaignExecutor, ResultStore, RunSpec
+from repro.campaign import CampaignExecutor, ResultStore, RunSpec, StoreEntry
+from repro.experiments.common import ExperimentResult
 from repro.scenario import ScenarioSpec, run_scenario
 
 import io
@@ -181,6 +182,54 @@ class TestCompare:
             baseline="mystery")
         assert len(tables) == 1  # summary survives, delta table skipped
         assert any("mystery" in warning for warning in warnings)
+
+
+def _figure_store(root: Path, rows) -> Path:
+    """A store of one synthetic entry per ``(experiment, scheme, columns)``."""
+    store = ResultStore(root)
+    for experiment, scheme, columns in rows:
+        result = ExperimentResult(experiment)
+        result.add_row(scheme=scheme, **columns)
+        store.save(StoreEntry(
+            spec=RunSpec(experiment, scale="bench",
+                         params={"schemes": [scheme]}),
+            status="ok", elapsed=0.1, result=result))
+    return root
+
+
+class TestCompareAcrossExperiments:
+    """Each figure is its own comparison: two are never pooled into one mean."""
+
+    def test_one_table_pair_per_experiment(self, tmp_path):
+        root = _figure_store(tmp_path, [
+            ("fig13", "dt", {"avg_qct_ms": 5.0}),
+            ("fig13", "occamy", {"avg_qct_ms": 1.0}),
+            ("fig17", "dt", {"avg_qct_ms": 500.0}),
+            ("fig17", "occamy", {"avg_qct_ms": 900.0}),
+        ])
+        tables, warnings = comparison_tables(
+            load_documents([root]), baseline="dt")
+        assert warnings == []
+        assert [t.experiment for t in tables] == [
+            "fig13 summary[avg_qct_ms]", "fig13 deltas[avg_qct_ms]",
+            "fig17 summary[avg_qct_ms]", "fig17 deltas[avg_qct_ms]"]
+        occamy = [next(r for r in t.rows if r["scheme"] == "occamy")
+                  for t in tables[1::2]]
+        assert [r["delta_pct"] for r in occamy] == [-80.0, 80.0]
+
+    def test_metric_of_one_experiment_warns_for_the_other(self, tmp_path):
+        root = _figure_store(tmp_path, [
+            ("fig13", "dt", {"avg_qct_ms": 5.0}),
+            ("fig13", "occamy", {"avg_qct_ms": 1.0}),
+            ("fig17", "dt", {"avg_fct_ms": 500.0}),
+            ("fig17", "occamy", {"avg_fct_ms": 900.0}),
+        ])
+        tables, warnings = comparison_tables(
+            load_documents([root]), metric="avg_qct_ms", baseline="dt")
+        assert [t.experiment for t in tables] == [
+            "fig13 summary[avg_qct_ms]", "fig13 deltas[avg_qct_ms]"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("fig17: metric 'avg_qct_ms'")
 
 
 class TestQlen:

@@ -1,7 +1,9 @@
 """Tests for the campaign subsystem: specs, hashing, store, executor, CLI.
 
 The executor/CLI tests run real (tiny, ``bench``-scale) experiments so they
-cover the full stack; the aggregation tests use synthetic store entries.
+cover the full stack; the aggregation tests use synthetic store entries and
+read them back through :mod:`repro.analysis`, the one reader of stored
+results.
 """
 
 import json
@@ -13,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import comparison_tables, load_documents, tagged_document_rows
+from repro.analysis.cli import main as analysis_main
+from repro.analysis.compare import numeric_columns, scheme_deltas, scheme_summary
 from repro.campaign import (
     CampaignExecutor,
     GridSpec,
@@ -20,12 +25,7 @@ from repro.campaign import (
     RunSpec,
     StoreEntry,
     SweepSpec,
-    campaign_report,
     execute_run,
-    numeric_columns,
-    scheme_deltas,
-    scheme_summary,
-    tagged_rows,
 )
 from repro.campaign.cli import main as campaign_main
 from repro.experiments.common import ExperimentResult
@@ -426,61 +426,66 @@ class TestAggregation:
             make_entry(seed=2, scheme="dt", status="failed"),
         ]
 
-    def test_tagged_rows_skip_failures(self):
-        rows = tagged_rows(self.entries())
+    def documents(self, tmp_path):
+        """The entries, stored and read back as analysis documents."""
+        store = ResultStore(tmp_path)
+        for entry in self.entries():
+            store.save(entry)
+        return load_documents([tmp_path])
+
+    def test_tagged_rows_skip_failures(self, tmp_path):
+        rows = tagged_document_rows(self.documents(tmp_path))
         assert len(rows) == 4
         assert {r["_seed"] for r in rows} == {0, 1}
         assert all(r["_experiment"] == "fig13" for r in rows)
 
-    def test_numeric_columns_exclude_tags_strings_bools(self):
-        rows = tagged_rows(self.entries())
+    def test_numeric_columns_exclude_tags_strings_bools(self, tmp_path):
+        rows = tagged_document_rows(self.documents(tmp_path))
         rows[0]["flag"] = True
         assert numeric_columns(rows) == ["avg_qct_ms"]
 
-    def test_scheme_summary(self):
-        summary = scheme_summary(tagged_rows(self.entries()), "avg_qct_ms")
+    def test_scheme_summary(self, tmp_path):
+        rows = tagged_document_rows(self.documents(tmp_path))
+        summary = scheme_summary(rows, "avg_qct_ms")
         by_scheme = {r["scheme"]: r for r in summary.rows}
         assert by_scheme["occamy"]["mean"] == pytest.approx(1.5)
         assert by_scheme["dt"]["mean"] == pytest.approx(5.0)
         assert by_scheme["dt"]["count"] == 2
 
-    def test_scheme_deltas_against_baseline(self):
-        deltas = scheme_deltas(tagged_rows(self.entries()), "avg_qct_ms", baseline="dt")
+    def test_scheme_deltas_against_baseline(self, tmp_path):
+        rows = tagged_document_rows(self.documents(tmp_path))
+        deltas = scheme_deltas(rows, "avg_qct_ms", baseline="dt")
         by_scheme = {r["scheme"]: r for r in deltas.rows}
         assert by_scheme["dt"]["delta"] == 0
         assert by_scheme["occamy"]["delta"] == pytest.approx(-3.5)
         assert by_scheme["occamy"]["delta_pct"] == pytest.approx(-70.0)
 
-    def test_scheme_deltas_unknown_baseline(self):
+    def test_scheme_deltas_unknown_baseline(self, tmp_path):
+        rows = tagged_document_rows(self.documents(tmp_path))
         with pytest.raises(KeyError):
-            scheme_deltas(tagged_rows(self.entries()), "avg_qct_ms", baseline="abm")
+            scheme_deltas(rows, "avg_qct_ms", baseline="abm")
 
     def test_campaign_report_from_store_only(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for entry in self.entries():
-            store.save(entry)
-        report = campaign_report(store, metric="avg_qct_ms", baseline="dt")
-        assert len(report.tables) == 2  # summary + deltas for fig13
-        assert report.warnings == []
-        text = "\n".join(str(t) for t in report.tables)
+        tables, warnings = comparison_tables(
+            self.documents(tmp_path), metric="avg_qct_ms", baseline="dt")
+        assert len(tables) == 2  # summary + deltas for fig13
+        assert warnings == []
+        text = "\n".join(str(t) for t in tables)
         assert "occamy" in text and "dt" in text
         assert "summary[avg_qct_ms]" in text and "deltas[avg_qct_ms]" in text
 
     def test_campaign_report_unknown_metric_warns_not_substitutes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for entry in self.entries():
-            store.save(entry)
-        report = campaign_report(store, metric="avg_qct")  # typo
-        assert report.tables == []
-        assert any("avg_qct" in w for w in report.warnings)
+        tables, warnings = comparison_tables(
+            self.documents(tmp_path), metric="avg_qct")  # typo
+        assert tables == []
+        assert any("avg_qct" in w for w in warnings)
 
     def test_campaign_report_unknown_baseline_warns_not_substitutes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for entry in self.entries():
-            store.save(entry)
-        report = campaign_report(store, baseline="abm")
-        assert report.tables == []
-        assert any("abm" in w for w in report.warnings)
+        tables, warnings = comparison_tables(
+            self.documents(tmp_path), baseline="abm")
+        # No delta table against a substituted baseline; the summary stays.
+        assert [t.experiment for t in tables] == ["summary[avg_qct_ms]"]
+        assert any("abm" in w for w in warnings)
 
 
 class TestRunnerIntegration:
@@ -567,16 +572,17 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "ok: 2" in out and "2/2 runs completed" in out
 
-        assert campaign_main(
-            ["report", "--store", store_dir, "--metric", "avg_qct_ms",
+        assert analysis_main(
+            ["compare", store_dir, "--metric", "avg_qct_ms",
              "--baseline", "dt"]
         ) == 0
         out = capsys.readouterr().out
         assert "occamy" in out and "dt" in out and "deltas[avg_qct_ms]" in out
 
         assert campaign_main(["clean", "--store", store_dir]) == 0
-        assert campaign_main(["report", "--store", store_dir]) == 1
+        assert analysis_main(["compare", store_dir]) == 1
 
     def test_report_empty_store(self, tmp_path, capsys):
-        assert campaign_main(["report", "--store", str(tmp_path / "empty")]) == 1
-        assert "no completed runs" in capsys.readouterr().out
+        (tmp_path / "empty" / "runs").mkdir(parents=True)
+        assert analysis_main(["compare", str(tmp_path / "empty")]) == 1
+        assert "no documents loaded" in capsys.readouterr().err

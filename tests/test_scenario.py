@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.cli import main as analysis_main
 from repro.campaign import RunSpec, ScenarioGridSpec, SweepSpec, set_by_path
 from repro.campaign.cli import main as campaign_main
 from repro.core.registry import (
@@ -541,7 +542,7 @@ class TestScenarioGrid:
             }],
         }))
         assert campaign_main(["run", str(spec_path), "--store", str(store)]) == 0
-        assert campaign_main(["report", "--store", str(store),
+        assert analysis_main(["compare", str(store),
                               "--metric", "avg_fct_ms", "--group-by", "alpha",
                               "--format", "csv"]) == 0
         # Resume serves both runs from the cache.

@@ -11,10 +11,14 @@ import json
 
 import pytest
 
+from repro.analysis import load_documents
+from repro.analysis.cli import main as analysis_main
+from repro.campaign import RunSpec, StoreEntry
+from repro.experiments.common import ExperimentResult
 from repro.scenario.spec import ScenarioSpec, TelemetrySpec
 from repro.sim.engine import Simulator
 from repro.telemetry import CampaignBoard, LiveDashboard, RingSeries, TelemetryBus
-from repro.telemetry.plot import extract_telemetry, select_series, write_csv
+from repro.telemetry.series import select_series, write_csv
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +214,7 @@ def test_live_event_counting_needs_no_opt_in():
 
 
 # ----------------------------------------------------------------------
-# Plot helpers
+# Stored telemetry: document shapes and CSV helpers
 # ----------------------------------------------------------------------
 _SECTION = {
     "interval": 0.1, "capacity": 4, "ticks": 3, "dropped_samples": 0,
@@ -220,15 +224,31 @@ _SECTION = {
 }
 
 
-def test_extract_telemetry_handles_all_document_shapes():
-    assert extract_telemetry(_SECTION)["ticks"] == 3
-    assert extract_telemetry({"telemetry": _SECTION})["ticks"] == 3
-    assert extract_telemetry(
-        {"artifacts": {"telemetry": _SECTION}})["ticks"] == 3
-    assert extract_telemetry(
-        {"result": {"artifacts": {"telemetry": _SECTION}}})["ticks"] == 3
-    with pytest.raises(ValueError, match="no telemetry section"):
-        extract_telemetry({"flows": []})
+def test_load_documents_finds_telemetry_in_every_document_shape(tmp_path, capsys):
+    result = ExperimentResult("fig11")
+    result.add_row(scheme="occamy", drops=0)
+    result.artifacts["telemetry"] = _SECTION
+    entry = StoreEntry(spec=RunSpec("fig11", scale="bench"), status="ok",
+                       elapsed=0.1, result=result)
+    shapes = {
+        "bare": _SECTION,
+        "scenario": {"spec": {"name": "incast", "seed": 1},
+                     "summary": {"scheme": "dt"}, "telemetry": _SECTION},
+        "experiment": result.to_dict(),
+        "entry": entry.to_dict(),
+    }
+    for name, document in shapes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        (loaded,) = load_documents([path])
+        assert loaded.telemetry["ticks"] == 3, name
+        assert analysis_main(["qlen", str(path), "--series", "sim.*"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "time,sim.events_executed", "0.0,0", "0.1,2", "0.2,4"], name
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({"experiment": "fig13", "rows": []}))
+    assert analysis_main(["qlen", str(path)]) == 1
+    assert "telemetry enabled" in capsys.readouterr().err
 
 
 def test_select_series_glob_and_errors():

@@ -31,13 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 STUBS = ("...", "raise NotImplementedError", "raise NotImplementedError()")
 
-#: ``module:qualname`` patterns run out of process, in a thread, or only with
-#: an optional dependency (one line each, at most ten).
+#: ``module:qualname`` patterns run out of process or in a thread (one line
+#: each, at most ten).
 ALLOW = [
     r"^repro\.sim\.shard:(_ShardWorker|_CutRecorder|_leak_guard)",  # shard process
     r"^repro\.netsim\.network:Network\.transport_config$",  # read by shard processes only
     r"^repro\.process:_serve_forked$",  # forked worker
-    r"^repro\.telemetry\.plot:write_figure$",  # needs matplotlib
 ]
 
 #: One ``python -m cProfile -o OUT <line>`` each, after every examples/*.py and
@@ -50,10 +49,9 @@ bench/session.py --workload campaign_farm --seed 1 --scale tiny --reps 1
 -m repro.scenario registries
 -m repro.scenario validate {specs}
 -m repro.scenario run examples/scenario_telemetry_incast.json --json
--m repro.telemetry plot {tmp}/doc.json --out {tmp}/doc.csv --series switch.*.occupancy_bytes sim.*
+-m repro.analysis qlen {tmp}/doc.json --series switch.*.occupancy_bytes sim.*
 -m repro.farm check subprocess:2
 -m repro.campaign run examples/campaign_farm_smoke.json --farm subprocess:2 --store {tmp}/farm
--m repro.campaign report --store {tmp}/farm
 -m repro.analysis summary {tmp}/farm
 -m repro.analysis fct {tmp}/farm
 -m repro.analysis compare {tmp}/farm --format csv --metric avg_fct_slowdown --baseline dt
