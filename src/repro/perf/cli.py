@@ -3,15 +3,16 @@
 Usage::
 
     python -m repro.perf list
-    python -m repro.perf differential [CASE_ID ...] [--kernel NAME]
+    python -m repro.perf differential [CASE ...] [--kernel NAME]
                                       [--shards N] [--partition NAME]
     python -m repro.perf overhead BASE_CASE VARIANT_CASE [--warmup N]
                                   [--reps N] [--fail-above PCT]
 
-``differential`` runs cases under both the single-process heap oracle and
-a candidate engine configuration (kernel and/or shard count) and
-byte-diffs the result documents -- the correctness gate every alternative
-engine must clear.
+A CASE is a case id (a document in ``repro/perf/cases/``) or a path to
+any scenario document.  ``differential`` runs cases under both the
+single-process heap oracle and a candidate engine configuration (kernel
+and/or shard count) and byte-diffs the result documents -- the
+correctness gate every alternative engine must clear.
 
 ``overhead`` runs interleaved base/variant pairs in one process and, with
 ``--fail-above``, exits nonzero when the median per-pair wall-time ratio
@@ -23,28 +24,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
-from repro.perf.cases import available_cases, get_case
-from repro.perf.differential import run_differentials
+from repro.perf import case_names, load_case
+from repro.perf.differential import run_differential
 from repro.perf.harness import measure_overhead
 from repro.sim.kernel import HeapKernel, make_kernel
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     del args
-    for case in available_cases():
-        print(f"{case.case_id:38} {case.description}")
+    for name in case_names():
+        print(f"{name:38} {load_case(name).label()}")
     return 0
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    base = get_case(args.base)
-    variant = get_case(args.variant)
-    measurement = measure_overhead(base, variant, warmup=args.warmup,
-                                   repetitions=args.reps)
-    print(f"[{measurement.base_id}: {measurement.base_wall_s:.4f}s  vs  "
-          f"{measurement.variant_id}: {measurement.variant_wall_s:.4f}s]")
+    measurement = measure_overhead(load_case(args.base),
+                                   load_case(args.variant),
+                                   warmup=args.warmup, repetitions=args.reps)
+    print(f"[{Path(args.base).stem}: {measurement.base_wall_s:.4f}s  vs  "
+          f"{Path(args.variant).stem}: {measurement.variant_wall_s:.4f}s]")
     print(f"overhead: {measurement.overhead_pct:+.2f}%")
     if args.fail_above is not None and measurement.overhead_pct > args.fail_above:
         print(f"FAIL: overhead {measurement.overhead_pct:+.2f}% exceeds "
@@ -60,29 +61,29 @@ def _cmd_differential(args: argparse.Namespace) -> int:
         print("FAIL: nothing to compare: pass `--shards N` or a non-oracle "
               "`--kernel`")
         return 1
-    if args.cases:
-        cases = [get_case(name) for name in args.cases]
-    else:
-        cases = available_cases()
+    # Every argument is parsed before anything runs: a typo fails at once.
+    cases = [(Path(name).stem, load_case(name))
+             for name in args.cases or case_names()]
 
     candidate = args.kernel
     if args.shards != 1:
         candidate += f" x {args.shards} shards"
 
-    def progress(outcome) -> None:
+    results = []
+    for case_id, spec in cases:
+        outcome = run_differential(spec, kernel=args.kernel,
+                                   shards=args.shards,
+                                   partition=args.partition)
+        results.append(outcome)
         if outcome.skipped is not None:
-            print(f"[{outcome.case_id}: SKIPPED: {outcome.skipped}]",
-                  flush=True)
-            return
+            print(f"[{case_id}: SKIPPED: {outcome.skipped}]", flush=True)
+            continue
         verdict = "identical" if outcome.identical else "DIVERGED"
         detail = ""
         if outcome.diverging_keys:
             detail = f"  (differs in: {', '.join(outcome.diverging_keys)})"
-        print(f"[{outcome.case_id}: heap vs {candidate}: {verdict}, "
+        print(f"[{case_id}: heap vs {candidate}: {verdict}, "
               f"{outcome.events:,} events]{detail}", flush=True)
-
-    results = run_differentials(cases, kernel=args.kernel, shards=args.shards,
-                                partition=args.partition, progress=progress)
     skipped = [r for r in results if r.skipped is not None]
     covered = [r for r in results if r.skipped is None]
     diverged = [r for r in covered if not r.identical]
@@ -108,14 +109,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list registered perf cases")
+    sub.add_parser("list", help="list the perf case documents")
 
     diff_p = sub.add_parser(
         "differential",
         help="byte-diff result documents between the heap oracle and a "
              "candidate engine configuration (kernel and/or shards)")
     diff_p.add_argument("cases", nargs="*",
-                        help="case ids; default: every registered case")
+                        help="case ids or scenario document paths; "
+                             "default: every perf case")
     diff_p.add_argument("--kernel", default="heap",
                         help="candidate kernel to diff (default: heap, "
                              "which needs --shards N to differ from the "
@@ -131,9 +133,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ovh_p = sub.add_parser(
         "overhead",
         help="interleaved A/B wall-time comparison of two cases (the "
-             "telemetry <=5%% and lb attach <=2%% gates)")
-    ovh_p.add_argument("base", help="base case id")
-    ovh_p.add_argument("variant", help="variant case id")
+             "telemetry <=5%% gate)")
+    ovh_p.add_argument("base", help="base case id or document path")
+    ovh_p.add_argument("variant", help="variant case id or document path")
     ovh_p.add_argument("--warmup", type=int, default=1,
                        help="unrecorded warmup pairs (default: 1)")
     ovh_p.add_argument("--reps", type=int, default=7,

@@ -1,10 +1,10 @@
-"""Interleaved A/B wall-time measurement of two perf cases: the ``overhead`` gate.
+"""Interleaved A/B wall-time measurement of two specs: the ``overhead`` gate.
 
 ``python -m repro.perf overhead BASE VARIANT --fail-above PCT`` answers one
 question -- does the variant cost more than ``PCT`` percent over the base,
-on this machine, now -- and CI uses it to hold the telemetry bus (<= 5%)
-and the load-balancer attach path (<= 2%) to their budgets.  It is a gate,
-not a benchmark: speed claims are measured with ``python3 bench/run.py``.
+on this machine, now -- and CI uses it to hold the telemetry bus to its
+5% budget.  It is a gate, not a benchmark: speed claims are measured with
+``python3 bench/run.py``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import time
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.perf.cases import PerfCase
 from repro.scenario.runner import ScenarioRunner
+from repro.scenario.spec import ScenarioSpec
 
 
-def _execute_once(case: PerfCase) -> float:
-    """One timed run of ``case``; returns its wall seconds."""
-    spec = case.build()
+def _execute_once(spec: ScenarioSpec) -> float:
+    """One timed run of ``spec``; returns its wall seconds."""
     runner = ScenarioRunner()
     start = time.perf_counter()
     runner.run(spec)
@@ -30,7 +29,7 @@ def _execute_once(case: PerfCase) -> float:
 
 @dataclass
 class OverheadMeasurement:
-    """An interleaved A/B comparison of two cases (same-session, same-process).
+    """An interleaved A/B comparison of two specs (same-session, same-process).
 
     Container timing noise between sessions easily exceeds 10%, and even
     within one process the clock frequency drifts several percent over tens
@@ -42,8 +41,6 @@ class OverheadMeasurement:
     single pair catching an interference spike.
     """
 
-    base_id: str
-    variant_id: str
     base_repetitions: List[float] = field(default_factory=list)
     variant_repetitions: List[float] = field(default_factory=list)
 
@@ -68,7 +65,8 @@ class OverheadMeasurement:
         return (statistics.median(self.pair_ratios) - 1.0) * 100.0
 
 
-def measure_overhead(base: PerfCase, variant: PerfCase, warmup: int = 1,
+def measure_overhead(base: ScenarioSpec, variant: ScenarioSpec,
+                     warmup: int = 1,
                      repetitions: int = 7) -> OverheadMeasurement:
     """Measure ``variant``'s wall-time overhead over ``base``, interleaved.
 
@@ -84,14 +82,13 @@ def measure_overhead(base: PerfCase, variant: PerfCase, warmup: int = 1,
     for _ in range(warmup):
         _execute_once(base)
         _execute_once(variant)
-    measurement = OverheadMeasurement(base_id=base.case_id,
-                                      variant_id=variant.case_id)
+    measurement = OverheadMeasurement()
     for rep in range(repetitions):
         pair = ((base, measurement.base_repetitions),
                 (variant, measurement.variant_repetitions))
         if rep % 2:
             pair = (pair[1], pair[0])
-        for case, times in pair:
+        for spec, times in pair:
             gc.collect()
-            times.append(_execute_once(case))
+            times.append(_execute_once(spec))
     return measurement

@@ -27,7 +27,6 @@ sweeps any scenario dimension through its ``"scenario"`` grid type; and
 """
 
 from repro.scenario.builders import (
-    fat_tree_scenario,
     fixed_flows_workload,
     leaf_spine_scenario,
     packet_burst_scenario,
@@ -82,7 +81,6 @@ __all__ = [
     "available_topologies",
     "available_transport_profiles",
     "available_workloads",
-    "fat_tree_scenario",
     "fixed_flows_workload",
     "get_scale",
     "leaf_spine_scenario",

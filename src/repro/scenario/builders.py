@@ -210,106 +210,6 @@ def leaf_spine_scenario(
     )
 
 
-def fat_tree_scenario(
-    scheme: str,
-    config: ScenarioConfig,
-    query_size_bytes: int,
-    seed: int = 0,
-    background_load: float = 0.4,
-    background_kind: str = "websearch",
-    background_flow_size: int = 256 * KB,
-    query_load_queries: Optional[int] = None,
-    oversubscription: float = 1.0,
-    scheme_kwargs: Optional[Dict[str, object]] = None,
-    buffer_bytes_per_port: Optional[int] = None,
-    fabric: Optional[FabricSpec] = None,
-    name: str = "fat_tree",
-) -> ScenarioSpec:
-    """The fat-tree analogue of :func:`leaf_spine_scenario`.
-
-    Paced incast queries plus a background workload on a k-ary fat-tree --
-    the standing multi-stage stress scenario.  ``background_kind`` accepts
-    ``websearch`` (per-host Poisson load), ``permutation`` (one
-    ``background_flow_size`` flow per host along a random derangement) or
-    the collectives (``all_to_all`` / ``all_reduce``).  ``fabric`` injects
-    the asymmetric fabric model (per-tier rates, failed/degraded links).
-    """
-    k = config.fattree_k
-    hosts_per_edge = max(1, round(config.fattree_hosts_per_edge
-                                  * oversubscription))
-    num_hosts = k * (k // 2) * hosts_per_edge
-    num_queries = (query_load_queries if query_load_queries is not None
-                   else config.fabric_queries)
-    workloads: List[WorkloadSpec] = [
-        WorkloadSpec(
-            kind="incast",
-            rng_label="query",
-            params={
-                "query_size_bytes": query_size_bytes,
-                "fanout": min(config.fabric_incast_fanout, num_hosts - 1),
-                "arrival": "paced",
-                "num_queries": num_queries,
-            },
-        )
-    ]
-    if background_kind == "websearch":
-        if background_load > 0:
-            workloads.append(
-                WorkloadSpec(
-                    kind="websearch",
-                    rng_label="bg",
-                    params={
-                        "load": background_load,
-                        "load_scope": "per_host",
-                    },
-                )
-            )
-    elif background_kind == "permutation":
-        workloads.append(
-            WorkloadSpec(
-                kind="permutation",
-                rng_label="bg",
-                params={"flow_size_bytes": background_flow_size,
-                        "pattern": "random"},
-            )
-        )
-    elif background_kind in ("all_to_all", "all_reduce"):
-        workloads.append(
-            WorkloadSpec(
-                kind=background_kind,
-                params={"flow_size_bytes": background_flow_size,
-                        "start_time": 0.0},
-            )
-        )
-    else:
-        raise ValueError(f"unknown background kind {background_kind!r}")
-    return ScenarioSpec(
-        name=name,
-        scheme=SchemeSpec(name=scheme, kwargs=dict(scheme_kwargs or {})),
-        topology=TopologySpec(
-            kind="fat_tree",
-            params={
-                "k": k,
-                "hosts_per_edge": hosts_per_edge,
-                "link_rate_bps": config.fabric_link_rate_bps,
-                "buffer_bytes_per_port": (
-                    buffer_bytes_per_port
-                    if buffer_bytes_per_port is not None
-                    else config.fabric_buffer_bytes_per_port
-                ),
-                "ecn_threshold_bytes": config.fabric_ecn_threshold_bytes,
-            },
-        ),
-        workloads=workloads,
-        transport=TransportSpec(protocol="dctcp",
-                                config={"min_rto": config.min_rto}),
-        fabric=fabric or FabricSpec(),
-        duration=config.fabric_duration,
-        run_slack=config.run_slack,
-        seed=seed,
-    )
-
-
 def packet_burst_scenario(
     scheme: str,
     scheme_kwargs: Optional[Dict[str, object]] = None,

@@ -46,17 +46,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = ScenarioSpec.from_file(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    # Each engine flag overrides its own field only (--shards must not
-    # clobber a --kernel given alongside it, and vice versa).
-    engine = spec.engine
-    if args.kernel is not None:
-        engine = replace(engine, kernel=args.kernel)
-    if args.shards is not None:
-        engine = replace(engine, shards=args.shards)
-    if args.partition is not None:
-        engine = replace(engine, partition=args.partition)
-    if engine is not spec.engine:
-        spec = replace(spec, engine=engine)
+    spec = spec.with_engine(kernel=args.kernel, shards=args.shards,
+                            partition=args.partition)
     dashboard = None
     if args.live:
         # --live implies telemetry: force-enable the bus (keeping any
@@ -129,25 +120,26 @@ def _cmd_registries(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_build_resolves(runner, spec: ScenarioSpec, seen: set) -> None:
-    """Build (and cut) the topology of a non-default-fabric or sharded spec.
+def validate_spec(spec: ScenarioSpec, runner, seen: set) -> None:
+    """Validate ``spec`` against the registries, then resolve what they miss.
 
-    Registry validation cannot see fabric *contents* -- whether
-    ``failures``/``degraded`` endpoint names, ``tier_rates`` tier names and
-    ``fabric.events`` endpoints actually exist is decided against the built
-    network -- nor whether a shard cut is *valid* for the topology (enough
-    pods/leaves, positive cut-link delays, full node cover), which the
-    partitioner decides, nor whether a ``fabric.events`` failure partitions
-    the fabric.  Building the (traffic-free) topology with
+    Registry validation (``runner.validate``) cannot see fabric *contents*
+    -- whether ``failures``/``degraded`` endpoint names, ``tier_rates`` tier
+    names and ``fabric.events`` endpoints actually exist is decided against
+    the built network -- nor whether a shard cut is *valid* for the topology
+    (enough pods/leaves, positive cut-link delays, full node cover), which
+    the partitioner decides, nor whether a ``fabric.events`` failure
+    partitions the fabric.  Building the (traffic-free) topology with
     ``ScenarioRunner.build``, replaying its fail / repair events in order
     and, for ``shards > 1``, partitioning it makes a stale example fail
     validation instead of failing at run time.
     Distinct (topology, fabric, engine) combinations are built once per
-    call.
+    ``seen`` set.  Raises ``ValueError`` on the first problem.
     """
     from repro.netsim.partition import partition_topology
     from repro.scenario.spec import canonical_json
 
+    runner.validate(spec)
     if spec.fabric.is_default() and spec.engine.shards <= 1:
         return
     key = canonical_json([spec.topology.to_dict(), spec.fabric.to_dict(),
@@ -207,13 +199,10 @@ def validate_spec_file(path: str) -> str:
         for run_spec in runs:
             embedded = run_spec.params.get("scenario")
             if embedded is not None:
-                spec = ScenarioSpec.from_dict(embedded)
-                runner.validate(spec)
-                _validate_build_resolves(runner, spec, built)
+                validate_spec(ScenarioSpec.from_dict(embedded), runner,
+                              built)
         return f"campaign ({len(runs)} runs)"
-    spec = ScenarioSpec.from_dict(document)
-    runner.validate(spec)
-    _validate_build_resolves(runner, spec, built)
+    validate_spec(ScenarioSpec.from_dict(document), runner, built)
     return "scenario"
 
 

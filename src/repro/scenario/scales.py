@@ -40,9 +40,6 @@ class ScenarioConfig:
     fabric_duration: float = 0.02
     fabric_queries: int = 8
     fabric_incast_fanout: int = 8
-    # Fat-tree dimensions (shares the fabric_* rates/buffers/workload knobs).
-    fattree_k: int = 4
-    fattree_hosts_per_edge: int = 2
     # Transport.
     min_rto: float = 2e-3
     run_slack: float = 10.0  # run the sim this many x the workload duration
@@ -72,8 +69,6 @@ _SCALES: Dict[str, ScenarioConfig] = {
         fabric_incast_fanout=4,
         fabric_buffer_bytes_per_port=64 * KB,
         fabric_ecn_threshold_bytes=30 * KB,
-        fattree_k=4,
-        fattree_hosts_per_edge=1,
         min_rto=2e-3,
     ),
     "small": ScenarioConfig(
@@ -96,8 +91,6 @@ _SCALES: Dict[str, ScenarioConfig] = {
         fabric_duration=0.05,
         fabric_queries=40,
         fabric_incast_fanout=16,
-        fattree_k=8,
-        fattree_hosts_per_edge=4,
         min_rto=5e-3,
     ),
 }

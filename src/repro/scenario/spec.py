@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional
 
 from repro.schema import OMIT_DEFAULT, SHORTHAND, Section, parse
@@ -470,6 +470,20 @@ class ScenarioSpec(Section, section="scenario", document=True):
                 f"{', '.join(overlap)}; declare them once, in 'fabric'")
         params.update(fabric_kwargs)
         return params
+
+    def with_engine(self, kernel: Optional[str] = None,
+                    shards: Optional[int] = None,
+                    partition: Optional[str] = None) -> "ScenarioSpec":
+        """A copy run by the given engine; ``self`` is left untouched.
+
+        Each override replaces only its own field and ``None`` keeps the
+        spec's value, so overrides compose: a shard count does not clobber
+        a kernel given alongside it, or one the document set.
+        """
+        overrides = {name: value for name, value in (
+            ("kernel", kernel), ("shards", shards), ("partition", partition))
+            if value is not None}
+        return replace(self, engine=replace(self.engine, **overrides))
 
     def config_hash(self) -> str:
         """A 16-hex-digit digest stable across processes and sessions."""

@@ -7,7 +7,7 @@ import pytest
 from repro.core import BufferManager, DynamicThreshold, Occamy
 from repro.core.expulsion import RoundRobinPointer, TokenBucket
 from repro.core.registry import make_buffer_manager
-from repro.perf.cases import get_case
+from repro.perf import load_case
 from repro.scenario import leaf_spine_scenario, run_scenario
 from repro.scenario.scales import get_scale
 from repro.sim import Simulator
@@ -334,7 +334,7 @@ class TestEnginePassTripwires:
     def test_expelling_run_keeps_its_victim_count(self):
         # dumbbell_burst expels nothing (0 at PR 12 too), so the
         # expelling tripwire rides on the bare-switch perf case instead.
-        result = run_scenario(get_case("raw_switch_stream").build())
+        result = run_scenario(load_case("raw_switch_stream"))
         engine = result.switch.expulsion_engine
         assert engine.passes > 0
         assert engine.total_expelled_packets == 2355  # as at PR 12

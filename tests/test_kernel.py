@@ -311,10 +311,10 @@ def counting_kernel():
 
 
 def test_differential_small_case_is_identical(counting_kernel):
-    from repro.perf.cases import get_case
+    from repro.perf import load_case
     from repro.perf.differential import run_differential
 
-    outcome = run_differential(get_case("raw_switch_stream"),
+    outcome = run_differential(load_case("raw_switch_stream"),
                                kernel=counting_kernel.name)
     assert outcome.identical, outcome.diverging_keys
     assert outcome.events > 0
@@ -345,14 +345,19 @@ def test_perf_cli_differential_refuses_a_vacuous_comparison(capsys, argv):
     assert "identical" not in out  # no case was run
 
 
-def test_perf_case_with_kernel_keeps_case_id():
-    from repro.perf.cases import case_with_engine, get_case
+def test_with_engine_overrides_compose_and_leave_the_spec_untouched():
+    from repro.perf import load_case
 
-    case = get_case("incast_single_switch")
-    pooled = case_with_engine(case, kernel="pooled")
-    assert pooled.case_id == case.case_id
-    assert pooled.build().engine.kernel == "pooled"
-    assert case.build().engine.is_default()  # the original is untouched
+    spec = load_case("incast_single_switch")
+    pooled = spec.with_engine(kernel="pooled")
+    assert pooled.engine.kernel == "pooled"
+    sharded = pooled.with_engine(shards=2, partition="pods")
+    # Each override replaces its own field only; None keeps the spec's.
+    assert (sharded.engine.kernel, sharded.engine.shards,
+            sharded.engine.partition) == ("pooled", 2, "pods")
+    assert sharded.with_engine().engine == sharded.engine
+    assert spec.engine.is_default()  # the original is untouched
+    assert pooled.engine.shards == 1
 
 
 def test_scenario_cli_kernel_override(capsys):

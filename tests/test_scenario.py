@@ -26,7 +26,7 @@ from repro.core.registry import (
 )
 from repro.core.dt import DynamicThreshold
 from repro.experiments.common import ExperimentResult
-from repro.perf.cases import get_case
+from repro.perf import load_case
 from repro.scenario import (
     ScenarioRunner,
     ScenarioSpec,
@@ -36,7 +36,6 @@ from repro.scenario import (
     WorkloadSpec,
     available_topologies,
     available_workloads,
-    fat_tree_scenario,
     leaf_spine_scenario,
     register_topology,
     register_transport_profile,
@@ -325,14 +324,25 @@ class TestScenarioRunner:
         result = run_scenario(spec)
         assert result.flow_stats.completed_queries()
 
-    def test_fat_tree_builder_round_trips_and_runs(self):
-        config = replace(get_scale("bench"), fabric_duration=0.001)
-        spec = fat_tree_scenario(
-            scheme="occamy", config=config, query_size_bytes=60_000,
-            background_kind="permutation", background_flow_size=8_192,
-        )
-        assert spec.topology.kind == "fat_tree"
-        assert spec.topology.params["k"] == config.fattree_k
+    def test_fat_tree_document_round_trips_and_runs(self):
+        spec = ScenarioSpec.from_dict({
+            "name": "fat_tree",
+            "scheme": "occamy",
+            "topology": {"kind": "fat_tree", "params": {
+                "k": 4, "hosts_per_edge": 1, "link_rate_bps": 10_000_000_000,
+                "buffer_bytes_per_port": 65_536,
+                "ecn_threshold_bytes": 30_720}},
+            "workloads": [
+                {"kind": "incast", "rng_label": "query", "params": {
+                    "query_size_bytes": 60_000, "fanout": 4,
+                    "arrival": "paced", "num_queries": 3}},
+                {"kind": "permutation", "rng_label": "bg", "params": {
+                    "flow_size_bytes": 8_192, "pattern": "random"}},
+            ],
+            "transport": {"protocol": "dctcp", "config": {"min_rto": 0.002}},
+            "duration": 0.001,
+        })
+        assert spec.config_hash() == "ab9b8374c2a1f450"  # the old builder's
         rebuilt = ScenarioSpec.from_json(json.dumps(spec.to_dict()))
         assert rebuilt.config_hash() == spec.config_hash()
         result = run_scenario(spec)
@@ -385,7 +395,7 @@ class TestScenarioRunner:
             return real_run(sim, *args, **kwargs)
 
         monkeypatch.setattr(Simulator, "run", spying_run)
-        result = run_scenario(get_case("raw_switch_stream").build())
+        result = run_scenario(load_case("raw_switch_stream"))
         assert heap_at_run_start == [(1, 4441)]
         assert result.switch.stats.arrived_packets == 4441
         assert result.events_executed == 5131  # one callback per packet: 5131 too

@@ -118,11 +118,11 @@ def test_partition_rejects_unknown_strategy_and_bad_counts():
 
 
 def test_runner_validate_rejects_unpartitionable_specs():
-    from repro.perf.cases import get_case
+    from repro.perf import load_case
     from repro.scenario.runner import ScenarioRunner
 
     # Switch-level topologies have no link graph to cut.
-    raw = get_case("raw_switch_stream").build()
+    raw = load_case("raw_switch_stream")
     raw = replace(raw, engine=EngineSpec(shards=2))
     with pytest.raises(ValueError, match="network-level topology"):
         ScenarioRunner().validate(raw)

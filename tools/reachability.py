@@ -86,7 +86,8 @@ def main():
     reached = set()
     with tempfile.TemporaryDirectory() as tmp:
         examples = sorted(str(p) for p in (ROOT / "examples").glob("*.py"))
-        specs = " ".join(sorted(str(p) for p in ROOT.glob("examples/*.json")))
+        specs = " ".join(sorted(str(p) for pattern in (
+            "examples/*.json", "src/repro/perf/cases/*.json") for p in ROOT.glob(pattern)))
         helps = [f"-m repro.{p.parent.name} --help" for p in SRC.glob("*/__main__.py")]
         lines = examples + RUNS.format(specs=specs, tmp=tmp).splitlines() + helps
         for index, argv in enumerate(line.split() for line in lines):
